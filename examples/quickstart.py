@@ -18,7 +18,6 @@ import sys
 from repro.benchsuite import load_scenario
 from repro.core import CirFixEngine, RepairConfig
 from repro.core.patch import Patch
-from repro.instrument.trace import output_mismatch
 
 CONFIG = RepairConfig(
     population_size=60,
@@ -37,9 +36,8 @@ def main() -> int:
 
     engine = CirFixEngine(scenario.problem(), scenario.suggested_config(CONFIG))
     faulty = engine.evaluate(Patch.empty())
-    mismatch = output_mismatch(scenario.oracle(), faulty.trace)
     print(f"faulty fitness: {faulty.fitness:.3f} (paper: 0.58)")
-    print(f"mismatched wires: {sorted(mismatch)}")
+    print(f"mismatched wires: {list(faulty.mismatch or ())}")
 
     for seed in seeds:
         engine = CirFixEngine(scenario.problem(), scenario.suggested_config(CONFIG), seed)

@@ -474,6 +474,45 @@ print(f"synth smoke ok: {outcomes['serial']['eval_sims']} eval_sims, "
       "outcome JSON identical across backends")
 EOF
 
+echo "== GP cross-backend smoke (pool, then serial, on one cache_dir) =="
+# Both backends return the same compact results, so the serial rerun
+# replays every entry the pool published and publishes nothing itself.
+python - "$SMOKE_DIR" <<'EOF'
+import json
+import sys
+from pathlib import Path
+
+from repro.api import run_request
+from repro.cache import PersistentEvalCache
+from repro.core.serialize import outcome_to_json
+from repro.service import RepairRequest
+
+cache_dir = str(Path(sys.argv[1]) / "gp_cache")
+budget = {
+    "population_size": 16, "max_generations": 2, "max_fitness_evals": 32,
+    "minimize_budget": 8, "max_wall_seconds": 1e6, "cache_dir": cache_dir,
+}
+
+
+def report(**backend):
+    request = RepairRequest(
+        scenario="fsm_next_sens", seeds=(0,), config={**budget, **backend}
+    )
+    payload = json.loads(outcome_to_json(run_request(request), "fsm_next_sens"))
+    payload.pop("elapsed_seconds")
+    return payload
+
+
+pool = report(backend="process", workers=2)
+store = PersistentEvalCache.open(cache_dir)
+published = store.info()["stores"]
+serial = report(backend="serial")
+assert serial == pool, f"GP outcome diverged by backend: {serial} != {pool}"
+assert store.info()["stores"] == published, "serial rerun re-published pool entries"
+print(f"GP cross-backend smoke ok: {serial['eval_sims']} eval_sims, "
+      f"{published} entries published once, outcome JSON identical")
+EOF
+
 echo "== race smoke (race legs byte-identical to standalone engine runs) =="
 python - <<'EOF'
 import json

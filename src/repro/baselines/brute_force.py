@@ -74,7 +74,7 @@ class BruteForceRepair:
         while time_mod.monotonic() < deadline:
             if (
                 self.config.max_fitness_evals is not None
-                and self._engine.simulations >= self.config.max_fitness_evals
+                and self._engine.eval_sims >= self.config.max_fitness_evals
             ):
                 break
             edits: list[Edit] = []
@@ -96,7 +96,7 @@ class BruteForceRepair:
                     patch,
                     evaluation.fitness,
                     tried,
-                    self._engine.simulations,
+                    self._engine.eval_sims,
                     time_mod.monotonic() - start,
                 )
         return BruteForceOutcome(
@@ -104,6 +104,6 @@ class BruteForceRepair:
             best_patch,
             best_fitness,
             tried,
-            self._engine.simulations,
+            self._engine.eval_sims,
             time_mod.monotonic() - start,
         )

@@ -169,7 +169,10 @@ class PersistentEvalCache:
             logger.warning("unserializable cache payload for %s; skipping", key[:12])
             return
         path = self._path(key)
-        tmp = path.with_suffix(".tmp.%d" % os.getpid())
+        # One temp name per writer (process and thread): two threads
+        # publishing the same key must never share a temp file.  The
+        # scan skips it, since it is not named ``<key>.json``.
+        tmp = path.with_name(f"{key}.{os.getpid()}.{threading.get_ident()}.tmp")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             tmp.write_bytes(data)

@@ -11,14 +11,14 @@ engine and puts an :class:`EvaluationBackend` interface in front of it:
 - :class:`ProcessPoolBackend` keeps a persistent pool of **supervised**
   worker processes: each worker parses the instrumented testbench and
   loads the oracle **once** at initialisation, then scores candidate
-  design texts one task at a time, returning compact
-  ``(fitness, breakdown, compiled, summary)`` results (full traces never
-  cross the process boundary).
+  design texts one task at a time.
 
-Both backends run the identical pipeline on the identical inputs, so a
-batch submitted in child-index order produces identical results either
-way — the engine's determinism guarantee does not depend on the backend
-(see ``docs/repair_engine.md``).
+Both backends run the identical pipeline on the identical inputs and
+return the identical compact :class:`CandidateResult` — the simulation
+trace is reduced to a :class:`TraceSummary` inside the pipeline and never
+leaves it — so a batch submitted in child-index order produces identical
+results either way.  The engine's determinism guarantee does not depend
+on the backend (see ``docs/repair_engine.md``).
 
 Two orthogonal fast paths (``docs/simulation.md``):
 
@@ -111,10 +111,11 @@ logger = logging.getLogger("repro.repair")
 class TraceSummary:
     """Compact description of a candidate's simulation trace.
 
-    Pool workers return this instead of the full trace: it is enough for
-    engine diagnostics and keeps per-task result payloads small.  A parent
-    whose full trace is needed again (fault re-localization) is
-    re-simulated in the engine's process.
+    Every backend returns this instead of the full trace.  It holds all
+    the engine needs later: ``mismatched_vars`` is exactly the seed of
+    fault localization (Algorithm 2), so results stay small across the
+    pool's pipes and in the disk cache, and no parent is ever simulated
+    twice.
     """
 
     #: Number of recorded trace rows (``$cirfix_record`` samples).
@@ -168,19 +169,17 @@ class SupervisionIncident:
 class CandidateResult:
     """What a backend reports for one candidate design text.
 
-    ``trace`` is populated only when the evaluation ran in the calling
-    process (:class:`SerialBackend`); pool workers drop it and keep just
-    the :class:`TraceSummary`.  The trailing stats fields are the
-    telemetry payload (repro.obs): measured where the evaluation actually
-    ran, so pool workers batch them back with the chunk results instead
-    of emitting events across the process boundary.  ``failure`` is set
-    only for candidates the supervised pool quarantined.
+    ``summary`` is set when the candidate simulated and scored.  The
+    trailing stats fields are the telemetry payload (repro.obs): measured
+    where the evaluation actually ran, so pool workers batch them back
+    with the chunk results instead of emitting events across the process
+    boundary.  ``failure`` is set only for candidates the supervised pool
+    quarantined.
     """
 
     fitness: float
     breakdown: FitnessBreakdown | None
     compiled: bool
-    trace: SimulationTrace | None
     summary: TraceSummary | None
     #: Wall-clock of the whole evaluation (codegen output → fitness).
     eval_seconds: float = 0.0
@@ -195,28 +194,10 @@ class CandidateResult:
     #: Set when the supervised pool quarantined this candidate.
     failure: EvalFailure | None = None
 
-    def without_trace(self) -> "CandidateResult":
-        """A copy safe to ship across a process boundary (no trace)."""
-        return CandidateResult(
-            self.fitness,
-            self.breakdown,
-            self.compiled,
-            None,
-            self.summary,
-            eval_seconds=self.eval_seconds,
-            parse_seconds=self.parse_seconds,
-            sim_seconds=self.sim_seconds,
-            sim_events=self.sim_events,
-            sim_steps=self.sim_steps,
-            failure=self.failure,
-        )
-
 
 def _quarantine_result(kind: str, attempts: int) -> CandidateResult:
     """The deterministic result a quarantined candidate scores."""
-    return CandidateResult(
-        0.0, None, False, None, None, failure=EvalFailure(kind, attempts)
-    )
+    return CandidateResult(0.0, None, False, None, failure=EvalFailure(kind, attempts))
 
 
 # ----------------------------------------------------------------------
@@ -317,7 +298,7 @@ def evaluate_design_text(
     except (ParseError, LexError, ElaborationError, RecursionError, MemoryError):
         elapsed = time.perf_counter() - started
         return CandidateResult(
-            0.0, None, False, None, None,
+            0.0, None, False, None,
             eval_seconds=elapsed, parse_seconds=elapsed,
         )
     parse_seconds = time.perf_counter() - started
@@ -328,7 +309,7 @@ def evaluate_design_text(
         # monitor callback, pathological recursion, ...) scores zero.
         elapsed = time.perf_counter() - started
         return CandidateResult(
-            0.0, None, True, None, None,
+            0.0, None, True, None,
             eval_seconds=elapsed,
             parse_seconds=parse_seconds,
             sim_seconds=elapsed - parse_seconds,
@@ -349,7 +330,7 @@ def evaluate_design_text(
         # that too is the candidate's fault, never the engine's problem.
         elapsed = time.perf_counter() - started
         return CandidateResult(
-            0.0, None, True, None, None,
+            0.0, None, True, None,
             eval_seconds=elapsed,
             parse_seconds=parse_seconds,
             sim_seconds=elapsed - parse_seconds,
@@ -358,7 +339,7 @@ def evaluate_design_text(
         )
     elapsed = time.perf_counter() - started
     return CandidateResult(
-        breakdown.fitness, breakdown, True, trace, summary,
+        breakdown.fitness, breakdown, True, summary,
         eval_seconds=elapsed,
         parse_seconds=parse_seconds,
         sim_seconds=elapsed - parse_seconds,
@@ -373,7 +354,7 @@ def evaluate_design_text(
 
 #: Version tag of persisted evaluation payloads; bump whenever the
 #: encoded field set changes so stale entries decode as misses.
-EVAL_PAYLOAD_VERSION = 1
+EVAL_PAYLOAD_VERSION = 2
 
 
 def eval_context_digest(
@@ -431,10 +412,7 @@ def encode_eval_payload(result: CandidateResult) -> dict:
     The payload is a faithful round-trip of every :class:`CandidateResult`
     field except ``failure`` (quarantined results are never cached) —
     including the recorded telemetry stats, so replayed hits produce the
-    same event stream the original computation did, and the full trace as
-    CSV when the result carries one (serial evaluations), so a serial
-    replay can skip the localization re-simulation exactly like the
-    original run did.
+    same event stream the original computation did.
     """
     breakdown = None
     if result.breakdown is not None:
@@ -461,7 +439,6 @@ def encode_eval_payload(result: CandidateResult) -> dict:
         "compiled": result.compiled,
         "breakdown": breakdown,
         "summary": summary,
-        "trace_csv": result.trace.to_csv() if result.trace is not None else None,
         "eval_seconds": result.eval_seconds,
         "parse_seconds": result.parse_seconds,
         "sim_seconds": result.sim_seconds,
@@ -493,16 +470,10 @@ def decode_eval_payload(payload: dict) -> CandidateResult | None:
                 recorded_vars=int(s["recorded_vars"]),
                 mismatched_vars=tuple(s["mismatched_vars"]),
             )
-        trace = (
-            SimulationTrace.from_csv(payload["trace_csv"])
-            if payload["trace_csv"] is not None
-            else None
-        )
         return CandidateResult(
             float(payload["fitness"]),
             breakdown,
             bool(payload["compiled"]),
-            trace,
             summary,
             eval_seconds=float(payload["eval_seconds"]),
             parse_seconds=float(payload["parse_seconds"]),
@@ -562,18 +533,12 @@ class EvalCache:
     ``context`` (:func:`eval_context_digest`), so results computed under
     one testbench/oracle/config can never alias another's.  Disk hits
     are promoted into the memory tier and counted in ``store_hits``.
-
-    ``keep_traces`` encodes the backend's trace contract: serial
-    backends (True) demand trace-bearing entries — a trace-less disk
-    entry is a *miss*, because replaying it would change the run's
-    localization re-simulation count — while pool backends (False) strip
-    traces from disk hits, exactly as their own compute path would.
-    Either way, replay is bit-identical to what that backend computes.
+    Every backend computes the same result for a candidate, so an entry
+    written by one backend replays bit-identically on any other.
     """
 
     __slots__ = (
-        "capacity", "hits", "misses", "store_hits", "keep_traces",
-        "_entries", "_store", "_context",
+        "capacity", "hits", "misses", "store_hits", "_entries", "_store", "_context",
     )
 
     def __init__(
@@ -581,7 +546,6 @@ class EvalCache:
         capacity: int,
         store: PersistentEvalCache | None = None,
         context: str = "",
-        keep_traces: bool = True,
     ):
         #: Maximum retained results; 0 disables the cache entirely
         #: (both tiers).
@@ -590,8 +554,6 @@ class EvalCache:
         self.misses = 0
         #: Hits served from the persistent tier (disjoint from ``hits``).
         self.store_hits = 0
-        #: Whether this cache's consumer wants full traces (see above).
-        self.keep_traces = keep_traces
         self._entries: OrderedDict[bytes, CandidateResult] = OrderedDict()
         self._store = store
         self._context = context
@@ -662,19 +624,7 @@ class EvalCache:
         payload = self._store.get(self.store_key(design_text))
         if payload is None:
             return None
-        result = decode_eval_payload(payload)
-        if result is None:
-            return None
-        if self.keep_traces and result.trace is None and result.breakdown is not None:
-            # A stripped *successful* entry (written by a pool run)
-            # replayed into a serial run would change the localization
-            # re-simulation count; recompute (and upgrade the entry).
-            # Failed evaluations carry no trace on any backend, so they
-            # replay as-is.
-            return None
-        if not self.keep_traces and result.trace is not None:
-            result = result.without_trace()
-        return result
+        return decode_eval_payload(payload)
 
 
 # ----------------------------------------------------------------------
@@ -716,9 +666,8 @@ class EvaluationBackend(Protocol):
 class SerialBackend:
     """Evaluates candidates inline in the calling process.
 
-    This is the original CirFix behaviour and the default.  Results carry
-    full traces, which the engine feeds into its trace LRU so that parent
-    re-localization rarely needs to re-simulate.
+    This is the original CirFix behaviour and the default.  Its results
+    are the same compact results the pool returns.
     """
 
     def __init__(
@@ -740,9 +689,7 @@ class SerialBackend:
             if testbench_text is None:
                 testbench_text = generate(testbench)
             context = eval_context_digest(testbench_text, oracle, config)
-        self.cache = EvalCache(
-            config.eval_cache_size, store=store, context=context, keep_traces=True
-        )
+        self.cache = EvalCache(config.eval_cache_size, store=store, context=context)
 
     @staticmethod
     def for_problem(problem: "RepairProblem", config: RepairConfig) -> "SerialBackend":
@@ -960,7 +907,7 @@ def _worker_main(
             if chaos is not None:
                 _trigger_chaos(chaos)
             result = evaluate_design_text(text, testbench, oracle, config)
-            conn.send(("ok", result.without_trace()))
+            conn.send(("ok", result))
         except MemoryError:
             _report_failure(conn, "oom")
         except Exception:
@@ -1057,12 +1004,7 @@ class ProcessPoolBackend:
             if store is not None
             else ""
         )
-        # keep_traces=False: pool results never carry traces, so disk
-        # hits are stripped to match what this backend's compute path
-        # would have returned.
-        self.cache = EvalCache(
-            config.eval_cache_size, store=store, context=context, keep_traces=False
-        )
+        self.cache = EvalCache(config.eval_cache_size, store=store, context=context)
         self._ctx = _mp_context()
         self._incidents: list[SupervisionIncident] = []
         #: Task dispatch counter (first attempts only) — the ordinal the
@@ -1295,7 +1237,7 @@ class ProcessPoolBackend:
             task = pending.popleft()
             results[task.index] = evaluate_design_text(
                 task.text, self._testbench_tree, self.oracle, self.config
-            ).without_trace()
+            )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -1387,13 +1329,12 @@ def _pool_initializer(testbench_text: str, oracle: SimulationTrace, config: Repa
 
 def _pool_evaluate(design_text: str) -> CandidateResult:
     """Worker-side task: evaluate one candidate against the cached state."""
-    result = evaluate_design_text(
+    return evaluate_design_text(
         design_text,
         _WORKER_STATE["testbench"],  # type: ignore[arg-type]
         _WORKER_STATE["oracle"],  # type: ignore[arg-type]
         _WORKER_STATE["config"],  # type: ignore[arg-type]
     )
-    return result.without_trace()
 
 
 def make_backend(problem: "RepairProblem", config: RepairConfig) -> EvaluationBackend:

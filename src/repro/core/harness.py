@@ -4,30 +4,32 @@ The GP engine (:mod:`repro.core.repair`) and the template-synthesis
 engine (:mod:`repro.synth.engine`) differ only in how they *propose*
 candidate patches.  Everything else — candidate evaluation with
 memoisation, the lint gate, batched scoring through an
-:class:`~repro.core.backend.EvaluationBackend`, fault localization with
-trace refresh, delta-debugging minimization, phase accounting, and the
-final :class:`RepairOutcome` assembly — lives here in
-:class:`EngineHarness`, so caching, supervision, gating, and telemetry
-apply to every engine unchanged.
+:class:`~repro.core.backend.EvaluationBackend`, fault localization from
+each candidate's recorded output mismatch, delta-debugging minimization,
+phase accounting, and the final :class:`RepairOutcome` assembly — lives
+here in :class:`EngineHarness`, so caching, supervision, gating, and
+telemetry apply to every engine unchanged.
 
 Determinism contract (shared by all engines built on the harness): the
-outcome for a given seed is bit-identical on every backend; the
-``eval_sims`` budget counter excludes backend-dependent re-simulations;
-observers only ever read already-computed values; cancellation is polled
-at chunk boundaries.  See ``docs/repair_engine.md``.
+outcome for a given seed is bit-identical on every backend; every
+simulation is one unique candidate evaluation, counted once in
+``eval_sims``; observers only ever read already-computed values;
+cancellation is polled at chunk boundaries.  See
+``docs/repair_engine.md``.
 """
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import time as time_mod
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from ..hdl import ast, generate, parse
-from ..instrument.trace import SimulationTrace, output_mismatch
+from ..instrument.trace import SimulationTrace
+# Unused here, but the end-to-end benchmark tracer
+# (benchmarks/e2e/tracer.py) wraps this name in this module.
+from ..instrument.trace import output_mismatch  # noqa: F401
 from ..lint.engine import lint_tree, new_violations
 from ..lint.rules import resolve_rules
 from ..obs.events import (
@@ -63,25 +65,22 @@ logger = logging.getLogger("repro.harness")
 class Evaluation:
     """Result of evaluating one candidate design.
 
-    The per-engine cache keeps fitness/compile status for every candidate
-    but holds full traces only in a small LRU — traces of long-running
-    benchmarks are large, and only tournament-selected parents need theirs
-    again (for re-localization).
+    ``mismatch`` is the seed of fault localization (Algorithm 2): the
+    output wires that ever differ from the oracle, taken from the
+    backend's :class:`~repro.core.backend.TraceSummary`.  It is None when
+    the candidate produced no summary (it did not compile, crashed in
+    simulation, or was pruned by the lint gate).
     """
 
     fitness: float
     breakdown: FitnessBreakdown | None
-    trace: SimulationTrace | None
+    mismatch: tuple[str, ...] | None
     compiled: bool
     source_text: str
 
     @property
     def is_plausible(self) -> bool:
         return self.fitness >= 1.0
-
-    def light_copy(self) -> "Evaluation":
-        """The cacheable version without the trace payload."""
-        return Evaluation(self.fitness, self.breakdown, None, self.compiled, self.source_text)
 
 
 @dataclass
@@ -94,12 +93,13 @@ class RepairOutcome:
     repaired_source: str | None
     generations: int
     fitness_evals: int
+    #: Always equal to ``eval_sims`` (kept for readers of this field).
     simulations: int
     elapsed_seconds: float
     best_fitness_history: list[float] = field(default_factory=list)
     seed: int = 0
-    #: Unique candidate evaluations — the deterministic budget counter
-    #: (identical across backends, unlike ``simulations``).
+    #: Unique candidate evaluations — the deterministic budget counter,
+    #: identical across backends.
     eval_sims: int = 0
     #: Unique candidates the lint gate rejected before simulation
     #: (0 when ``config.lint_gate`` is off).
@@ -225,14 +225,10 @@ class EngineHarness:
         self._backend = backend
         self._owns_backend = False
         self._cache: dict[str, Evaluation] = {}
-        self._trace_cache: OrderedDict[str, SimulationTrace] = OrderedDict()
-        self._trace_cache_limit = 48
-        self.simulations = 0
         self.fitness_evals = 0
-        #: Deterministic count of unique candidate evaluations.  Unlike
-        #: ``simulations`` it excludes trace-refresh re-simulations (whose
-        #: number depends on the backend's trace availability), so budget
-        #: decisions keyed on it are identical under every backend.
+        #: Deterministic count of unique candidate evaluations — every
+        #: simulation the engine runs — so budget decisions keyed on it
+        #: are identical under every backend.
         self.eval_sims = 0
         #: Compile statistics for the fix-localization ablation (§3.6).
         self.mutants_generated = 0
@@ -276,6 +272,15 @@ class EngineHarness:
         self.candidates_quarantined = 0
         self.quarantined_by_kind: dict[str, int] = {}
 
+    @property
+    def simulations(self) -> int:
+        """Read-only alias of :attr:`eval_sims`.
+
+        Kept for readers of the old counter name, among them the
+        end-to-end benchmark tracer (``benchmarks/e2e/tracer.py``).
+        """
+        return self.eval_sims
+
     # ------------------------------------------------------------------
     # Candidate evaluation
     # ------------------------------------------------------------------
@@ -285,37 +290,73 @@ class EngineHarness:
         return patch.apply(self.problem.design)
 
     def evaluate(self, patch: Patch) -> Evaluation:
-        """Codegen → parse → simulate → fitness, with memoisation."""
+        """Codegen → parse → simulate → fitness, with memoisation.
+
+        A single candidate is scored in-process, never through the
+        backend, so it emits no chunk events on any backend.
+        """
+        design_text, known = self._lookup(patch)
+        if known is not None:
+            return known
+        started = time_mod.monotonic()
+        result = evaluate_design_text(
+            design_text, self.problem.testbench, self.problem.oracle, self.config
+        )
+        elapsed = time_mod.monotonic() - started
+        self.evaluation_seconds += elapsed
+        self.phase_seconds["evaluation"] += elapsed
+        return self._record(design_text, result)
+
+    def _lookup(self, patch: Patch) -> tuple[str, Evaluation | None]:
+        """Start one evaluation: codegen, memo lookup, lint gate.
+
+        Returns the candidate's design text and, when no simulation is
+        needed (codegen failed, memo hit, or gate prune), its evaluation;
+        None means the text still has to be scored.
+        """
         self.fitness_evals += 1
         try:
             tree = self.variant_tree(patch)
             design_text = generate(tree)
         except Exception:
-            return Evaluation(0.0, None, None, False, "")
+            return "", Evaluation(0.0, None, None, False, "")
         cached = self._cache.get(design_text)
         if cached is not None:
-            if cached.trace is None and design_text in self._trace_cache:
-                self._trace_cache.move_to_end(design_text)
-                return Evaluation(
-                    cached.fitness,
-                    cached.breakdown,
-                    self._trace_cache[design_text],
-                    cached.compiled,
-                    cached.source_text,
-                )
-            return cached
+            return design_text, cached
         if self._gate_rules:
             added = self._gate_added(tree)
             if added:
-                return self._prune(design_text, added)
+                return design_text, self._prune(design_text, added)
+        return design_text, None
+
+    def _record(self, design_text: str, result: CandidateResult) -> Evaluation:
+        """Finish one unique evaluation: counters, event, memo."""
         self.eval_sims += 1
-        result = self._score_text(design_text)
+        self.mutants_generated += 1
+        if result.failure is not None:
+            # Quarantined by the supervisor — not a compile verdict, so
+            # keep it out of the compile-failure ablation statistics.
+            kind = result.failure.kind
+            self.candidates_quarantined += 1
+            self.quarantined_by_kind[kind] = self.quarantined_by_kind.get(kind, 0) + 1
+        elif not result.compiled:
+            self.mutants_compile_failed += 1
+        self.phase_seconds["parse"] += result.parse_seconds
         if self.events:
-            self._emit_candidate(result)
+            self.events.emit(
+                CandidateEvaluated(
+                    fitness=result.fitness,
+                    compiled=result.compiled,
+                    wall_seconds=result.eval_seconds,
+                    sim_events=result.sim_events,
+                    sim_steps=result.sim_steps,
+                )
+            )
+        mismatch = result.summary.mismatched_vars if result.summary is not None else None
         evaluation = Evaluation(
-            result.fitness, result.breakdown, result.trace, result.compiled, design_text
+            result.fitness, result.breakdown, mismatch, result.compiled, design_text
         )
-        self._admit(design_text, evaluation)
+        self._cache[design_text] = evaluation
         return evaluation
 
     # ------------------------------------------------------------------
@@ -346,7 +387,7 @@ class EngineHarness:
     def _prune(self, design_text: str, added: dict[str, int]) -> Evaluation:
         """Reject one unique candidate before simulation.
 
-        The pruned evaluation (fitness 0, no trace) is cached like any
+        The pruned evaluation (fitness 0, no mismatch) is cached like any
         other, so duplicates of a pruned design are ordinary cache hits;
         ``eval_sims`` never ticks — pruning is free simulation budget.
         """
@@ -360,56 +401,8 @@ class EngineHarness:
                 )
             )
         evaluation = Evaluation(0.0, None, None, False, design_text)
-        self._admit(design_text, evaluation)
+        self._cache[design_text] = evaluation
         return evaluation
-
-    def _admit(self, design_text: str, evaluation: Evaluation) -> None:
-        """Record an evaluation in the fitness cache and the trace LRU."""
-        self._cache[design_text] = evaluation.light_copy()
-        if evaluation.trace is not None:
-            self._trace_cache[design_text] = evaluation.trace
-            while len(self._trace_cache) > self._trace_cache_limit:
-                self._trace_cache.popitem(last=False)
-
-    def _score_text(self, design_text: str) -> CandidateResult:
-        """Run the evaluation pipeline in-process, updating counters."""
-        started = time_mod.monotonic()
-        self.simulations += 1
-        self.mutants_generated += 1
-        result = evaluate_design_text(
-            design_text, self.problem.testbench, self.problem.oracle, self.config
-        )
-        if not result.compiled:
-            self.mutants_compile_failed += 1
-        elapsed = time_mod.monotonic() - started
-        self.evaluation_seconds += elapsed
-        self.phase_seconds["evaluation"] += elapsed
-        self.phase_seconds["parse"] += result.parse_seconds
-        return result
-
-    def _evaluate_source(self, design_text: str) -> Evaluation:
-        """In-process evaluation without telemetry emission.
-
-        Used for backend-dependent re-simulations (trace refresh in
-        :meth:`fault_localization`): those must stay invisible to
-        observers so the event sequence is identical on every backend.
-        """
-        result = self._score_text(design_text)
-        return Evaluation(
-            result.fitness, result.breakdown, result.trace, result.compiled, design_text
-        )
-
-    def _emit_candidate(self, result: CandidateResult) -> None:
-        """Emit the CandidateEvaluated event for one unique evaluation."""
-        self.events.emit(
-            CandidateEvaluated(
-                fitness=result.fitness,
-                compiled=result.compiled,
-                wall_seconds=result.eval_seconds,
-                sim_events=result.sim_events,
-                sim_steps=result.sim_steps,
-            )
-        )
 
     # ------------------------------------------------------------------
     # Batched evaluation (generate-then-evaluate)
@@ -447,24 +440,12 @@ class EngineHarness:
         pending: list[str] = []
         indices_for_text: dict[str, list[int]] = {}
         for i, patch in enumerate(patches):
-            self.fitness_evals += 1
-            try:
-                tree = self.variant_tree(patch)
-                text = generate(tree)
-            except Exception:
-                results[i] = Evaluation(0.0, None, None, False, "")
+            # Gate prunes happen here, engine-side before chunking, so the
+            # prune schedule (and its events) is backend-independent.
+            text, known = self._lookup(patch)
+            if known is not None:
+                results[i] = known
                 continue
-            cached = self._cache.get(text)
-            if cached is not None:
-                results[i] = cached
-                continue
-            if self._gate_rules:
-                added = self._gate_added(tree)
-                if added:
-                    # Pruned engine-side before chunking, so the prune
-                    # schedule (and its events) is backend-independent.
-                    results[i] = self._prune(text, added)
-                    continue
             slots = indices_for_text.setdefault(text, [])
             if not slots:
                 pending.append(text)
@@ -497,26 +478,7 @@ class EngineHarness:
                 )
             self._note_incidents(chunk_id, backend)
             for text, result in zip(chunk, chunk_results):
-                self.simulations += 1
-                self.eval_sims += 1
-                self.mutants_generated += 1
-                if result.failure is not None:
-                    # Quarantined by the supervisor — not a compile
-                    # verdict, so keep it out of the compile-failure
-                    # ablation statistics.
-                    self.candidates_quarantined += 1
-                    self.quarantined_by_kind[result.failure.kind] = (
-                        self.quarantined_by_kind.get(result.failure.kind, 0) + 1
-                    )
-                elif not result.compiled:
-                    self.mutants_compile_failed += 1
-                self.phase_seconds["parse"] += result.parse_seconds
-                if self.events:
-                    self._emit_candidate(result)
-                evaluation = Evaluation(
-                    result.fitness, result.breakdown, result.trace, result.compiled, text
-                )
-                self._admit(text, evaluation)
+                evaluation = self._record(text, result)
                 for index in indices_for_text[text]:
                     results[index] = evaluation
                 if evaluation.fitness >= 1.0:
@@ -567,10 +529,13 @@ class EngineHarness:
     # ------------------------------------------------------------------
 
     def fault_localization(self, patch: Patch, variant: ast.Source) -> set[int]:
-        """Algorithm 2 against this variant's own simulation trace.
+        """Algorithm 2 seeded by this variant's own output mismatch.
 
-        The ``localization`` phase timer excludes the candidate
-        evaluations this triggers (those are ``evaluation`` time).
+        The mismatch set was recorded when the variant was evaluated, on
+        whichever backend scored it, so an already-evaluated parent is
+        never simulated again.  The ``localization`` phase timer excludes
+        the candidate evaluations this triggers (those are ``evaluation``
+        time).
         """
         started = time_mod.monotonic()
         eval_before = self.evaluation_seconds
@@ -582,18 +547,10 @@ class EngineHarness:
             ) - (self.evaluation_seconds - eval_before)
 
     def _fault_localization(self, patch: Patch, variant: ast.Source) -> set[int]:
-        evaluation = self.evaluate(patch)
-        if evaluation.compiled and evaluation.trace is None:
-            # Trace evicted from the LRU: re-simulate this parent once.
-            evaluation = self._evaluate_source(evaluation.source_text)
-            if evaluation.trace is not None:
-                self._trace_cache[evaluation.source_text] = evaluation.trace
-        if evaluation.trace is None or not evaluation.compiled:
-            return all_statement_ids(variant)
-        mismatch = output_mismatch(self.problem.oracle, evaluation.trace)
+        mismatch = self.evaluate(patch).mismatch
         if not mismatch:
             return all_statement_ids(variant)
-        localized = localize_faults(variant, mismatch)
+        localized = localize_faults(variant, set(mismatch))
         if not localized.nodes:
             return all_statement_ids(variant)
         return localized.nodes
@@ -737,7 +694,7 @@ class EngineHarness:
             repaired_source=evaluation.source_text if evaluation.is_plausible else None,
             generations=generations,
             fitness_evals=self.fitness_evals,
-            simulations=self.simulations,
+            simulations=self.eval_sims,
             elapsed_seconds=time_mod.monotonic() - start,
             best_fitness_history=history,
             seed=self.seed,

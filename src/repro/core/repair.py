@@ -250,7 +250,7 @@ class CirFixEngine(EngineHarness):
             logger.info(
                 "[%s seed=%d] gen %d: best=%.4f sims=%d best_patch=%s",
                 self.problem.name, self.seed, generations, best_fitness,
-                self.simulations, best_patch.describe()[:80],
+                self.eval_sims, best_patch.describe()[:80],
             )
 
         final_patch = winner if winner is not None else best_patch

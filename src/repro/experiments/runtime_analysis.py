@@ -57,7 +57,7 @@ def run_runtime_analysis(
                 scenario_id=scenario_id,
                 total_seconds=total,
                 evaluation_seconds=engine.evaluation_seconds,
-                simulations=engine.simulations,
+                simulations=engine.eval_sims,
                 plausible=outcome.plausible,
             )
         )

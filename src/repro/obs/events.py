@@ -68,8 +68,8 @@ class CandidateEvaluated(RepairEvent):
     """One *unique* candidate design was scored (an ``eval_sims`` tick).
 
     Emitted exactly once per unique design text the engine evaluates —
-    cache hits and backend-dependent trace-refresh re-simulations do not
-    emit, which is what keeps the event sequence identical across
+    cache hits do not emit, and the engine never simulates a candidate
+    twice, which is what keeps the event sequence identical across
     backends.  ``sim_events``/``sim_steps`` come from the simulator's
     scheduler counters; when the candidate ran in a pool worker they are
     measured worker-side and batched back with the chunk results.
@@ -231,6 +231,7 @@ class TrialCompleted(RepairEvent):
     generations: int
     eval_sims: int
     fitness_evals: int
+    #: Always equal to ``eval_sims`` (kept for readers of stored traces).
     simulations: int
     edits: int
     elapsed_seconds: float

@@ -604,6 +604,8 @@ class RepairDaemon:
         hits0 = store.hits if store is not None else 0
         misses0 = store.misses if store is not None else 0
         start = time.monotonic()
+        # The response is built inside the isolation boundary too: an
+        # outcome that fails to serialize fails the job, never the daemon.
         try:
             outcome = run_request(
                 job.request,
@@ -616,26 +618,22 @@ class RepairDaemon:
                     else None
                 ),
             )
+            response = RepairResponse(
+                job_id=job.job_id,
+                status="cancelled" if job.cancel_flag.is_set() else "done",
+                plausible=outcome.plausible,
+                fitness=outcome.fitness,
+                outcome_json=outcome_to_json(outcome, job.request.scenario),
+                cache=self._cache_stats(store, hits0, misses0),
+            )
         except Exception as exc:  # noqa: BLE001 - job isolation boundary
-            elapsed = time.monotonic() - start
             response = RepairResponse(
                 job_id=job.job_id,
                 status="failed",
                 error=f"{type(exc).__name__}: {exc}",
                 cache=self._cache_stats(store, hits0, misses0),
             )
-            return "failed", response, elapsed
-        elapsed = time.monotonic() - start
-        status = "cancelled" if job.cancel_flag.is_set() else "done"
-        response = RepairResponse(
-            job_id=job.job_id,
-            status=status,
-            plausible=outcome.plausible,
-            fitness=outcome.fitness,
-            outcome_json=outcome_to_json(outcome, job.request.scenario),
-            cache=self._cache_stats(store, hits0, misses0),
-        )
-        return status, response, elapsed
+        return response.status, response, time.monotonic() - start
 
     @staticmethod
     def _cache_stats(store, hits0: int, misses0: int) -> dict[str, Any]:

@@ -100,7 +100,7 @@ def mine_literals(
     """Distinct oracle values on the mismatched outputs, first-seen order.
 
     Falls back to every recorded output when ``mismatch`` is empty (the
-    baseline trace was unavailable), and keeps 4-state values — an
+    baseline produced no mismatch summary), and keeps 4-state values — an
     expected ``x``/``z`` plane is as solvable as a two-state constant.
     """
     pool: dict[tuple[int, int], None] = {}

@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import logging
 import os
+import threading
 
 import pytest
 
@@ -171,6 +173,47 @@ class TestPersistence:
         finally:
             os.chdir(cwd)
         assert rel is absolute
+
+
+class TestConcurrentPublish:
+    def test_two_threads_publish_the_same_key(self, tmp_path, monkeypatch, caplog):
+        """Each writer publishes its own temp file, even for one key.
+
+        ``os.replace`` is held at a barrier, so both threads have written
+        their temp files before either publishes; shared temp names would
+        make the second publish fail.
+        """
+        import repro.cache.store as store_mod
+
+        barrier = threading.Barrier(2, timeout=30)
+
+        class HeldOs:
+            def __getattr__(self, name):
+                return getattr(os, name)
+
+            @staticmethod
+            def replace(src, dst):
+                barrier.wait()
+                os.replace(src, dst)
+
+        monkeypatch.setattr(store_mod, "os", HeldOs())
+        store = PersistentEvalCache(tmp_path / "c")
+        key = key_of("shared")
+        writers = [
+            threading.Thread(target=store.put, args=(key, {"writer": i}))
+            for i in range(2)
+        ]
+        with caplog.at_level(logging.WARNING, logger="repro.cache"):
+            for writer in writers:
+                writer.start()
+            for writer in writers:
+                writer.join(timeout=60)
+        assert not any(writer.is_alive() for writer in writers)
+        assert not any("cache store failed" in r.getMessage() for r in caplog.records)
+        assert store.info()["stores"] == 2
+        assert store.get(key) in ({"writer": 0}, {"writer": 1})
+        shard = tmp_path / "c" / "shards" / key[:2]
+        assert [path.name for path in shard.iterdir()] == [f"{key}.json"]
 
 
 class TestScanDeterminism:

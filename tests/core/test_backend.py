@@ -4,11 +4,9 @@ runs.
 
 The parallel backend must be an implementation detail: same scenario, same
 seed, same outcome — whether candidates are scored in-process or by a pool
-of worker processes.  Simulation *counts* may differ (pool results carry no
-traces, so the engine occasionally re-simulates a parent for localization);
-everything the search decides on must not.  And under deliberately planted
-faults (hangs, hard exits, memory balloons — the chaos plan), the pool must
-quarantine exactly the poisoned candidates and keep going.
+of worker processes.  And under deliberately planted faults (hangs, hard
+exits, memory balloons — the chaos plan), the pool must quarantine exactly
+the poisoned candidates and keep going.
 """
 
 import logging
@@ -27,6 +25,7 @@ from repro.core.backend import (
     splice_testbench,
 )
 from repro.core.oracle import combine_sources, ensure_instrumented, generate_oracle
+from repro.core.patch import Patch
 from repro.core.repair import repair
 from repro.fuzz.faults import plant_eval_chaos
 from repro.hdl import generate, parse
@@ -111,7 +110,6 @@ class TestBatchParity:
             assert s.compiled == p.compiled
             assert s.fitness == p.fitness
             assert s.summary == p.summary
-            assert p.trace is None  # pool results are trace-stripped
 
     def test_batch_flags_uncompilable(self, problem):
         backend = SerialBackend.for_problem(problem, TEST_CONFIG)
@@ -386,6 +384,38 @@ class TestMakeBackendDegraded:
                 assert isinstance(backend, SerialBackend)
                 assert backend.evaluate_batch([GOLDEN_FF])[0].compiled
         assert any("falling back to serial" in r.message for r in caplog.records)
+
+
+class TestLocalizationFromSummary:
+    def test_pool_parent_localizes_without_resimulating(self, problem, monkeypatch):
+        """A parent scored by the pool localizes from its recorded
+        mismatch: no in-process simulation, and the node set a fresh
+        simulation's trace gives."""
+        import repro.core.harness as harness_mod
+        from repro.benchsuite.scenario import simulate_design_text
+        from repro.core.faultloc import localize_faults
+        from repro.instrument.trace import output_mismatch
+
+        config = TEST_CONFIG.scaled(backend="process", workers=2)
+        engine = CirFixEngine(problem, config, seed=0)
+        parent = Patch.empty()
+        try:
+            (evaluation,) = engine._evaluate_generation([parent], lambda: False)
+            assert isinstance(engine._backend, ProcessPoolBackend)
+
+            def no_simulation(*args, **kwargs):
+                raise AssertionError("localization re-simulated an evaluated parent")
+
+            monkeypatch.setattr(harness_mod, "evaluate_design_text", no_simulation)
+            variant = engine.variant_tree(parent)
+            localized = engine.fault_localization(parent, variant)
+        finally:
+            engine._release_backend()
+        trace = simulate_design_text(evaluation.source_text, problem.testbench)
+        mismatch = output_mismatch(problem.oracle, trace)
+        assert mismatch, "the faulty design should mismatch the oracle"
+        assert localized == localize_faults(variant, mismatch).nodes
+        assert engine.simulations == engine.eval_sims == 1
 
 
 class TestCrossBackendDeterminism:

@@ -15,6 +15,7 @@ import pytest
 from repro.benchsuite import load_scenario
 from repro.core.backend import (
     EvalCache,
+    ProcessPoolBackend,
     SerialBackend,
     decode_eval_payload,
     encode_eval_payload,
@@ -22,7 +23,6 @@ from repro.core.backend import (
 )
 from repro.core.config import RepairConfig
 from repro.core.fitness import FitnessBreakdown
-from repro.instrument.trace import SimulationTrace
 
 
 @pytest.fixture(scope="module")
@@ -141,56 +141,55 @@ class TestScheduleKnobsExcluded:
 class TestPayloadCodec:
     """encode/decode round-trips every CandidateResult shape we persist."""
 
-    def _trace(self):
-        return SimulationTrace.from_csv("time,q\n0,1\n5,0\n")
-
-    def test_success_with_trace_roundtrip(self):
+    def test_success_roundtrip(self):
         from repro.core.backend import CandidateResult, TraceSummary
 
         result = CandidateResult(
             0.75,
             FitnessBreakdown(0.75, 3.0, 4.0, 3, 1, 0),
             True,
-            self._trace(),
             TraceSummary(rows=2, recorded_vars=1, mismatched_vars=("q",)),
             sim_events=10,
             sim_steps=20,
         )
         decoded = decode_eval_payload(encode_eval_payload(result))
-        assert decoded is not None
-        assert decoded.fitness == result.fitness
-        assert decoded.breakdown == result.breakdown
-        assert decoded.summary == result.summary
-        assert decoded.trace is not None
-        assert decoded.trace.to_csv() == result.trace.to_csv()
+        assert decoded == result
 
     def test_failure_without_trace_roundtrip(self):
         from repro.core.backend import CandidateResult
 
-        result = CandidateResult(0.0, None, False, None, None)
+        result = CandidateResult(0.0, None, False, None)
         decoded = decode_eval_payload(encode_eval_payload(result))
         assert decoded is not None
         assert decoded.fitness == 0.0
         assert decoded.breakdown is None
-        assert decoded.trace is None
+        assert decoded.summary is None
 
     def test_garbage_payload_decodes_to_none(self):
-        assert decode_eval_payload({"version": 1}) is None
+        assert decode_eval_payload({"version": 2}) is None
         assert decode_eval_payload({"version": 99, "fitness": 1.0}) is None
+
+    def test_version_one_payload_decodes_to_none(self):
+        """Entries written while payloads carried the full trace (version
+        1, with ``trace_csv``) read as misses, so they are recomputed and
+        rewritten once."""
+        from repro.core.backend import CandidateResult
+
+        legacy = encode_eval_payload(CandidateResult(0.0, None, False, None))
+        legacy.update(version=1, trace_csv="time,q\n0,1\n")
+        assert decode_eval_payload(legacy) is None
 
 
 class TestTieredEvalCache:
     """The in-memory EvalCache over a persistent store."""
 
-    def _success(self, with_trace: bool):
+    def _success(self):
         from repro.core.backend import CandidateResult, TraceSummary
 
-        trace = SimulationTrace.from_csv("time,q\n0,1\n") if with_trace else None
         return CandidateResult(
             0.5,
             FitnessBreakdown(0.5, 1.0, 2.0, 1, 1, 0),
             True,
-            trace,
             TraceSummary(rows=1, recorded_vars=1, mismatched_vars=()),
         )
 
@@ -202,49 +201,28 @@ class TestTieredEvalCache:
 
     def test_disk_hit_after_memory_restart(self, tmp_path):
         store = self._store(tmp_path)
-        warm = EvalCache(8, store=store, context="ctx", keep_traces=True)
-        warm.put("module a; endmodule", self._success(with_trace=True))
+        warm = EvalCache(8, store=store, context="ctx")
+        warm.put("module a; endmodule", self._success())
         # Same store, fresh memory tier: must hit the disk.
-        cold = EvalCache(8, store=store, context="ctx", keep_traces=True)
+        cold = EvalCache(8, store=store, context="ctx")
         result = cold.get("module a; endmodule")
-        assert result is not None
+        assert result == self._success()
         assert cold.info()["store_hits"] == 1
-        assert result.trace is not None  # trace was persisted and replayed
 
     def test_context_isolates_entries(self, tmp_path):
         store = self._store(tmp_path)
-        one = EvalCache(8, store=store, context="ctx-one", keep_traces=True)
-        one.put("module a; endmodule", self._success(with_trace=True))
-        other = EvalCache(8, store=store, context="ctx-two", keep_traces=True)
+        one = EvalCache(8, store=store, context="ctx-one")
+        one.put("module a; endmodule", self._success())
+        other = EvalCache(8, store=store, context="ctx-two")
         assert other.get("module a; endmodule") is None
-
-    def test_serial_tier_rejects_stripped_success(self, tmp_path):
-        """A pool-written (traceless, successful) entry must be a serial
-        miss — the serial backend's contract includes the trace."""
-        store = self._store(tmp_path)
-        pool = EvalCache(8, store=store, context="ctx", keep_traces=False)
-        pool.put("module a; endmodule", self._success(with_trace=False))
-        serial = EvalCache(8, store=store, context="ctx", keep_traces=True)
-        assert serial.get("module a; endmodule") is None
-
-    def test_pool_tier_strips_serial_traces(self, tmp_path):
-        store = self._store(tmp_path)
-        serial = EvalCache(8, store=store, context="ctx", keep_traces=True)
-        serial.put("module a; endmodule", self._success(with_trace=True))
-        pool = EvalCache(8, store=store, context="ctx", keep_traces=False)
-        result = pool.get("module a; endmodule")
-        assert result is not None
-        assert result.trace is None
 
     def test_failed_entries_replay_on_both_tiers(self, tmp_path):
         from repro.core.backend import CandidateResult
 
         store = self._store(tmp_path)
-        failed = CandidateResult(0.0, None, False, None, None)
-        pool = EvalCache(8, store=store, context="ctx", keep_traces=False)
-        pool.put("module bad; endmodule", failed)
-        serial = EvalCache(8, store=store, context="ctx", keep_traces=True)
-        replay = serial.get("module bad; endmodule")
+        failed = CandidateResult(0.0, None, False, None)
+        EvalCache(8, store=store, context="ctx").put("module bad; endmodule", failed)
+        replay = EvalCache(8, store=store, context="ctx").get("module bad; endmodule")
         assert replay is not None
         assert replay.breakdown is None
 
@@ -269,4 +247,29 @@ class TestBackendIntegration:
         second.evaluate_batch([text])
         info = second.cache.info()
         assert info["store_hits"] == 1
+        PersistentEvalCache.reset_shared()
+
+    def test_entries_replay_across_backends(self, tmp_path, scenario):
+        """An entry one backend publishes is a hit for the other backend,
+        both ways, and replays the result that backend would compute."""
+        from repro.cache import PersistentEvalCache
+        from repro.experiments.common import SMOKE
+
+        PersistentEvalCache.reset_shared()
+        config = dataclasses.replace(
+            scenario.suggested_config(SMOKE), cache_dir=str(tmp_path / "c")
+        )
+        problem = scenario.problem()
+        faulty = scenario.faulty_design_text
+        golden = scenario.project.design_text
+        with ProcessPoolBackend.for_problem(problem, config, workers=1) as pool:
+            (pooled,) = pool.evaluate_batch([faulty])
+        with SerialBackend.for_problem(problem, config) as serial:
+            replayed, computed = serial.evaluate_batch([faulty, golden])
+            assert serial.cache.info()["store_hits"] == 1
+        assert replayed == pooled
+        with ProcessPoolBackend.for_problem(problem, config, workers=1) as pool:
+            (replayed,) = pool.evaluate_batch([golden])
+            assert pool.cache.info()["store_hits"] == 1
+        assert replayed == computed
         PersistentEvalCache.reset_shared()

@@ -164,14 +164,9 @@ def _run(gate, workers=1, backend="serial", observers=None):
 
 
 def _outcome_key(outcome):
-    """Every outcome field except wall-clock and the raw simulation
-    count, via the JSON projection.  (``simulations`` includes per-worker
-    parent re-simulations, which legitimately differ across backends;
-    ``eval_sims`` — the deduplicated candidate count the gate discounts —
-    must not.)"""
+    """Every outcome field except wall-clock, via the JSON projection."""
     data = json.loads(outcome_to_json(outcome))
     data.pop("elapsed_seconds", None)
-    data.pop("simulations", None)
     return data
 
 

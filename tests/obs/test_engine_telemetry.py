@@ -128,6 +128,8 @@ class TestMetricsMatchEngineCounters:
     def test_totals(self, workers, backend):
         metrics = MetricsObserver()
         outcome = _run(workers=workers, backend=backend, observers=[metrics])
+        # Every simulation is a unique evaluation, on every backend.
+        assert outcome.simulations == outcome.eval_sims
         # One CandidateEvaluated per unique evaluation, by construction.
         assert metrics.candidates == outcome.eval_sims
         # TrialCompleted mirrors the outcome counters.

@@ -218,6 +218,36 @@ class TestCrashRestart:
         assert completed and completed[-1].cache_hit_rate >= 0.9
 
 
+class TestJobIsolation:
+    def test_unserializable_outcome_fails_the_job_not_the_daemon(
+        self, tmp_path, monkeypatch
+    ):
+        """A job whose outcome cannot be serialized ends ``failed`` and
+        frees its execution slot."""
+        import repro.service.daemon as daemon_mod
+        from repro.core.serialize import SerializeError
+
+        calls = []
+
+        def fail_once(outcome, scenario_id=""):
+            calls.append(scenario_id)
+            if len(calls) == 1:
+                raise SerializeError("payload is not serializable")
+            return outcome_to_json(outcome, scenario_id)
+
+        monkeypatch.setattr(daemon_mod, "outcome_to_json", fail_once)
+        with DaemonHarness(tmp_path, "d", max_jobs=1) as client:
+            # A wedged job must fail this test, not hang it.
+            client.timeout = 60
+            _, failed = client.submit(tiny_request())
+            assert failed.status == "failed"
+            assert "SerializeError" in failed.error
+            # The single execution slot was released: the next job runs.
+            _, after = client.submit(tiny_request())
+            assert after.status == "done"
+            assert [row.state for row in client.jobs()] == ["failed", "done"]
+
+
 class TestProtocolErrors:
     def test_bad_request_fails_connection_not_daemon(self, tmp_path):
         from repro.service import ServiceError
