@@ -4,10 +4,11 @@ Measures single-worker candidate-evaluation throughput on the
 counter_reset scenario across the engine/cache matrix and writes the raw
 numbers to ``BENCH_compiled_sim.json`` at the repo root:
 
-1. one fixed 24-candidate batch through ``SerialBackend`` under
-   ``sim_engine`` ∈ {interp, compiled} with the evaluation cache
-   disabled — the honest per-candidate speedup (every candidate still
-   pays parse + fitness, which the compiled engine cannot remove);
+1. one fixed 24-candidate batch through ``SerialBackend`` on the
+   compiled simulator and, as the baseline, on the reference interpreter
+   substituted in its place (:func:`_interpreter`), with the evaluation
+   cache disabled — the honest per-candidate speedup (every candidate
+   still pays parse + fitness, which the compiled engine cannot remove);
 2. the same batch replayed against a warm :class:`EvalCache` — the
    cross-trial workload the cache exists for (multi-seed experiments
    share one backend and re-score the seed design plus common early
@@ -19,11 +20,14 @@ numbers to ``BENCH_compiled_sim.json`` at the repo root:
    asserting the seed-0 outcome is bit-identical to the interpreter's.
 """
 
+import contextlib
 import dataclasses
 import json
 import os
 import time
 from pathlib import Path
+
+import pytest
 
 from repro.benchsuite import load_scenario
 from repro.core import backend as backend_mod
@@ -41,14 +45,25 @@ _RESULTS: dict[str, object] = {"scenario": "counter_reset", "cpu_count": os.cpu_
 _TARGET_SPEEDUP = 5.0
 
 
-def _scenario_problem_config(engine, cache_size=0):
+def _scenario_problem_config(cache_size=0):
     scenario = load_scenario("counter_reset")
     config = dataclasses.replace(
-        scenario.suggested_config(SMOKE),
-        sim_engine=engine,
-        eval_cache_size=cache_size,
+        scenario.suggested_config(SMOKE), eval_cache_size=cache_size
     )
     return scenario, scenario.problem(), config
+
+
+@contextlib.contextmanager
+def _interpreter():
+    """Evaluate candidates on the reference interpreter: it stands in for
+    the compiled simulator (whose shared-template arguments it ignores)."""
+
+    def interpreter(source, max_steps, **_template_cache):
+        return Simulator(source, max_steps=max_steps)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(backend_mod, "CompiledSimulator", interpreter)
+        yield
 
 
 def _candidate_batch(problem, size=24):
@@ -64,20 +79,20 @@ def _reset_compile_state():
 
 
 def test_candidate_eval_throughput(once):
-    _, problem, interp_config = _scenario_problem_config("interp")
-    _, _, compiled_config = _scenario_problem_config("compiled")
-    _, _, cached_config = _scenario_problem_config("compiled", cache_size=256)
+    _, problem, config = _scenario_problem_config()
+    _, _, cached_config = _scenario_problem_config(cache_size=256)
     texts = _candidate_batch(problem)
 
     def sweep():
         timings: dict[str, float] = {}
-        serial = SerialBackend.for_problem(problem, interp_config)
-        start = time.monotonic()
-        baseline = serial.evaluate_batch(texts)
-        timings["interp"] = time.monotonic() - start
+        serial = SerialBackend.for_problem(problem, config)
+        with _interpreter():
+            start = time.monotonic()
+            baseline = serial.evaluate_batch(texts)
+            timings["interp"] = time.monotonic() - start
 
         _reset_compile_state()
-        compiled = SerialBackend.for_problem(problem, compiled_config)
+        compiled = SerialBackend.for_problem(problem, config)
         start = time.monotonic()
         cold = compiled.evaluate_batch(texts)
         timings["compiled_cold"] = time.monotonic() - start
@@ -127,7 +142,7 @@ def test_candidate_eval_throughput(once):
 
 
 def test_compile_time_amortization(once):
-    scenario, _, _ = _scenario_problem_config("compiled")
+    scenario, _, _ = _scenario_problem_config()
     combined = parse(
         scenario.faulty_design_text + "\n" + scenario.project.testbench_text
     )
@@ -172,8 +187,8 @@ def test_compile_time_amortization(once):
 
 def test_smoke_repair_cache_hit_rate(once):
     """Two seeds sharing one compiled backend; outcome parity vs interp."""
-    _, problem, interp_config = _scenario_problem_config("interp")
-    _, _, compiled_config = _scenario_problem_config("compiled", cache_size=512)
+    _, problem, interp_config = _scenario_problem_config()
+    _, _, compiled_config = _scenario_problem_config(cache_size=512)
 
     def run(config, backend, seed):
         start = time.monotonic()
@@ -182,7 +197,8 @@ def test_smoke_repair_cache_hit_rate(once):
 
     def sweep():
         serial = SerialBackend.for_problem(problem, interp_config)
-        interp_outcome, interp_s = run(interp_config, serial, 0)
+        with _interpreter():
+            interp_outcome, interp_s = run(interp_config, serial, 0)
 
         _reset_compile_state()
         shared = SerialBackend.for_problem(problem, compiled_config)

@@ -3,12 +3,12 @@
 The supervised pool replaces PR 1's blocking ``pool.map`` with per-task
 dispatch under deadlines, crash detection, and retry/quarantine.  That
 supervision must be close to free on healthy workloads: this benchmark
-scores the same fixed 24-candidate counter_reset batch through the
-retained raw-``multiprocessing.Pool`` baseline (``_pool_initializer`` /
-``_pool_evaluate``) and through the supervised ``ProcessPoolBackend`` at
-workers ∈ {2, 4}, and writes the measured overhead to
-``BENCH_supervised_eval.json`` at the repo root (goal: ≤5% mean
-overhead; the hard assertion is looser to absorb CI timing noise).
+scores the same fixed 24-candidate counter_reset batch through a raw
+``multiprocessing.Pool`` baseline (``_pool_initializer`` /
+``_pool_evaluate`` below) and through the supervised
+``ProcessPoolBackend`` at workers ∈ {2, 4}, and writes the measured
+overhead to ``BENCH_supervised_eval.json`` at the repo root (goal: ≤5%
+mean overhead; the hard assertion is looser to absorb CI timing noise).
 
 It also measures the recovery path — a batch with a planted hanging
 mutant under a short deadline — and asserts a supervised SMOKE repair
@@ -26,12 +26,12 @@ from repro.core.backend import (
     ProcessPoolBackend,
     SerialBackend,
     _mp_context,
-    _pool_evaluate,
-    _pool_initializer,
+    evaluate_design_text,
 )
 from repro.core.repair import CirFixEngine
 from repro.experiments.common import SMOKE
 from repro.fuzz.faults import plant_eval_chaos
+from repro.hdl import parse
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 _RESULTS: dict[str, object] = {"scenario": "counter_reset", "cpu_count": os.cpu_count()}
@@ -51,6 +51,27 @@ def _candidate_batch(problem, size=24):
 
     base = generate(problem.design)
     return [f"{base}\n// candidate {i}\n" for i in range(size)]
+
+
+#: Per-worker state of the unsupervised baseline pool.
+_WORKER_STATE: dict[str, object] = {}
+
+
+def _pool_initializer(testbench_text, oracle, config):
+    """Worker-side init: parse the instrumented testbench and keep the oracle."""
+    _WORKER_STATE["testbench"] = parse(testbench_text)
+    _WORKER_STATE["oracle"] = oracle
+    _WORKER_STATE["config"] = config
+
+
+def _pool_evaluate(design_text):
+    """Worker-side task: evaluate one candidate against the cached state."""
+    return evaluate_design_text(
+        design_text,
+        _WORKER_STATE["testbench"],
+        _WORKER_STATE["oracle"],
+        _WORKER_STATE["config"],
+    )
 
 
 def _time_raw_pool(problem, config, texts, workers):

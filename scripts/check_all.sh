@@ -46,36 +46,6 @@ python -m repro repair "$SMOKE_DIR/faulty.v" "$SMOKE_DIR/tb.v" \
     --budget 120 --seeds 0 1 --output "$SMOKE_DIR/repaired.v" > /dev/null
 test -s "$SMOKE_DIR/repaired.v"
 
-echo "== compiled-engine smoke repair (outcome JSON identical to interp) =="
-python - <<'EOF'
-import dataclasses
-import json
-
-from repro.benchsuite import load_scenario
-from repro.core.backend import make_backend
-from repro.core.repair import CirFixEngine
-from repro.core.serialize import outcome_to_json
-from repro.experiments.common import SMOKE
-
-# Same scenario and seed as the serial smoke above; the only permitted
-# difference between the engines' reports is wall-clock.
-outcomes = {}
-for engine in ("interp", "compiled"):
-    scenario = load_scenario("counter_reset")
-    config = dataclasses.replace(
-        scenario.suggested_config(SMOKE), sim_engine=engine
-    )
-    problem = scenario.problem()
-    with make_backend(problem, config) as backend:
-        outcome = CirFixEngine(problem, config, 0, backend=backend).run()
-    payload = json.loads(outcome_to_json(outcome, "counter_reset"))
-    payload.pop("elapsed_seconds")
-    outcomes[engine] = payload
-assert outcomes["compiled"]["plausible"], "compiled smoke found no repair"
-assert outcomes["interp"] == outcomes["compiled"], "engine outcome divergence"
-print("compiled-engine smoke ok: outcome JSON identical to interp")
-EOF
-
 echo "== telemetry smoke (trace + metrics vs outcome, repro report) =="
 python - "$SMOKE_DIR" <<'EOF'
 import sys
@@ -263,6 +233,26 @@ python -m repro submit --socket "$SMOKE_DIR/repro.sock" counter_reset \
     --seeds 0 --config population_size=120 --config max_generations=4 \
     --config max_wall_seconds=90.0 --config max_fitness_evals=600 \
     --config minimize_budget=64 > /dev/null
+# A job with no plausible repair whose best patch replaces a case arm:
+# it must end done (exit 1, not 2) and its patchlist must reload.
+STATUS=0
+python -m repro submit --socket "$SMOKE_DIR/repro.sock" dec_numeric \
+    --seeds 2 --config population_size=120 --config max_generations=4 \
+    --config max_fitness_evals=600 --config minimize_budget=64 \
+    --config max_wall_seconds=1e6 > "$SMOKE_DIR/dec_numeric.json" || STATUS=$?
+[ "$STATUS" -eq 1 ] || {
+    echo "service smoke: dec_numeric submit exited $STATUS, expected 1" >&2
+    exit 1; }
+python - "$SMOKE_DIR/dec_numeric.json" <<'EOF'
+import json
+import sys
+
+from repro.core.serialize import edit_from_dict
+
+with open(sys.argv[1]) as report:
+    edits = [edit_from_dict(entry) for entry in json.load(report)["patchlist"]]
+print(f"service smoke ok: dec_numeric report reloads ({len(edits)} edits)")
+EOF
 python -m repro jobs --socket "$SMOKE_DIR/repro.sock" > /dev/null
 python - "$SMOKE_DIR/repro.sock" <<'EOF'
 import sys

@@ -56,7 +56,7 @@ from .hdl import generate, parse
 from .service.jobs import JobStatus, RepairRequest, RepairResponse
 from .sim import SimResult, Simulator
 
-__version__ = "1.5.0"
+__version__ = "2.0.0"
 
 __all__ = [
     # facade (repro.api)

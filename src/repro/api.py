@@ -30,14 +30,14 @@ and ``"race"`` from :mod:`repro.synth`, see ``docs/synthesis.md``),
 and ``cancel`` (a zero-argument callable polled cooperatively between
 generations).
 
-Compatibility: ``repair_scenario`` and ``repair_verilog`` historically
-took ``config``/``seeds``/``observers`` positionally.  Those calls still
-work but emit a :class:`DeprecationWarning`; pass them by keyword.
+Compatibility: every argument of ``repair_scenario`` after the scenario,
+and of ``repair_verilog`` after the three source texts, is keyword-only.
+The deprecated positional ``config``/``seeds``/``observers`` forms were
+removed in 2.0; passing them positionally raises :class:`TypeError`.
 """
 
 from __future__ import annotations
 
-import warnings
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -152,30 +152,9 @@ def run_request(
     )
 
 
-def _merge_positional(name: str, extras: tuple, config, seeds, observers):
-    """Map legacy positional ``config, seeds, observers`` onto keywords.
-
-    Emits the :class:`DeprecationWarning` and overlays the positional
-    values in their historical order, leaving keyword-supplied later
-    arguments untouched (matching the old signature's semantics).
-    """
-    warnings.warn(
-        f"passing config/seeds/observers positionally to {name}() is "
-        "deprecated; pass them as keyword arguments",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    if len(extras) > 3:
-        raise TypeError(f"{name}() takes at most 3 positional extras")
-    slots = [config, seeds, observers]
-    for index, value in enumerate(extras):
-        slots[index] = value
-    return tuple(slots)
-
-
 def repair_scenario(
     scenario: "str | object",
-    *deprecated,
+    *,
     config: RepairConfig | None = None,
     seeds: tuple[int, ...] = (0, 1, 2),
     observers: Sequence[RepairObserver] | None = None,
@@ -191,10 +170,6 @@ def repair_scenario(
     in-memory :class:`~repro.benchsuite.Scenario` /
     :class:`RepairProblem` (the non-serializable escape hatch).
     """
-    if deprecated:
-        config, seeds, observers = _merge_positional(
-            "repair_scenario", deprecated, config, seeds, observers
-        )
     if isinstance(scenario, str):
         request = RepairRequest(
             scenario=scenario, seeds=tuple(seeds), engine=engine
@@ -211,7 +186,7 @@ def repair_verilog(
     faulty_design: str,
     testbench: str,
     golden_design: str,
-    *deprecated,
+    *,
     config: RepairConfig | None = None,
     seeds: tuple[int, ...] = (0, 1, 2),
     observers: Sequence[RepairObserver] | None = None,
@@ -239,10 +214,6 @@ def repair_verilog(
     Returns:
         The best :class:`RepairOutcome` across trials.
     """
-    if deprecated:
-        config, seeds, observers = _merge_positional(
-            "repair_verilog", deprecated, config, seeds, observers
-        )
     request = RepairRequest(
         design=faulty_design,
         testbench=testbench,

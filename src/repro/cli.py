@@ -55,7 +55,7 @@ from pathlib import Path
 
 from .api import build_problem, simulate
 from .benchsuite import DEFECTS
-from .core.config import BACKEND_NAMES, SIM_ENGINE_NAMES, ConfigError, RepairConfig
+from .core.config import BACKEND_NAMES, ConfigError, RepairConfig
 from .core.engines import DEFAULT_ENGINE, engine_descriptions, engine_names, get_engine
 from .instrument.trace import SimulationTrace
 
@@ -581,11 +581,6 @@ def main(argv: list[str] | None = None) -> int:
     p_repair.add_argument(
         "--backend", choices=BACKEND_NAMES,
         help="candidate-evaluation backend (default: auto)",
-    )
-    p_repair.add_argument(
-        "--sim-engine", dest="sim_engine", choices=SIM_ENGINE_NAMES,
-        help="candidate simulation engine: 'interp' (tree-walking) or "
-        "'compiled' (AOT closure compiler; bit-identical, faster)",
     )
     p_repair.add_argument(
         "--profile", action="store_true",

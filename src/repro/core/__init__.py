@@ -19,7 +19,6 @@ from .backend import (
     TraceSummary,
     evaluate_design_text,
     make_backend,
-    splice_testbench,
 )
 from .config import TEST_CONFIG, RepairConfig
 from .faultloc import FaultLocalization, all_statement_ids, localize_faults
@@ -51,7 +50,6 @@ __all__ = [
     "TraceSummary",
     "make_backend",
     "evaluate_design_text",
-    "splice_testbench",
     "Patch",
     "Edit",
     "localize_faults",

@@ -3,8 +3,8 @@
 The paper reports that >90% of repair wall-clock goes to fitness
 evaluations (candidate simulations), and evaluations within a generation
 are independent.  This module factors the evaluation pipeline
-(parse → splice testbench → elaborate → simulate → fitness) out of the
-engine and puts an :class:`EvaluationBackend` interface in front of it:
+(parse → compile → simulate → fitness) out of the engine and puts an
+:class:`EvaluationBackend` interface in front of it:
 
 - :class:`SerialBackend` evaluates candidates inline in the engine's
   process — the paper's original behaviour and the default;
@@ -20,16 +20,12 @@ leaves it — so a batch submitted in child-index order produces identical
 results either way.  The engine's determinism guarantee does not depend
 on the backend (see ``docs/repair_engine.md``).
 
-Two orthogonal fast paths (``docs/simulation.md``):
-
-- ``config.sim_engine = "compiled"`` swaps the tree-walking simulator
-  for :class:`repro.sim.CompiledSimulator` and skips the testbench
-  splice entirely — the testbench modules are appended uncloned and
-  their compiled process templates are shared across every candidate
-  scored in the same process (:func:`_testbench_compile_state`);
-- :class:`EvalCache` memoises whole results by candidate source hash,
-  so cross-trial repeats (multi-seed experiments share one backend)
-  replay the recorded result instead of re-simulating.
+Every candidate runs on :class:`repro.sim.CompiledSimulator`; the
+tree-walking :class:`repro.sim.Simulator` stays the reference it is
+raced against (``docs/simulation.md``).  :class:`EvalCache` memoises
+whole results by candidate source hash, so cross-trial repeats
+(multi-seed experiments share one backend) replay the recorded result
+instead of re-simulating.
 
 Fault tolerance
 ---------------
@@ -87,12 +83,13 @@ from typing import TYPE_CHECKING, Protocol, Sequence
 from ..cache import PersistentEvalCache
 from ..hdl import ParseError, ast, generate, parse
 from ..hdl.lexer import LexError
-from ..hdl.node_ids import max_node_id, number_nodes
 from ..instrument.trace import SimulationTrace, output_mismatch
 from ..lint.rules import resolve_rules
 from ..sim.compile import CompiledSimulator
 from ..sim.elaborate import ElaborationError
-from ..sim.simulator import Simulator
+# Unused here, but the end-to-end benchmark tracer
+# (benchmarks/e2e/tracer.py) wraps this name in this module.
+from ..sim.simulator import Simulator  # noqa: F401
 from .config import BACKEND_NAMES, RepairConfig
 from .fitness import FitnessBreakdown, evaluate_fitness
 
@@ -183,7 +180,7 @@ class CandidateResult:
     summary: TraceSummary | None
     #: Wall-clock of the whole evaluation (codegen output → fitness).
     eval_seconds: float = 0.0
-    #: Wall-clock of the frontend span (parse + splice + elaborate).
+    #: Wall-clock of the frontend span (parse + elaborate + compile).
     parse_seconds: float = 0.0
     #: Wall-clock of the simulate + fitness span.
     sim_seconds: float = 0.0
@@ -205,23 +202,6 @@ def _quarantine_result(kind: str, attempts: int) -> CandidateResult:
 # ----------------------------------------------------------------------
 
 
-def splice_testbench(design: ast.Source, testbench: ast.Source) -> ast.Source:
-    """Combine a freshly parsed design with cloned testbench modules.
-
-    Candidate evaluation used to re-parse ``design_text + testbench_text``
-    for every candidate even though the testbench never changes.  Instead
-    the pre-parsed testbench module ASTs are cloned and spliced after the
-    design's modules; clones are renumbered above the design's ids so the
-    combined tree keeps unique node ids.  Cloning is measurably cheaper
-    than re-lexing/re-parsing the testbench text.
-    """
-    clones = [module.clone() for module in testbench.modules]
-    next_id = max_node_id(design) + 1
-    for module in clones:
-        next_id = number_nodes(module, next_id)
-    return ast.Source(list(design.modules) + clones)
-
-
 #: Cap on retained per-testbench compile caches (LRU).  Each entry pins
 #: one testbench tree plus the compiled process templates for its
 #: modules; a worker or engine process only ever cycles through a
@@ -238,13 +218,13 @@ _TB_COMPILE_STATE: OrderedDict[int, tuple[ast.Source, dict, frozenset[int]]] = (
 
 
 def _testbench_compile_state(testbench: ast.Source) -> tuple[dict, frozenset[int]]:
-    """Shared compile state for one testbench tree (compiled engine).
+    """Shared compile state for one testbench tree.
 
-    The compiled engine skips :func:`splice_testbench` — the testbench
-    module objects are appended to every candidate's combined tree
-    as-is, so their compiled process templates can be built once per
-    process and reused for every candidate evaluated against the same
-    testbench (the dominant cost of compilation amortises to zero).
+    The testbench module objects are appended to every candidate's
+    combined tree as-is, so their compiled process templates can be
+    built once per process and reused for every candidate evaluated
+    against the same testbench (the dominant cost of compilation
+    amortises to zero).
     """
     key = id(testbench)
     entry = _TB_COMPILE_STATE.get(key)
@@ -265,7 +245,7 @@ def evaluate_design_text(
     oracle: SimulationTrace,
     config: RepairConfig,
 ) -> CandidateResult:
-    """Score one candidate design: parse → splice → simulate → fitness.
+    """Score one candidate design: parse → compile → simulate → fitness.
 
     Never raises: a candidate that fails to parse or elaborate scores 0.0
     with ``compiled=False``; one that crashes at runtime — anywhere in
@@ -279,22 +259,18 @@ def evaluate_design_text(
     started = time.perf_counter()
     try:
         design = parse(design_text)
-        if config.sim_engine == "compiled":
-            # The compiled engine never mutates the combined tree, so the
-            # testbench modules ride along uncloned: no clone, no node-id
-            # renumbering, and their compiled templates are shared across
-            # every candidate scored against this testbench.
-            combined = ast.Source(list(design.modules) + list(testbench.modules))
-            shared_cache, shared_ids = _testbench_compile_state(testbench)
-            sim: Simulator = CompiledSimulator(
-                combined,
-                max_steps=config.max_sim_steps,
-                shared_cache=shared_cache,
-                shared_module_ids=shared_ids,
-            )
-        else:
-            combined = splice_testbench(design, testbench)
-            sim = Simulator(combined, max_steps=config.max_sim_steps)
+        # The compiled simulator never mutates the combined tree, so the
+        # testbench modules ride along uncloned and their compiled
+        # templates are shared across every candidate scored against
+        # this testbench.
+        combined = ast.Source(list(design.modules) + list(testbench.modules))
+        shared_cache, shared_ids = _testbench_compile_state(testbench)
+        sim = CompiledSimulator(
+            combined,
+            max_steps=config.max_sim_steps,
+            shared_cache=shared_cache,
+            shared_module_ids=shared_ids,
+        )
     except (ParseError, LexError, ElaborationError, RecursionError, MemoryError):
         elapsed = time.perf_counter() - started
         return CandidateResult(
@@ -372,9 +348,6 @@ def eval_context_digest(
     - ``phi`` (fitness weighting), ``max_sim_time`` / ``max_sim_steps``
       (simulation budgets — a budget change can turn a completed
       simulation into a truncated one);
-    - ``sim_engine`` — the engines are bit-identical by contract, but
-      keying them apart means a parity bug can never hide behind a warm
-      cache;
     - the ``eval_deadline_seconds`` **bucket** (minutes granularity, 0 =
       off) and ``worker_mem_mb`` — a tighter deadline or memory sandbox
       can contain-fail a candidate that a looser one completes;
@@ -393,7 +366,6 @@ def eval_context_digest(
         "phi": config.phi,
         "max_sim_time": config.max_sim_time,
         "max_sim_steps": config.max_sim_steps,
-        "sim_engine": config.sim_engine,
         "deadline_bucket": 0 if deadline <= 0 else math.ceil(deadline / 60.0),
         "worker_mem_mb": config.worker_mem_mb,
         "lint_gate": (
@@ -1308,33 +1280,6 @@ def _discard_worker(worker: _Worker) -> None:
         worker.conn.close()
     except (OSError, ValueError):  # pragma: no cover - already closed
         pass
-
-
-# ----------------------------------------------------------------------
-# Unsupervised baseline (benchmarks only)
-# ----------------------------------------------------------------------
-
-#: Per-worker state installed by :func:`_pool_initializer` — the retained
-#: pre-supervision ``multiprocessing.Pool`` path, kept as the baseline
-#: that ``benchmarks/test_supervised_eval.py`` measures overhead against.
-_WORKER_STATE: dict[str, object] = {}
-
-
-def _pool_initializer(testbench_text: str, oracle: SimulationTrace, config: RepairConfig) -> None:
-    """Worker-side init: parse the instrumented testbench and keep the oracle."""
-    _WORKER_STATE["testbench"] = parse(testbench_text)
-    _WORKER_STATE["oracle"] = oracle
-    _WORKER_STATE["config"] = config
-
-
-def _pool_evaluate(design_text: str) -> CandidateResult:
-    """Worker-side task: evaluate one candidate against the cached state."""
-    return evaluate_design_text(
-        design_text,
-        _WORKER_STATE["testbench"],  # type: ignore[arg-type]
-        _WORKER_STATE["oracle"],  # type: ignore[arg-type]
-        _WORKER_STATE["config"],  # type: ignore[arg-type]
-    )
 
 
 def make_backend(problem: "RepairProblem", config: RepairConfig) -> EvaluationBackend:

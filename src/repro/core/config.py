@@ -28,9 +28,6 @@ from ..lint.rules import DEFAULT_GATE_RULES, resolve_rules
 #: re-exported by :mod:`repro.core.backend` for compatibility).
 BACKEND_NAMES = ("auto", "serial", "process")
 
-#: Valid values of :attr:`RepairConfig.sim_engine`.
-SIM_ENGINE_NAMES = ("interp", "compiled")
-
 
 class ConfigError(ValueError):
     """Raised for unknown keys, bad values, or out-of-range parameters."""
@@ -107,11 +104,6 @@ class RepairConfig:
     #: ballooning candidate then raises ``MemoryError`` inside its
     #: worker instead of invoking the host's OOM killer.
     worker_mem_mb: int = 0
-    #: Simulation engine used for candidate evaluation: "interp" (the
-    #: tree-walking interpreter, the original behaviour) or "compiled"
-    #: (the ahead-of-time closure compiler in :mod:`repro.sim.compile`).
-    #: Both produce bit-identical results; see ``docs/simulation.md``.
-    sim_engine: str = "interp"
     #: Capacity of the backend-level content-addressed evaluation cache
     #: (results keyed by sha256 of the candidate source).  Identical
     #: candidates — re-submitted across trials sharing one backend — are
@@ -193,11 +185,6 @@ class RepairConfig:
             fail(f"eval_max_retries must be >= 0 (got {self.eval_max_retries})")
         if self.worker_mem_mb < 0:
             fail(f"worker_mem_mb must be >= 0 (got {self.worker_mem_mb})")
-        if self.sim_engine not in SIM_ENGINE_NAMES:
-            fail(
-                f"sim_engine must be one of {', '.join(SIM_ENGINE_NAMES)} "
-                f"(got {self.sim_engine!r})"
-            )
         if self.eval_cache_size < 0:
             fail(f"eval_cache_size must be >= 0 (got {self.eval_cache_size})")
         if self.cache_max_mb < 0:

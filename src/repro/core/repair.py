@@ -12,7 +12,7 @@ Genetic-programming search over repair patches:
    resources run out; minimize the winning patch with delta debugging.
 
 Every candidate evaluation regenerates Verilog source from the patched AST,
-reparses the design, splices in the pre-parsed testbench, elaborates, and
+reparses the design, appends the pre-parsed testbench, compiles, and
 simulates — mirroring the original pipeline (PyVerilog codegen → VCS
 simulation), with our own frontend and simulator standing in for both.
 

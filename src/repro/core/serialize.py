@@ -29,13 +29,23 @@ class SerializeError(Exception):
 
 
 def _payload_to_text(payload: ast.Node) -> dict[str, str]:
-    """Encode a payload subtree as (kind, source fragment)."""
+    """Encode a payload subtree as (kind, source fragment).
+
+    Case arms and sensitivity items cannot be rendered on their own, so
+    each is encoded inside the smallest parent codegen renders: a one-arm
+    ``case`` statement, and a one-item sensitivity list.
+    """
     if isinstance(payload, ast.Stmt):
         return {"kind": "stmt", "text": generate(payload).strip()}
     if isinstance(payload, ast.Expr):
         return {"kind": "expr", "text": generate(payload)}
     if isinstance(payload, ast.ModuleItem):
         return {"kind": "item", "text": generate(payload).strip()}
+    if isinstance(payload, ast.CaseItem):
+        holder = ast.Case("case", ast.Number.from_int(0), [payload])
+        return {"kind": "case_item", "text": generate(holder).strip()}
+    if isinstance(payload, ast.SensItem):
+        return {"kind": "sens_item", "text": generate(ast.SensList([payload]))}
     raise SerializeError(f"cannot serialize payload {type(payload).__name__}")
 
 
@@ -50,6 +60,16 @@ def _payload_from_text(spec: dict[str, str]) -> ast.Node:
         if len(items) != 1:
             raise SerializeError("item payload must be a single module item")
         return items[0]
+    if spec["kind"] == "case_item":
+        holder = parser.parse_stmt()
+        if not isinstance(holder, ast.Case) or len(holder.items) != 1:
+            raise SerializeError("case_item payload must be a one-arm case statement")
+        return holder.items[0]
+    if spec["kind"] == "sens_item":
+        senslist = parser.parse_senslist()
+        if len(senslist.items) != 1:
+            raise SerializeError("sens_item payload must be a one-item sensitivity list")
+        return senslist.items[0]
     raise SerializeError(f"unknown payload kind {spec['kind']!r}")
 
 

@@ -14,7 +14,6 @@ values at runtime, so adding a node class only requires declaring its fields.
 
 from __future__ import annotations
 
-import copy
 from typing import Iterator
 
 
@@ -65,8 +64,22 @@ class Node:
         return None
 
     def clone(self) -> "Node":
-        """Deep-copy this subtree, preserving node ids."""
-        return copy.deepcopy(self)
+        """Deep-copy this subtree, preserving node ids.
+
+        Every patch application clones the whole design, so this copies
+        field by field instead of calling ``copy.deepcopy``, which is
+        several times slower.  The result is the same because attribute
+        values are nodes, lists of nodes or strings, and immutable
+        scalars, and no node appears twice in one tree.
+        """
+        new = object.__new__(type(self))
+        for key, value in self.__dict__.items():
+            if isinstance(value, Node):
+                value = value.clone()
+            elif isinstance(value, list):
+                value = [item.clone() if isinstance(item, Node) else item for item in value]
+            new.__dict__[key] = value
+        return new
 
     def replace(self, node_id: int, replacement: "Node | None") -> bool:
         """Replace the descendant with ``node_id`` by ``replacement``.

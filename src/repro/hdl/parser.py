@@ -316,10 +316,11 @@ class Parser:
         self._expect("always")
         senslist: ast.SensList | None = None
         if self._check("@"):
-            senslist = self._parse_senslist()
+            senslist = self.parse_senslist()
         return ast.Always(senslist, self.parse_stmt())
 
-    def _parse_senslist(self) -> ast.SensList:
+    def parse_senslist(self) -> ast.SensList:
+        """Parse one sensitivity list: ``@*``, ``@(*)`` or ``@(a or b ...)``."""
         self._expect("@")
         if self._accept("*"):
             return ast.SensList([ast.SensItem("all", None)])
@@ -459,7 +460,7 @@ class Parser:
             body = ast.NullStmt() if self._accept(";") else self.parse_stmt()
             return ast.DelayStmt(delay, body)
         if text == "@":
-            senslist = self._parse_senslist()
+            senslist = self.parse_senslist()
             body = ast.NullStmt() if self._accept(";") else self.parse_stmt()
             return ast.EventControl(senslist, body)
         if text == "->":

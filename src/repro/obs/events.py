@@ -209,7 +209,7 @@ class PlausiblePatchFound(RepairEvent):
 class PhaseCompleted(RepairEvent):
     """Aggregate wall-clock spent in one pipeline phase over a trial.
 
-    Phases are ``parse`` (candidate parse/splice/elaborate, a sub-span of
+    Phases are ``parse`` (candidate parse/elaborate/compile, a sub-span of
     ``evaluation``), ``localization`` (fault localization excluding the
     evaluations it triggers), ``evaluation`` (all candidate scoring), and
     ``minimization`` (delta debugging excluding its evaluations).  One

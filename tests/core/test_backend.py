@@ -1,4 +1,4 @@
-"""Evaluation-backend tests: splice correctness, serial/pool batch parity,
+"""Evaluation-backend tests: the shared testbench, serial/pool batch parity,
 supervised fault recovery, and cross-backend determinism of whole repair
 runs.
 
@@ -22,9 +22,8 @@ from repro.core.backend import (
     evaluate_design_text,
     make_backend,
     parse_chaos_spec,
-    splice_testbench,
 )
-from repro.core.oracle import combine_sources, ensure_instrumented, generate_oracle
+from repro.core.oracle import ensure_instrumented, generate_oracle
 from repro.core.patch import Patch
 from repro.core.repair import repair
 from repro.fuzz.faults import plant_eval_chaos
@@ -76,22 +75,15 @@ def problem():
     return RepairProblem(parse(FAULTY_FF), bench, oracle, "ff_cond")
 
 
-class TestSplice:
-    def test_splice_matches_combined_parse(self, problem):
-        spliced = splice_testbench(parse(FAULTY_FF), problem.testbench)
-        combined = combine_sources(parse(FAULTY_FF), problem.testbench)
-        assert generate(spliced) == generate(combined)
-
-    def test_splice_does_not_mutate_testbench(self, problem):
-        before = generate(problem.testbench)
-        splice_testbench(parse(FAULTY_FF), problem.testbench)
-        splice_testbench(parse(GOLDEN_FF), problem.testbench)
-        assert generate(problem.testbench) == before
-
-    def test_spliced_node_ids_unique(self, problem):
-        spliced = splice_testbench(parse(FAULTY_FF), problem.testbench)
-        ids = [n.node_id for n in spliced.walk()]
-        assert len(ids) == len(set(ids))
+class TestSharedTestbench:
+    def test_scoring_leaves_the_testbench_untouched(self, problem):
+        """Candidates share the testbench tree uncloned, so scoring must
+        leave its text and node ids exactly as they were."""
+        testbench = problem.testbench
+        before = generate(testbench), [n.node_id for n in testbench.walk()]
+        for text in (FAULTY_FF, GOLDEN_FF, BROKEN_TEXT):
+            evaluate_design_text(text, testbench, problem.oracle, TEST_CONFIG)
+        assert (generate(testbench), [n.node_id for n in testbench.walk()]) == before
 
 
 class TestBatchParity:

@@ -53,7 +53,6 @@ class TestOutcomeRelevantKnobs:
             {"phi": 3.0},
             {"max_sim_time": 123},
             {"max_sim_steps": 999},
-            {"sim_engine": "compiled"},
             {"worker_mem_mb": 256},
             {"lint_gate": True},
             # Deadline buckets: 0 (off) vs a 1-minute bucket.
@@ -127,7 +126,6 @@ class TestScheduleKnobsExcluded:
             {},
             {"phi": 3.0},
             {"max_sim_time": 123},
-            {"sim_engine": "compiled"},
             {"lint_gate": True},
             {"lint_gate": True, "lint_gate_rules": "multi-driver"},
             {"eval_deadline_seconds": 30.0},

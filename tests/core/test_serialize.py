@@ -7,6 +7,8 @@ import pytest
 from repro.core.patch import Edit, Patch
 from repro.core.serialize import (
     SerializeError,
+    edit_from_dict,
+    edit_to_dict,
     outcome_to_json,
     patch_from_json,
     patch_to_json,
@@ -78,6 +80,63 @@ class TestRoundTrip:
     def test_unknown_format_rejected(self):
         with pytest.raises(SerializeError):
             patch_from_json(json.dumps({"format": "v99", "edits": []}))
+
+
+FRAGMENTS = """
+module f(clk, rst, sel, y);
+  input clk, rst;
+  input [1:0] sel;
+  output reg [3:0] y;
+  always @(posedge clk or negedge rst) begin
+    casez (sel)
+      2'b0? : y <= 4'd1;
+      2'b10 : y <= 4'd2;
+      default : y <= 4'd3;
+    endcase
+  end
+endmodule
+"""
+
+
+class TestFragmentPayloads:
+    """Case arms and sensitivity items, which GP's replace may swap."""
+
+    def _roundtrip(self, kind):
+        tree = parse(FRAGMENTS)
+        first, *_, last = [n for n in tree.walk() if isinstance(n, kind)]
+        patch = Patch([Edit("replace", first.node_id, last.clone())])
+        restored = patch_from_json(patch_to_json(patch))
+        assert isinstance(restored.edits[0].payload, kind)
+        assert generate(restored.apply(tree)) == generate(patch.apply(tree))
+        return restored
+
+    def test_case_item_payload(self):
+        restored = self._roundtrip(ast.CaseItem)
+        assert restored.edits[0].payload.exprs == []  # the default arm
+
+    def test_sens_item_payload(self):
+        restored = self._roundtrip(ast.SensItem)
+        assert restored.edits[0].payload.edge == "negedge"
+
+    def test_dec_numeric_report_reloads(self):
+        """A GP run whose best patch replaces a case arm."""
+        from repro.api import run_request
+        from repro.service import RepairRequest
+
+        request = RepairRequest(
+            scenario="dec_numeric",
+            seeds=(2,),
+            config={
+                "population_size": 120, "max_generations": 4,
+                "max_fitness_evals": 600, "minimize_budget": 64,
+                "max_wall_seconds": 1e6,
+            },
+        )
+        outcome = run_request(request)
+        assert any(isinstance(e.payload, ast.CaseItem) for e in outcome.patch.edits)
+        report = json.loads(outcome_to_json(outcome, "dec_numeric"))
+        reloaded = [edit_from_dict(entry) for entry in report["patchlist"]]
+        assert [edit_to_dict(e) for e in reloaded] == report["patchlist"]
 
 
 class TestOutcomeReport:

@@ -1,9 +1,9 @@
-"""The compiled-simulation fast path seen from the repair engine.
+"""The compiled simulator seen from the repair engine.
 
-Covers the ``sim_engine`` config switch, the backend-level
-:class:`~repro.core.backend.EvalCache`, the adaptive chunk sizing, and
-the headline guarantee: a fixed-seed repair under ``sim_engine =
-"compiled"`` produces a bit-identical outcome to the interpreter.
+Covers the backend-level :class:`~repro.core.backend.EvalCache`, the
+adaptive chunk sizing, and the headline guarantee: a fixed-seed repair
+on the compiled simulator produces a bit-identical outcome to the same
+repair with the reference interpreter substituted in.
 """
 
 import dataclasses
@@ -11,21 +11,15 @@ import dataclasses
 import pytest
 
 from repro.benchsuite import load_scenario
+from repro.core import backend as backend_mod
 from repro.core.backend import EvalCache, SerialBackend, make_backend
 from repro.core.config import ConfigError, RepairConfig
 from repro.core.repair import CirFixEngine, adaptive_chunk_size
 from repro.experiments.common import SMOKE
+from repro.sim import Simulator
 
 
 class TestConfig:
-    def test_sim_engine_default_and_choices(self):
-        assert RepairConfig().sim_engine == "interp"
-        assert RepairConfig(sim_engine="compiled").sim_engine == "compiled"
-
-    def test_sim_engine_rejects_unknown(self):
-        with pytest.raises(ConfigError, match="sim_engine"):
-            RepairConfig(sim_engine="jit").validate()
-
     def test_eval_cache_size_rejects_negative(self):
         with pytest.raises(ConfigError, match="eval_cache_size"):
             RepairConfig(eval_cache_size=-1).validate()
@@ -112,18 +106,15 @@ class TestEvalCache:
 
 
 class TestSerialBackendCache:
-    def _backend(self, engine="interp", cache_size=256):
+    def _backend(self, cache_size=256):
         scenario = load_scenario("counter_reset")
         config = dataclasses.replace(
-            scenario.suggested_config(SMOKE),
-            sim_engine=engine,
-            eval_cache_size=cache_size,
+            scenario.suggested_config(SMOKE), eval_cache_size=cache_size
         )
         return SerialBackend.for_problem(scenario.problem(), config)
 
-    @pytest.mark.parametrize("engine", ["interp", "compiled"])
-    def test_repeat_batch_hits_the_cache(self, engine):
-        backend = self._backend(engine)
+    def test_repeat_batch_hits_the_cache(self):
+        backend = self._backend()
         scenario = load_scenario("counter_reset")
         texts = [scenario.faulty_design_text]
         first = backend.evaluate_batch(texts)
@@ -160,23 +151,27 @@ def _outcome_key(outcome):
     )
 
 
+def _smoke_outcome():
+    scenario = load_scenario("counter_reset")
+    config = scenario.suggested_config(SMOKE)
+    problem = scenario.problem()
+    with make_backend(problem, config) as backend:
+        return CirFixEngine(problem, config, 0, backend=backend).run()
+
+
 class TestEngineOutcomeParity:
-    def test_smoke_repair_is_bit_identical_across_engines(self):
-        outcomes = {}
-        for engine in ("interp", "compiled"):
-            scenario = load_scenario("counter_reset")
-            config = dataclasses.replace(
-                scenario.suggested_config(SMOKE), sim_engine=engine
-            )
-            problem = scenario.problem()
-            backend = make_backend(problem, config)
-            try:
-                outcomes[engine] = CirFixEngine(
-                    problem, config, 0, backend=backend
-                ).run()
-            finally:
-                backend.close()
-        assert _outcome_key(outcomes["interp"]) == _outcome_key(
-            outcomes["compiled"]
-        )
-        assert outcomes["compiled"].plausible
+    def test_smoke_repair_is_bit_identical_across_engines(self, monkeypatch):
+        compiled = _smoke_outcome()
+        built = []
+
+        def interpreter(source, max_steps, **_template_cache):
+            """Stand-in for ``CompiledSimulator``: the reference
+            interpreter (the shared-template arguments are ignored)."""
+            built.append(source)
+            return Simulator(source, max_steps=max_steps)
+
+        monkeypatch.setattr(backend_mod, "CompiledSimulator", interpreter)
+        interp = _smoke_outcome()
+        assert built, "the interpreter substitution was never used"
+        assert _outcome_key(interp) == _outcome_key(compiled)
+        assert compiled.plausible

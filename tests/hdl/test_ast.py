@@ -1,5 +1,8 @@
 """AST structural-operation tests (walk / find / replace / insert / clone)."""
 
+import copy
+
+from repro.benchsuite import PROJECT_NAMES, load_project
 from repro.hdl import ast, parse
 from repro.hdl.node_ids import clear_ids, max_node_id, number_nodes
 
@@ -15,6 +18,13 @@ endmodule
 
 def tree():
     return parse(SRC)
+
+
+def _mutable_parts(root):
+    """Identities of every node and every list attribute under ``root``."""
+    nodes = list(root.walk())
+    lists = [v for n in nodes for v in vars(n).values() if isinstance(v, list)]
+    return {id(part) for part in nodes + lists}
 
 
 class TestNumbering:
@@ -103,6 +113,15 @@ class TestCloneAndParents:
         c.replace(nba.node_id, ast.NullStmt())
         # The original is untouched.
         assert any(isinstance(n, ast.NonBlockingAssign) for n in t.walk())
+
+    def test_clone_equals_deepcopy_and_shares_nothing(self):
+        for name in PROJECT_NAMES:
+            project = load_project(name)
+            for original in (parse(project.design_text), parse(project.testbench_text)):
+                c = original.clone()
+                assert ast.structurally_equal(c, copy.deepcopy(original), compare_ids=True)
+                assert [n.line for n in c.walk()] == [n.line for n in original.walk()]
+                assert not _mutable_parts(c) & _mutable_parts(original)
 
     def test_parent_map(self):
         t = tree()

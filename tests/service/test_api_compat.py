@@ -1,6 +1,4 @@
-"""Facade compatibility: positional deprecations, engine registry."""
-
-import warnings
+"""Facade compatibility: keyword-only wrappers, engine registry."""
 
 import pytest
 
@@ -31,32 +29,12 @@ endmodule
 """
 
 
-class TestPositionalDeprecation:
-    def test_positional_config_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="repair_scenario"):
-            outcome = repair_scenario("counter_reset", TINY, (0,))
-        assert outcome.seed == 0
-
-    def test_keyword_call_does_not_warn(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            repair_scenario("counter_reset", config=TINY, seeds=(0,))
-
-    def test_positional_extras_respect_keyword_arguments(self):
-        """Old-style positional config combined with keyword seeds."""
-        with pytest.warns(DeprecationWarning):
-            outcome = repair_scenario("counter_reset", TINY, seeds=(1,))
-        assert outcome.seed == 1
-
-    def test_too_many_positionals_raise(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(TypeError):
-                repair_scenario("counter_reset", TINY, (0,), None, "extra")
-
-    def test_repair_verilog_positional_warns(self):
-        with pytest.warns(DeprecationWarning, match="repair_verilog"):
-            outcome = repair_verilog(DESIGN, BENCH, DESIGN, TINY, (0,))
-        assert outcome is not None
+class TestKeywordOnly:
+    def test_positional_config_is_a_typeerror(self):
+        with pytest.raises(TypeError):
+            repair_scenario("counter_reset", TINY, (0,))
+        with pytest.raises(TypeError):
+            repair_verilog(DESIGN, BENCH, DESIGN, TINY, (0,))
 
 
 class TestEngineRegistry:

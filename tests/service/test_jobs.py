@@ -17,7 +17,7 @@ class TestRepairRequest:
     def test_json_roundtrip_is_lossless(self):
         request = RepairRequest(
             scenario="counter_reset",
-            config={"population_size": 20, "sim_engine": "compiled"},
+            config={"population_size": 20, "eval_chunk_size": 8},
             seeds=(3, 1, 4),
             tenant="team-a",
         )
