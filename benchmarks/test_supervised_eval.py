@@ -92,7 +92,13 @@ def _time_raw_pool(problem, config, texts, workers):
 
 
 def _time_supervised(problem, config, texts, workers):
-    """Median batch seconds through the supervised backend."""
+    """Median batch seconds through the supervised backend.
+
+    Its result cache is off, as the raw baseline has none: otherwise
+    every round after the first would replay cached results instead of
+    scoring the batch on the pool.
+    """
+    config = config.scaled(eval_cache_size=0)
     with ProcessPoolBackend.for_problem(problem, config, workers=workers) as pool:
         pool.evaluate_batch(texts[:2])  # warm the workers
         samples = []

@@ -5,6 +5,12 @@ cd "$(dirname "$0")/.."
 PYTHONPATH=src:${PYTHONPATH:-}
 export PYTHONPATH
 
+echo "== one process pool (no raw multiprocessing.Pool in src/) =="
+if grep -rn "\.Pool(" src/; then
+    echo "raw multiprocessing.Pool found in src/; use the supervised backend" >&2
+    exit 1
+fi
+
 echo "== unit / integration / property tests =="
 python -m pytest tests/ -q
 
@@ -26,7 +32,7 @@ python -m repro.experiments rq3 > /dev/null
 python -m repro.experiments phi > /dev/null
 python -m repro.experiments fixloc > /dev/null
 
-echo "== parallel smoke repair (counter_reset, --workers 2) =="
+echo "== parallel smoke repair (counter_reset, --workers 2 vs --workers 1) =="
 SMOKE_DIR="$(mktemp -d)"
 SERVE_PID=""
 trap 'rm -rf "$SMOKE_DIR"; [ -n "$SERVE_PID" ] && kill "$SERVE_PID" 2>/dev/null || true' EXIT
@@ -45,6 +51,13 @@ python -m repro repair "$SMOKE_DIR/faulty.v" "$SMOKE_DIR/tb.v" \
     --golden "$SMOKE_DIR/golden.v" --workers 2 --population 120 \
     --budget 120 --seeds 0 1 --output "$SMOKE_DIR/repaired.v" > /dev/null
 test -s "$SMOKE_DIR/repaired.v"
+# The same repair on one worker must write the byte-identical design.
+python -m repro repair "$SMOKE_DIR/faulty.v" "$SMOKE_DIR/tb.v" \
+    --golden "$SMOKE_DIR/golden.v" --workers 1 --population 120 \
+    --budget 120 --seeds 0 1 --output "$SMOKE_DIR/repaired_serial.v" > /dev/null
+cmp "$SMOKE_DIR/repaired.v" "$SMOKE_DIR/repaired_serial.v" || {
+    echo "parallel smoke: --workers 2 and --workers 1 repairs differ" >&2
+    exit 1; }
 
 echo "== telemetry smoke (trace + metrics vs outcome, repro report) =="
 python - "$SMOKE_DIR" <<'EOF'

@@ -576,7 +576,7 @@ def main(argv: list[str] | None = None) -> int:
     p_repair.add_argument("--population", type=int, help="GP population size")
     p_repair.add_argument(
         "--workers", type=int,
-        help="worker processes for candidate evaluation / parallel trials (default 1)",
+        help="worker processes for candidate evaluation (default 1)",
     )
     p_repair.add_argument(
         "--backend", choices=BACKEND_NAMES,

@@ -1286,9 +1286,9 @@ def make_backend(problem: "RepairProblem", config: RepairConfig) -> EvaluationBa
     """Build the evaluation backend selected by ``config``.
 
     ``config.backend`` is ``"serial"``, ``"process"``, or ``"auto"``
-    (pool when ``config.workers > 1``, serial otherwise).  If the host
-    cannot start worker processes — including ``backend = "process"``
-    inside an already-pooled (daemonic) trial or scenario worker, which
+    (pool when ``config.workers > 1``, serial otherwise); any other name
+    raises ``ValueError``.  If the host cannot start worker processes —
+    including a caller that is itself a daemonic worker process, which
     may not spawn children — the pool silently degrades to a
     :class:`SerialBackend`: results are identical, only slower.
     """

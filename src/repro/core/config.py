@@ -67,9 +67,10 @@ class RepairConfig:
     #: the paper's "adding more repair templates" future-work direction.
     #: Off by default so the reproduction matches the paper's template set.
     extended_templates: bool = False
-    #: Worker processes for candidate evaluation (and, in ``repair()`` /
-    #: the experiment drivers, for independent trials and scenario sweeps).
-    #: 1 = fully serial, the paper's original behaviour.
+    #: Worker processes for candidate evaluation (the supervised process
+    #: pool of :mod:`repro.core.backend`).  Trials and scenario sweeps
+    #: always run one after another; 1 = fully serial, the paper's
+    #: original behaviour.
     workers: int = 1
     #: Evaluation backend: "serial", "process", or "auto" (process pool
     #: when ``workers > 1``).  See :mod:`repro.core.backend`.

@@ -40,10 +40,9 @@ import random
 import time as time_mod
 from typing import Any, Callable, Sequence
 
-from ..hdl import generate
 from ..obs.events import PlausiblePatchFound, TrialStarted
 from ..obs.observer import ObserverSet, RepairObserver
-from .backend import BACKEND_NAMES, EvaluationBackend, make_backend
+from .backend import EvaluationBackend, make_backend
 from .config import RepairConfig
 from .harness import (  # noqa: F401  (re-exported for compatibility)
     EngineHarness,
@@ -289,49 +288,28 @@ def repair(
     """Run independent trials (paper: 5 per scenario) and return the first
     plausible outcome, or the best-fitness outcome if none succeeds.
 
-    With ``config.workers > 1`` and several seeds, the trials themselves
-    fan out over a process pool (each trial evaluating serially inside its
-    worker); with a single seed the one trial parallelises its candidate
-    evaluations instead.  Either way the outcome is the one the serial
-    sweep would have returned: the lowest plausible seed wins, falling
-    back to the earliest best-fitness trial.
+    The trials run one after another, in seed order, on one shared
+    evaluation backend (built from ``config`` unless one is passed in).
+    With ``config.workers > 1`` that backend is the supervised process
+    pool, so each trial's candidate evaluations run in parallel under its
+    deadlines and quarantine.  The lowest plausible seed wins, falling
+    back to the earliest best-fitness trial; the outcome is the same on
+    every backend.
 
-    ``observers`` (repro.obs) see the full event stream of every trial
-    run in this process.  With observers attached, multi-seed runs stay
-    in-process sharing one evaluation backend — candidate evaluations
-    still fan out over the pool, but trials are not shipped to workers
-    (observers are generally not picklable, and a complete trace beats a
-    marginally faster sweep when telemetry was requested).
+    ``observers`` (repro.obs) see the full event stream of every trial.
 
     ``cancel`` is a cooperative cancellation probe (the service daemon
     passes one): trials poll it alongside their budget checks, a
     cancelled sweep stops after the current chunk, and later seeds are
-    never started.  Like observers, a cancel probe keeps multi-seed runs
-    in-process (closures do not cross the trial pool's pickle boundary).
+    never started.
 
     ``checkpoint`` (repair-as-a-service crash recovery) receives the
-    deterministic cursor snapshot at every generation boundary; like
-    observers and cancel probes it keeps multi-seed sweeps in-process —
-    snapshots carry the trial's seed, so a sweep journals whichever
+    deterministic cursor snapshot at every generation boundary.
+    Snapshots carry the trial's seed, so a sweep journals whichever
     trial is currently running.
     """
     config = config or RepairConfig()
     events = observers if isinstance(observers, ObserverSet) else ObserverSet(observers)
-    if config.backend not in BACKEND_NAMES:
-        # Fail in the caller's process, not inside a pickled trial worker.
-        raise ValueError(
-            f"unknown evaluation backend {config.backend!r}; "
-            f"valid backends: {', '.join(BACKEND_NAMES)}"
-        )
-    workers = max(1, config.workers)
-    if (
-        backend is None and workers > 1 and len(seeds) > 1
-        and not events and cancel is None and checkpoint is None
-    ):
-        outcome = _repair_parallel_trials(problem, config, seeds, workers)
-        if outcome is not None:
-            return outcome
-        # Pool unavailable on this host: fall through to the serial sweep.
     scope: contextlib.AbstractContextManager
     if backend is None:
         backend = make_backend(problem, config)
@@ -353,58 +331,3 @@ def repair(
                 best = outcome
         assert best is not None
         return best
-
-
-def _trial_payload(problem: RepairProblem, config: RepairConfig, seed: int) -> tuple:
-    """Pickle-friendly description of one trial (texts, not ASTs)."""
-    return (
-        generate(problem.design),
-        problem.testbench_text,
-        problem.oracle,
-        problem.name,
-        config,
-        seed,
-    )
-
-
-def _run_trial(payload: tuple) -> RepairOutcome:
-    """Worker-side entry: rebuild the problem from texts and run one trial."""
-    design_text, testbench_text, oracle, name, config, seed = payload
-    problem = RepairProblem.from_text(design_text, testbench_text, oracle, name)
-    return CirFixEngine(problem, config, seed).run()
-
-
-def _repair_parallel_trials(
-    problem: RepairProblem,
-    config: RepairConfig,
-    seeds: tuple[int, ...],
-    workers: int,
-) -> RepairOutcome | None:
-    """Fan independent trials out over a process pool.
-
-    Trials are consumed in seed order, so the returned outcome matches the
-    serial sweep exactly; trailing trials are terminated as soon as an
-    earlier seed produces a plausible repair.  Returns ``None`` when the
-    host cannot start worker processes (caller falls back to serial).
-    """
-    from .backend import _mp_context  # single source of truth for the context
-
-    trial_config = config.scaled(workers=1)
-    payloads = [_trial_payload(problem, trial_config, seed) for seed in seeds]
-    try:
-        pool = _mp_context().Pool(processes=min(workers, len(seeds)))
-    except (OSError, ValueError, ImportError) as exc:
-        logger.warning("trial pool unavailable (%s); running trials serially", exc)
-        return None
-    best: RepairOutcome | None = None
-    try:
-        for outcome in pool.imap(_run_trial, payloads):
-            if outcome.plausible:
-                return outcome
-            if best is None or outcome.fitness > best.fitness:
-                best = outcome
-    finally:
-        pool.terminate()
-        pool.join()
-    assert best is not None
-    return best

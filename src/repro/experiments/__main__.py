@@ -69,7 +69,8 @@ def main() -> None:
         "--workers",
         type=int,
         default=None,
-        help="worker processes for scenario sweeps (table3/rq1; default serial)",
+        help="candidate-evaluation worker processes inside each scenario "
+        "(table3/rq1/minted/race; default serial)",
     )
     parser.add_argument(
         "--trace-dir",

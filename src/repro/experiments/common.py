@@ -8,23 +8,18 @@ records which preset produced the committed numbers.
 
 from __future__ import annotations
 
-import contextlib
-import logging
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Iterable, Sequence
 
 from ..benchsuite import Scenario, load_scenario
-from ..core.backend import EvaluationBackend, _mp_context, make_backend
+from ..core.backend import make_backend
 from ..core.config import RepairConfig
 from ..core.engines import DEFAULT_ENGINE, get_engine
 from ..core.repair import CirFixEngine, RepairOutcome
+from ..obs.jsonl import JsonlTraceObserver
 from ..obs.observer import ObserverSet, RepairObserver
-
-logger = logging.getLogger("repro.experiments")
-
-T = TypeVar("T")
 
 #: CI-sized preset: seconds per scenario.  A large generation-0 seed pool
 #: matters more than generation count (the paper's population of 5000 means
@@ -78,8 +73,8 @@ class ScenarioResult:
     best_fitness_history: list[float] = field(default_factory=list)
     repaired_source: str | None = None
     #: Unique candidate evaluations across the trials that ran — the
-    #: deterministic budget counter (identical across backends, unlike
-    #: ``simulations``, which counts actual simulator invocations).
+    #: deterministic budget counter, identical across backends.  Always
+    #: equal to ``simulations``.
     eval_sims: int = 0
 
     @property
@@ -102,14 +97,14 @@ def run_scenario(
     """Run repair trials on one scenario (paper: 5 independent trials,
     stopping at the first plausible repair).
 
-    This is the one driver every experiment funnels through.  With
-    ``config.workers > 1`` the trials share one evaluation backend (a
-    persistent process pool), so the pool is paid for once per scenario,
-    not once per seed.  ``observers`` (repro.obs) see every trial's event
-    stream; they never influence the search.  ``engine`` names a
-    registered repair engine (:mod:`repro.core.engines`); the built-in
-    ``"cirfix"`` keeps the historical per-seed trial loop bit-for-bit,
-    other engines receive all seeds in one runner call.
+    This is the one entry point every experiment funnels through.  The
+    trials share one evaluation backend built from ``config`` — the
+    supervised process pool when ``config.workers > 1`` — so it is paid
+    for once per scenario, not once per seed.  ``observers`` (repro.obs) see every
+    trial's event stream; they never influence the search.  ``engine``
+    names a registered repair engine (:mod:`repro.core.engines`); the
+    built-in ``"cirfix"`` keeps the historical per-seed trial loop
+    bit-for-bit, other engines receive all seeds in one runner call.
     """
     scaled = scenario.suggested_config(config)
     events = observers if isinstance(observers, ObserverSet) else ObserverSet(observers)
@@ -119,11 +114,7 @@ def run_scenario(
     total_sims = 0
     total_evals = 0
     problem = scenario.problem()
-    backend: EvaluationBackend | None = (
-        make_backend(problem, scaled) if scaled.workers > 1 else None
-    )
-    # Backends are context managers; a serial run needs no scope at all.
-    with backend if backend is not None else contextlib.nullcontext():
+    with make_backend(problem, scaled) as backend:
         if engine == DEFAULT_ENGINE:
             for seed in seeds:
                 outcome = CirFixEngine(
@@ -172,89 +163,36 @@ def run_scenario(
     )
 
 
-def _scenario_worker(
-    payload: tuple[str, RepairConfig, tuple[int, ...], str | None],
-) -> ScenarioResult:
-    # Module-level so multiprocessing pools can pickle it.  Observers are
-    # generally not picklable, so the trace path travels instead and the
-    # JSONL observer is constructed inside the worker.
-    scenario_id, config, seeds, trace_path = payload
-    observers: list[RepairObserver] = []
-    if trace_path is not None:
-        from ..obs import JsonlTraceObserver
-
-        observers.append(JsonlTraceObserver(trace_path))
-    try:
-        return run_scenario(
-            load_scenario(scenario_id), config, observers, seeds=seeds
-        )
-    finally:
-        for observer in observers:
-            observer.close()
-
-
 def run_scenarios(
     scenario_ids: Iterable[str],
     config: RepairConfig,
     *,
     seeds: tuple[int, ...] = (0, 1),
-    workers: int | None = None,
     trace_dir: "str | Path | None" = None,
 ) -> list[ScenarioResult]:
-    """Run a sweep of scenarios, optionally fanned out over a pool.
+    """Run a sweep of scenarios, one after another, in ``scenario_ids`` order.
 
-    ``workers`` (default ``config.workers``) fans independent scenarios
-    out over a process pool; each child then runs fully serially so pools
-    never nest.  Row order and per-row results match the serial sweep
-    exactly.  With ``trace_dir`` set, each scenario writes a repro.obs
-    JSONL trace to ``trace_dir/<scenario_id>.jsonl`` (works in both the
-    serial and the fanned-out path — workers reconstruct the observer
-    from the path).
+    ``config.workers > 1`` parallelises the candidate evaluations inside
+    each scenario; rows are identical at every worker count.  With
+    ``trace_dir`` set, each scenario writes a repro.obs JSONL trace to
+    ``trace_dir/<scenario_id>.jsonl``.
     """
-    ids = list(scenario_ids)
-    workers = config.workers if workers is None else workers
-    fan_out = workers > 1 and len(ids) > 1
-    child_config = config.scaled(workers=1) if fan_out else config
     if trace_dir is not None:
         trace_dir = Path(trace_dir)
         trace_dir.mkdir(parents=True, exist_ok=True)
-    payloads = [
-        (
-            sid,
-            child_config,
-            seeds,
-            str(trace_dir / f"{sid}.jsonl") if trace_dir is not None else None,
-        )
-        for sid in ids
-    ]
-    return map_parallel(_scenario_worker, payloads, workers if fan_out else 1)
-
-
-def map_parallel(
-    worker: Callable[[object], T],
-    payloads: Sequence[object],
-    workers: int,
-) -> list[T]:
-    """Order-preserving ``map`` over a process pool, with serial fallback.
-
-    ``worker`` must be a module-level function so the pool can pickle it.
-    With ``workers <= 1``, a single payload, or an unavailable pool, the
-    map simply runs in-process.  Results are identical either way: each
-    payload is independent and output order matches input order.
-    """
-    items = list(payloads)
-    if workers <= 1 or len(items) <= 1:
-        return [worker(p) for p in items]
-    try:
-        pool = _mp_context().Pool(min(workers, len(items)))
-    except (OSError, ValueError, ImportError) as exc:  # pragma: no cover
-        logger.warning("worker pool unavailable (%s); running sweep serially", exc)
-        return [worker(p) for p in items]
-    try:
-        return pool.map(worker, items, chunksize=1)
-    finally:
-        pool.terminate()
-        pool.join()
+    results = []
+    for scenario_id in scenario_ids:
+        observers: list[RepairObserver] = []
+        if trace_dir is not None:
+            observers.append(JsonlTraceObserver(trace_dir / f"{scenario_id}.jsonl"))
+        try:
+            results.append(
+                run_scenario(load_scenario(scenario_id), config, observers, seeds=seeds)
+            )
+        finally:
+            for observer in observers:
+                observer.close()
+    return results
 
 
 def format_table(headers: list[str], rows: list[list[str]]) -> str:

@@ -9,12 +9,13 @@ verdict table is byte-identical on every backend.  First-to-plausible
 wall-clock is measured per leg and reported alongside, but never enters
 the verdict (wall time varies by host and backend).
 
-Each (scenario, engine) pair is an independent job fanned out over the
-same scheduler every experiment sweep uses (:func:`map_parallel`) —
-the legs run exactly as a standalone grading of that engine would, so
-the per-engine summaries here match ``repro.experiments minted`` /
-``grade_scenarios`` runs of the same engine verbatim (the race smoke in
-``scripts/check_all.sh`` pins this).
+Each (scenario, engine) pair runs through
+:func:`~repro.experiments.common.run_scenario`, as every experiment
+sweep does, one after another, with ``config.workers`` parallelising
+candidate evaluation inside each leg.  The legs run exactly as a standalone grading of that
+engine would, so the per-engine summaries here match
+``repro.experiments minted`` / ``grade_scenarios`` runs of the same
+engine verbatim (the race smoke in ``scripts/check_all.sh`` pins this).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from ..core.config import RepairConfig
 from ..mint import GRADE_CONFIG, MintConfig, mint_scenarios
 from ..mint.factory import MintedScenario
 from ..synth.race import RACE_ENGINES
-from .common import ScenarioResult, format_table, map_parallel, run_scenario
+from .common import ScenarioResult, format_table, run_scenario
 from .minted import MINTED_COUNT, MINTED_SEED
 
 
@@ -112,55 +113,42 @@ class RaceStudy:
         return "\n".join(lines)
 
 
-def _race_worker(
-    payload: "tuple[MintedScenario, str, RepairConfig, tuple[int, ...]]",
-) -> ScenarioResult:
-    # Module-level so multiprocessing pools can pickle it.
-    scenario, engine, config, seeds = payload
-    return run_scenario(scenario.to_scenario(), config, seeds=seeds, engine=engine)
-
-
 def run_engine_race(
     *,
     seed: int = MINTED_SEED,
     count: int = MINTED_COUNT,
     engines: tuple[str, ...] = RACE_ENGINES,
     config: RepairConfig | None = None,
-    workers: int | None = None,
     seeds: tuple[int, ...] = (0,),
 ) -> RaceStudy:
     """Mint a seeded scenario set and race every engine across it.
 
-    Jobs are (scenario, engine) pairs; ``workers > 1`` fans them out over
-    the experiment scheduler's process pool (each leg then evaluates
-    serially, exactly like a standalone run, so results are identical to
-    the serial sweep).
+    Jobs are (scenario, engine) pairs, run in order; ``config.workers > 1``
+    parallelises the candidate evaluations inside each leg, and the
+    results are identical at every worker count.
     """
     minted = mint_scenarios(
         MintConfig(seed=seed, count=count, shrink_rejected=False)
     ).admitted
     config = config or GRADE_CONFIG
-    payloads = [
-        (scenario, engine, config, seeds)
-        for engine in engines
-        for scenario in minted
-    ]
-    flat = map_parallel(_race_worker, payloads, workers or 1)
     results = {
-        engine: flat[i * len(minted) : (i + 1) * len(minted)]
-        for i, engine in enumerate(engines)
+        engine: [
+            run_scenario(scenario.to_scenario(), config, seeds=seeds, engine=engine)
+            for scenario in minted
+        ]
+        for engine in engines
     }
     return RaceStudy(seed=seed, engines=engines, minted=minted, results=results)
 
 
 def main(preset: str = "smoke", workers: int | None = None) -> None:
-    """Print the engine-race study."""
+    """Print the engine-race study; ``workers`` sets ``config.workers``."""
     del preset  # racing uses the grading budget (GRADE_CONFIG)
     print(
         f"Engine race (factory seed {MINTED_SEED}, {MINTED_COUNT} attempts): "
         "winner = plausible with fewest eval_sims"
     )
-    study = run_engine_race(workers=workers)
+    study = run_engine_race(config=GRADE_CONFIG.scaled(workers=workers or 1))
     print(study.stable_text())
     print(study.wall_clock_text())
 

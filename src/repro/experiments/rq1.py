@@ -17,8 +17,7 @@ from pathlib import Path
 from ..baselines.brute_force import BruteForceRepair
 from ..benchsuite import load_scenario
 from ..core.config import RepairConfig
-from ..obs.observer import RepairObserver
-from .common import QUICK, format_table, map_parallel, run_scenario
+from .common import QUICK, format_table, run_scenarios
 
 #: Scenarios used for the head-to-head (a spread of difficulties).
 HEAD_TO_HEAD: tuple[str, ...] = (
@@ -49,67 +48,36 @@ class Rq1Result:
         return sum(1 for r in self.rows if r.cirfix_plausible and not r.brute_plausible)
 
 
-def _rq1_worker(
-    payload: tuple[str, RepairConfig, tuple[int, ...], str | None],
-) -> HeadToHeadRow:
-    # Module-level so multiprocessing pools can pickle it.  The CirFix
-    # side goes through the shared run_scenario driver; the brute-force
-    # side runs under the same per-scenario budget.
-    scenario_id, config, seeds, trace_path = payload
-    scenario = load_scenario(scenario_id)
-    observers: list[RepairObserver] = []
-    if trace_path is not None:
-        from ..obs import JsonlTraceObserver
-
-        observers.append(JsonlTraceObserver(trace_path))
-    try:
-        cirfix = run_scenario(scenario, config, observers, seeds=seeds)
-    finally:
-        for observer in observers:
-            observer.close()
-    scaled = scenario.suggested_config(config)
-    brute = BruteForceRepair(scenario.problem(), scaled, seed=seeds[0]).run()
-    return HeadToHeadRow(
-        scenario_id,
-        cirfix.plausible,
-        cirfix.simulations,
-        brute.plausible,
-        brute.simulations,
-    )
-
-
 def run_rq1(
     config: RepairConfig | None = None,
     scenario_ids: tuple[str, ...] = HEAD_TO_HEAD,
     seeds: tuple[int, ...] = (0, 1),
-    workers: int | None = None,
     trace_dir: "str | Path | None" = None,
 ) -> Rq1Result:
     """Run the CirFix vs brute-force head-to-head.
 
-    ``workers`` (default ``config.workers``) fans the head-to-head
-    scenarios out over a process pool, one fully-serial child each, with
-    results in ``scenario_ids`` order — identical to the serial sweep.
-    With ``trace_dir`` set, the CirFix side of each row writes a
-    repro.obs JSONL trace to ``trace_dir/<scenario_id>.jsonl``.
+    The CirFix side is the shared :func:`run_scenarios` sweep (with
+    ``trace_dir`` set, it writes a repro.obs JSONL trace per scenario to
+    ``trace_dir/<scenario_id>.jsonl``); the brute-force side then runs
+    under the same per-scenario budget.  ``config.workers > 1``
+    parallelises the CirFix candidate evaluations; rows are identical at
+    every worker count.
     """
     config = config or QUICK
-    workers = config.workers if workers is None else workers
-    fan_out = workers > 1 and len(scenario_ids) > 1
-    child_config = config.scaled(workers=1) if fan_out else config
-    if trace_dir is not None:
-        trace_dir = Path(trace_dir)
-        trace_dir.mkdir(parents=True, exist_ok=True)
-    payloads = [
-        (
-            sid,
-            child_config,
-            seeds,
-            str(trace_dir / f"{sid}.jsonl") if trace_dir is not None else None,
+    rows = []
+    for cirfix in run_scenarios(scenario_ids, config, seeds=seeds, trace_dir=trace_dir):
+        scenario = load_scenario(cirfix.scenario_id)
+        scaled = scenario.suggested_config(config)
+        brute = BruteForceRepair(scenario.problem(), scaled, seed=seeds[0]).run()
+        rows.append(
+            HeadToHeadRow(
+                cirfix.scenario_id,
+                cirfix.plausible,
+                cirfix.simulations,
+                brute.plausible,
+                brute.simulations,
+            )
         )
-        for sid in scenario_ids
-    ]
-    rows = map_parallel(_rq1_worker, payloads, workers if fan_out else 1)
     return Rq1Result(rows)
 
 
@@ -139,11 +107,12 @@ def main(
     workers: int | None = None,
     trace_dir: "str | Path | None" = None,
 ) -> None:
-    """Print RQ1."""
+    """Print RQ1; ``workers`` sets ``config.workers`` of the preset."""
     from .common import PRESETS
 
+    config = PRESETS[preset].scaled(workers=workers or 1)
     print("RQ1: CirFix vs brute-force search")
-    print(render_rq1(run_rq1(PRESETS[preset], workers=workers, trace_dir=trace_dir)))
+    print(render_rq1(run_rq1(config, trace_dir=trace_dir)))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -22,15 +22,14 @@ def run_table3(
     config: RepairConfig | None = None,
     seeds: tuple[int, ...] = (0, 1),
     scenario_ids: Iterable[str] | None = None,
-    workers: int | None = None,
     trace_dir: "str | Path | None" = None,
 ) -> list[ScenarioResult]:
     """Run the full (or filtered) Table 3 experiment.
 
     Delegates to :func:`repro.experiments.common.run_scenarios`:
-    ``workers`` fans independent scenarios out over a process pool (one
-    fully-serial child each), and ``trace_dir`` writes one repro.obs
-    JSONL trace per scenario.
+    ``config.workers > 1`` parallelises the candidate evaluations inside
+    each scenario, and ``trace_dir`` writes one repro.obs JSONL trace per
+    scenario.
     """
     config = config or QUICK
     ids = (
@@ -38,9 +37,7 @@ def run_table3(
         if scenario_ids is not None
         else [s.scenario_id for s in all_scenarios()]
     )
-    return run_scenarios(
-        ids, config, seeds=seeds, workers=workers, trace_dir=trace_dir
-    )
+    return run_scenarios(ids, config, seeds=seeds, trace_dir=trace_dir)
 
 
 def render_table3(results: list[ScenarioResult]) -> str:
@@ -78,10 +75,11 @@ def main(
     workers: int | None = None,
     trace_dir: "str | Path | None" = None,
 ) -> None:
-    """Run and print Table 3."""
+    """Run and print Table 3; ``workers`` sets ``config.workers`` of the preset."""
     from .common import PRESETS
 
-    results = run_table3(PRESETS[preset], workers=workers, trace_dir=trace_dir)
+    config = PRESETS[preset].scaled(workers=workers or 1)
+    results = run_table3(config, trace_dir=trace_dir)
     print("Table 3: repair results for CirFix")
     print(render_table3(results))
     if trace_dir is not None:

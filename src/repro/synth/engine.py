@@ -32,7 +32,7 @@ import logging
 import time as time_mod
 from typing import Any, Callable, Sequence
 
-from ..core.backend import BACKEND_NAMES, EvaluationBackend, make_backend
+from ..core.backend import EvaluationBackend, make_backend
 from ..core.config import RepairConfig
 from ..core.harness import EngineHarness, RepairOutcome, RepairProblem
 from ..core.patch import Patch
@@ -230,11 +230,6 @@ def synth_repair(
     is drop-in interchangeable with :func:`repro.core.repair.repair`.
     """
     config = config or RepairConfig()
-    if config.backend not in BACKEND_NAMES:
-        raise ValueError(
-            f"unknown evaluation backend {config.backend!r}; "
-            f"valid backends: {', '.join(BACKEND_NAMES)}"
-        )
     if not seeds:
         raise ValueError("synth_repair needs at least one seed")
     events = observers if isinstance(observers, ObserverSet) else ObserverSet(observers)

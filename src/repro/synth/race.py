@@ -21,7 +21,7 @@ import time as time_mod
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from ..core.backend import BACKEND_NAMES, EvaluationBackend, make_backend
+from ..core.backend import EvaluationBackend, make_backend
 from ..core.config import RepairConfig
 from ..core.engines import get_engine
 from ..core.harness import RepairOutcome, RepairProblem
@@ -111,11 +111,6 @@ def run_race(
     telemetry back-to-back, in ``engines`` order.
     """
     config = config or RepairConfig()
-    if config.backend not in BACKEND_NAMES:
-        raise ValueError(
-            f"unknown evaluation backend {config.backend!r}; "
-            f"valid backends: {', '.join(BACKEND_NAMES)}"
-        )
     runners = [(name, get_engine(name)) for name in engines]
     scope: contextlib.AbstractContextManager
     if backend is None:

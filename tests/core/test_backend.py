@@ -28,6 +28,8 @@ from repro.core.patch import Patch
 from repro.core.repair import repair
 from repro.fuzz.faults import plant_eval_chaos
 from repro.hdl import generate, parse
+from repro.obs import RecordingObserver
+from repro.synth import run_race, synth_repair
 
 GOLDEN_FF = """
 module tff(clk, rstn, t, q);
@@ -130,8 +132,15 @@ class TestBatchParity:
             assert name in message
 
     def test_repair_unknown_backend_lists_valid_backends(self, problem):
-        with pytest.raises(ValueError, match="valid backends: auto, serial, process"):
-            repair(problem, TEST_CONFIG.scaled(backend="cluster"))
+        # Every runner fails while building its backend, before any trial.
+        for runner in (repair, synth_repair, run_race):
+            recorder = RecordingObserver()
+            with pytest.raises(ValueError, match="valid backends: auto, serial, process"):
+                runner(
+                    problem, TEST_CONFIG.scaled(backend="gpu"), (0, 1),
+                    observers=[recorder],
+                )
+            assert recorder.events == [], runner.__name__
 
 
 #: Supervision-friendly config: short deadline, capped worker memory.

@@ -10,7 +10,7 @@ engine's own counters at every level (outcome, metrics, events).
 
 import pytest
 
-from repro.core import TEST_CONFIG, CirFixEngine, RepairProblem
+from repro.core import TEST_CONFIG, CirFixEngine, RepairProblem, repair
 from repro.core.backend import ProcessPoolBackend
 from repro.core.oracle import ensure_instrumented, generate_oracle
 from repro.fuzz.faults import plant_eval_chaos
@@ -154,3 +154,15 @@ def test_chaos_run_matches_clean_run_outside_poisoned_slots(problem):
     assert chaotic.repaired_source == clean.repaired_source
     assert chaotic.best_fitness_history == clean.best_fitness_history
     assert chaotic.quarantined == clean.quarantined == 0
+
+
+def test_multi_seed_repair_quarantines_a_planted_hang(problem):
+    """A multi-seed ``repair()`` runs its trials on the supervised pool:
+    the hang planted at dispatch ordinal 0 (seed 0's first candidate)
+    burns one deadline and is quarantined, and seed 0 still repairs."""
+    config = CHAOS_CONFIG.scaled(workers=2, eval_deadline_seconds=2.0)
+    with plant_eval_chaos("hang@0"):
+        outcome = repair(problem, config, seeds=(0, 1))
+    assert outcome.plausible
+    assert outcome.seed == 0
+    assert outcome.quarantined == 1
