@@ -11,6 +11,13 @@ if grep -rn "\.Pool(" src/; then
     exit 1
 fi
 
+echo "== one trial loop (trial events and backends built in core/harness.py only) =="
+if grep -rnE --include='*.py' "(TrialStarted|PlausiblePatchFound|make_backend)\(" src/ \
+        | grep -vE "^src/repro/(core/harness|core/backend|obs/events)\.py:"; then
+    echo "trial event or make_backend() outside core/harness.py; use run_trials" >&2
+    exit 1
+fi
+
 echo "== unit / integration / property tests =="
 python -m pytest tests/ -q
 

@@ -587,7 +587,7 @@ def main(argv: list[str] | None = None) -> int:
         help="profile the run under cProfile; prints the top cumulative "
         "functions, and with --trace also writes profile.txt next to it",
     )
-    p_repair.add_argument("--seeds", type=int, nargs="*", default=[0, 1, 2])
+    p_repair.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     p_repair.add_argument(
         "--trace", help="write a repro.obs JSONL telemetry trace to this path"
     )

@@ -236,7 +236,7 @@ class RepairConfig:
         ``seeds = 0,1,2`` entry, or ``None`` when the file does not set
         one (callers keep their own default).  A missing section yields
         the base config unchanged.  Raises :class:`ConfigError` for
-        unknown keys or bad values.
+        unknown keys or bad values, an empty ``seeds`` list included.
         """
         path = Path(path)
         ini = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -253,6 +253,8 @@ class RepairConfig:
                 seeds = tuple(int(s) for s in str(raw_seeds).split(",") if s.strip())
             except ValueError as exc:
                 raise ConfigError(f"{path} [{section}]: bad seeds list: {exc}") from exc
+            if not seeds:
+                raise ConfigError(f"{path} [{section}]: at least one seed is required")
         config = cls.from_mapping(mapping, base=base, source=f"{path} [{section}]")
         return config, seeds
 

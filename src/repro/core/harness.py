@@ -2,13 +2,18 @@
 
 The GP engine (:mod:`repro.core.repair`) and the template-synthesis
 engine (:mod:`repro.synth.engine`) differ only in how they *propose*
-candidate patches.  Everything else — candidate evaluation with
-memoisation, the lint gate, batched scoring through an
+candidate patches.  Everything else — the trial skeleton (scoring the
+unpatched design, folding each scored round into the best and winning
+patch, minimizing the winner), candidate evaluation with memoisation,
+the lint gate, batched scoring through an
 :class:`~repro.core.backend.EvaluationBackend`, fault localization from
 each candidate's recorded output mismatch, delta-debugging minimization,
 phase accounting, and the final :class:`RepairOutcome` assembly — lives
 here in :class:`EngineHarness`, so caching, supervision, gating, and
 telemetry apply to every engine unchanged.
+
+:func:`run_trials` is the one multi-seed trial loop: every runner and
+experiment driver runs its trials through it, on one shared backend.
 
 Determinism contract (shared by all engines built on the harness): the
 outcome for a given seed is bit-identical on every backend; every
@@ -20,10 +25,11 @@ cancellation is polled at chunk boundaries.  See
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import time as time_mod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from ..hdl import ast, generate, parse
 from ..instrument.trace import SimulationTrace
@@ -42,7 +48,9 @@ from ..obs.events import (
     ChunkRetried,
     GenerationCompleted,
     PhaseCompleted,
+    PlausiblePatchFound,
     TrialCompleted,
+    TrialStarted,
     WorkerCrashed,
 )
 from ..obs.observer import ObserverSet, RepairObserver
@@ -173,12 +181,13 @@ def adaptive_chunk_size(batch: int, eval_chunk_size: int) -> int:
 
 
 class EngineHarness:
-    """Shared pre-passes and accounting for one trial of any engine.
+    """One trial of any engine: the trial skeleton and its accounting.
 
-    Subclasses implement :meth:`_run` (the search loop) and own
-    ``operator_stats`` (how candidates were proposed); everything a loop
-    needs — memoised evaluation, batched backend scoring, localization,
-    minimization, the outcome — is provided here.
+    Subclasses implement :meth:`_search` (how a round's patches are
+    proposed) and own ``operator_stats`` (how candidates were proposed);
+    everything else — the skeleton :meth:`_run`, memoised evaluation,
+    batched backend scoring, localization, minimization, the outcome —
+    is provided here.
 
     Candidate batches are scored through an
     :class:`~repro.core.backend.EvaluationBackend`; pass one to share a
@@ -230,18 +239,19 @@ class EngineHarness:
         #: simulation the engine runs — so budget decisions keyed on it
         #: are identical under every backend.
         self.eval_sims = 0
-        #: Compile statistics for the fix-localization ablation (§3.6).
-        self.mutants_generated = 0
-        self.mutants_compile_failed = 0
         #: How often each proposal path ran (diagnostics); subclasses
         #: replace this with their own operator vocabulary.
         self.operator_stats: dict[str, int] = {}
-        #: Wall-clock seconds spent inside candidate evaluation (codegen +
-        #: parse + simulate + fitness) — the paper reports >90% of repair
-        #: time goes to fitness evaluations.
-        self.evaluation_seconds = 0.0
-        #: Per-phase wall-clock (repro.obs): ``parse`` is the frontend
-        #: sub-span of ``evaluation``; ``localization`` and
+        #: Trial state :meth:`_score_round` folds each scored round into
+        #: (reset by :meth:`_run` from the unpatched design).
+        self.best_patch = Patch.empty()
+        self.best_fitness = 0.0
+        self.winner: Patch | None = None
+        self.history: list[float] = []
+        #: Per-phase wall-clock (repro.obs): ``evaluation`` is the time
+        #: inside candidate evaluation (codegen + parse + simulate +
+        #: fitness; the paper reports >90% of repair time goes there) and
+        #: ``parse`` its frontend sub-span; ``localization`` and
         #: ``minimization`` exclude the evaluations they trigger, so the
         #: three top-level phases partition the trial's accounted time.
         self.phase_seconds: dict[str, float] = {
@@ -267,10 +277,9 @@ class EngineHarness:
         #: Unique candidates the gate rejected / per-rule breakdown.
         self.candidates_pruned = 0
         self.pruned_by_rule: dict[str, int] = {}
-        #: Candidates the supervised pool quarantined / per-kind breakdown
-        #: (see ``docs/repair_engine.md``, "Fault tolerance").
+        #: Candidates the supervised pool quarantined (see
+        #: ``docs/repair_engine.md``, "Fault tolerance").
         self.candidates_quarantined = 0
-        self.quarantined_by_kind: dict[str, int] = {}
 
     @property
     def simulations(self) -> int:
@@ -302,9 +311,7 @@ class EngineHarness:
         result = evaluate_design_text(
             design_text, self.problem.testbench, self.problem.oracle, self.config
         )
-        elapsed = time_mod.monotonic() - started
-        self.evaluation_seconds += elapsed
-        self.phase_seconds["evaluation"] += elapsed
+        self.phase_seconds["evaluation"] += time_mod.monotonic() - started
         return self._record(design_text, result)
 
     def _lookup(self, patch: Patch) -> tuple[str, Evaluation | None]:
@@ -332,15 +339,8 @@ class EngineHarness:
     def _record(self, design_text: str, result: CandidateResult) -> Evaluation:
         """Finish one unique evaluation: counters, event, memo."""
         self.eval_sims += 1
-        self.mutants_generated += 1
         if result.failure is not None:
-            # Quarantined by the supervisor — not a compile verdict, so
-            # keep it out of the compile-failure ablation statistics.
-            kind = result.failure.kind
             self.candidates_quarantined += 1
-            self.quarantined_by_kind[kind] = self.quarantined_by_kind.get(kind, 0) + 1
-        elif not result.compiled:
-            self.mutants_compile_failed += 1
         self.phase_seconds["parse"] += result.parse_seconds
         if self.events:
             self.events.emit(
@@ -468,7 +468,6 @@ class EngineHarness:
             started = time_mod.monotonic()
             chunk_results = backend.evaluate_batch(chunk)
             chunk_seconds = time_mod.monotonic() - started
-            self.evaluation_seconds += chunk_seconds
             self.phase_seconds["evaluation"] += chunk_seconds
             if self.events:
                 self.events.emit(
@@ -538,13 +537,13 @@ class EngineHarness:
         time).
         """
         started = time_mod.monotonic()
-        eval_before = self.evaluation_seconds
+        eval_before = self.phase_seconds["evaluation"]
         try:
             return self._fault_localization(patch, variant)
         finally:
             self.phase_seconds["localization"] += (
                 time_mod.monotonic() - started
-            ) - (self.evaluation_seconds - eval_before)
+            ) - (self.phase_seconds["evaluation"] - eval_before)
 
     def _fault_localization(self, patch: Patch, variant: ast.Source) -> set[int]:
         mismatch = self.evaluate(patch).mismatch
@@ -560,14 +559,111 @@ class EngineHarness:
     # ------------------------------------------------------------------
 
     def run(self) -> RepairOutcome:
-        """Run the engine's search loop to completion and return the outcome."""
+        """Run one trial to completion and return its outcome."""
         try:
             return self._run()
         finally:
             self._release_backend()
 
-    def _run(self) -> RepairOutcome:  # pragma: no cover - interface
-        raise NotImplementedError("engines built on EngineHarness implement _run")
+    def _run(self) -> RepairOutcome:
+        """The trial skeleton every engine shares.
+
+        Scores the unpatched design (returning at once if it is already
+        plausible), lets the engine's :meth:`_search` propose and score
+        rounds until a winner appears or the budget runs out, then
+        minimizes the winner and builds the outcome.
+        """
+        config = self.config
+        start = time_mod.monotonic()
+        if self.events:
+            self.events.emit(
+                TrialStarted(
+                    scenario=self.problem.name,
+                    seed=self.seed,
+                    backend=config.backend,
+                    workers=config.workers,
+                    population_size=config.population_size,
+                    max_generations=config.max_generations,
+                )
+            )
+        out_of_budget = self._budget_probe(start + config.max_wall_seconds)
+
+        original = Patch.empty()
+        original_eval = self.evaluate(original)
+        original._fitness = original_eval.fitness  # type: ignore[attr-defined]
+        self.history = [original_eval.fitness]
+        self.best_patch, self.best_fitness = original, original_eval.fitness
+        self.winner = None
+        self._started(original_eval.fitness)
+        if original_eval.is_plausible:
+            # Nothing to repair (shouldn't happen for real defect scenarios).
+            return self._finish(original, original_eval, 0, start)
+
+        rounds = self._search(original, out_of_budget)
+        patch = self.winner if self.winner is not None else self.best_patch
+        evaluation = self.evaluate(patch)
+        if self.winner is not None:
+            if self.events:
+                self.events.emit(
+                    PlausiblePatchFound(
+                        generation=rounds,
+                        fitness=evaluation.fitness,
+                        edits=len(patch),
+                    )
+                )
+            patch = self._minimize(patch)
+            evaluation = self.evaluate(patch)
+        self._concluded(patch, evaluation, rounds)
+        return self._finish(patch, evaluation, rounds, start)
+
+    def _search(  # pragma: no cover - interface
+        self, original: Patch, out_of_budget: Callable[[], bool]
+    ) -> int:
+        """Propose and score rounds until a winner or the budget stops them.
+
+        Each round's new patches go through :meth:`_score_round`.
+        Returns the number of rounds (the outcome's ``generations``).
+        """
+        raise NotImplementedError("engines built on EngineHarness implement _search")
+
+    def _started(self, fitness: float) -> None:
+        """Hook: the unpatched design scored ``fitness`` (engines log it)."""
+
+    def _concluded(self, patch: Patch, evaluation: Evaluation, rounds: int) -> None:
+        """Hook: the search ended on ``patch``, minimized if plausible."""
+
+    def _score_round(
+        self,
+        cursor: int,
+        batch: list[Patch],
+        population: list[Patch],
+        out_of_budget: Callable[[], bool],
+        label: str = "",
+    ) -> None:
+        """Score one round's new patches and close the round.
+
+        Folds ``batch`` into the trial's best patch and winner (stopping
+        at the first plausible patch), then records the best fitness,
+        emits ``GenerationCompleted`` for ``population`` and saves the
+        checkpoint at ``cursor``.
+        """
+        for patch, evaluation in zip(
+            batch, self._evaluate_generation(batch, out_of_budget)
+        ):
+            if evaluation is None:
+                continue  # early stop: budget exhausted or winner already seen
+            patch._fitness = evaluation.fitness  # type: ignore[attr-defined]
+            if evaluation.fitness > self.best_fitness:
+                self.best_fitness, self.best_patch = evaluation.fitness, patch
+            if evaluation.fitness >= 1.0:
+                self.winner = patch
+                break
+        self.history.append(self.best_fitness)
+        if self.events:
+            self.events.emit(
+                self._generation_event(cursor, population, self.best_fitness)
+            )
+        self._save_checkpoint(cursor, self.best_fitness, label)
 
     def _budget_probe(self, deadline: float) -> Callable[[], bool]:
         """The shared out-of-budget predicate for one trial.
@@ -670,22 +766,17 @@ class EngineHarness:
             return self.evaluate(candidate).is_plausible
 
         started = time_mod.monotonic()
-        eval_before = self.evaluation_seconds
+        eval_before = self.phase_seconds["evaluation"]
         try:
             return minimize_patch(patch, is_plausible, self.config.minimize_budget)
         finally:
             # Like localization, the phase excludes its own evaluations.
             self.phase_seconds["minimization"] += (
                 time_mod.monotonic() - started
-            ) - (self.evaluation_seconds - eval_before)
+            ) - (self.phase_seconds["evaluation"] - eval_before)
 
     def _finish(
-        self,
-        patch: Patch,
-        evaluation: Evaluation,
-        generations: int,
-        start: float,
-        history: list[float],
+        self, patch: Patch, evaluation: Evaluation, generations: int, start: float
     ) -> RepairOutcome:
         outcome = RepairOutcome(
             plausible=evaluation.is_plausible,
@@ -696,7 +787,7 @@ class EngineHarness:
             fitness_evals=self.fitness_evals,
             simulations=self.eval_sims,
             elapsed_seconds=time_mod.monotonic() - start,
-            best_fitness_history=history,
+            best_fitness_history=self.history,
             seed=self.seed,
             eval_sims=self.eval_sims,
             pruned=self.candidates_pruned,
@@ -726,10 +817,83 @@ class EngineHarness:
         return outcome
 
 
+@contextlib.contextmanager
+def shared_backend(
+    problem: RepairProblem,
+    config: RepairConfig,
+    backend: EvaluationBackend | None = None,
+) -> Iterator[EvaluationBackend]:
+    """The backend a run's trials share.
+
+    Yields ``backend`` when the caller passes one in (the caller closes
+    it); otherwise builds the backend ``config`` selects and closes it
+    on exit.
+    """
+    if backend is not None:
+        yield backend
+        return
+    with make_backend(problem, config) as built:
+        yield built
+
+
+def run_trials(
+    engine: type[EngineHarness],
+    problem: RepairProblem,
+    config: RepairConfig | None = None,
+    seeds: Sequence[int] = (0,),
+    *,
+    backend: EvaluationBackend | None = None,
+    observers: Sequence[RepairObserver] | None = None,
+    cancel: Callable[[], bool] | None = None,
+    checkpoint: "Callable[[dict[str, Any]], None] | None" = None,
+) -> list[RepairOutcome]:
+    """Run one ``engine`` trial per seed and return every trial's outcome.
+
+    The trials run in seed order on one backend (see
+    :func:`shared_backend`) and stop after the first plausible trial, or
+    when ``cancel()`` fires between trials.  Results replayed from the
+    shared backend's cache equal freshly computed ones, so every trial's
+    outcome is the one it would have on a backend of its own.
+    ``observers`` see every trial's events back to back; ``checkpoint``
+    snapshots carry the running trial's seed.
+
+    Raises ``ValueError`` when ``seeds`` is empty.
+    """
+    if not seeds:
+        raise ValueError("at least one seed is required")
+    config = config or RepairConfig()
+    events = observers if isinstance(observers, ObserverSet) else ObserverSet(observers)
+    outcomes: list[RepairOutcome] = []
+    with shared_backend(problem, config, backend) as backend:
+        for seed in seeds:
+            if outcomes and cancel is not None and cancel():
+                break  # cancelled between trials: later seeds never start
+            outcome = engine(
+                problem, config, seed, backend=backend, observers=events,
+                cancel=cancel, checkpoint=checkpoint,
+            ).run()
+            outcomes.append(outcome)
+            if outcome.plausible:
+                break
+    return outcomes
+
+
+def best_outcome(outcomes: Sequence[RepairOutcome]) -> RepairOutcome:
+    """The outcome a multi-trial run reports: the earliest best-fitness one.
+
+    Plausible is fitness 1.0, and :func:`run_trials` stops at the first
+    plausible trial, so that trial wins whenever there is one.
+    """
+    return max(outcomes, key=lambda outcome: outcome.fitness)
+
+
 __all__ = [
     "EngineHarness",
     "Evaluation",
     "RepairOutcome",
     "RepairProblem",
     "adaptive_chunk_size",
+    "best_outcome",
+    "run_trials",
+    "shared_backend",
 ]

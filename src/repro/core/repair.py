@@ -24,25 +24,23 @@ by default, or on a persistent process pool with ``config.workers > 1``.
 Work is assigned in child-index order so outcomes are seed-deterministic
 regardless of backend (see ``docs/repair_engine.md``).
 
-The engine-neutral machinery (candidate evaluation, lint gate, batched
-backend scoring, localization, minimization, outcome assembly) lives in
-:mod:`repro.core.harness`; this module holds only the GP search loop.
-``Evaluation``, ``RepairOutcome``, ``RepairProblem``, and
+The engine-neutral machinery (the trial skeleton and the multi-seed
+trial loop, candidate evaluation, lint gate, batched backend scoring,
+localization, minimization, outcome assembly) lives in
+:mod:`repro.core.harness`; this module holds only how GP proposes each
+generation.  ``Evaluation``, ``RepairOutcome``, ``RepairProblem``, and
 ``adaptive_chunk_size`` are re-exported here for compatibility.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import logging
 import random
-import time as time_mod
 from typing import Any, Callable, Sequence
 
-from ..obs.events import PlausiblePatchFound, TrialStarted
-from ..obs.observer import ObserverSet, RepairObserver
-from .backend import EvaluationBackend, make_backend
+from ..obs.observer import RepairObserver
+from .backend import EvaluationBackend
 from .config import RepairConfig
 from .harness import (  # noqa: F401  (re-exported for compatibility)
     EngineHarness,
@@ -50,6 +48,8 @@ from .harness import (  # noqa: F401  (re-exported for compatibility)
     RepairOutcome,
     RepairProblem,
     adaptive_chunk_size,
+    best_outcome,
+    run_trials,
 )
 from .operators import apply_fix_pattern, crossover, mutate
 from .patch import Patch
@@ -61,13 +61,7 @@ logger = logging.getLogger("repro.repair")
 
 
 class CirFixEngine(EngineHarness):
-    """Runs Algorithm 1 for one defect scenario and one random seed.
-
-    Candidate batches are scored through an
-    :class:`~repro.core.backend.EvaluationBackend`; pass one to share a
-    worker pool across trials, or leave it ``None`` to let the engine
-    build (and own) the backend selected by ``config``.
-    """
+    """Runs Algorithm 1 for one defect scenario and one random seed."""
 
     engine_name = "cirfix"
 
@@ -99,35 +93,14 @@ class CirFixEngine(EngineHarness):
     # Main loop (Algorithm 1)
     # ------------------------------------------------------------------
 
-    def _run(self) -> RepairOutcome:
-        config = self.config
-        start = time_mod.monotonic()
-        deadline = start + config.max_wall_seconds
-        if self.events:
-            self.events.emit(
-                TrialStarted(
-                    scenario=self.problem.name,
-                    seed=self.seed,
-                    backend=config.backend,
-                    workers=config.workers,
-                    population_size=config.population_size,
-                    max_generations=config.max_generations,
-                )
-            )
-
-        out_of_budget = self._budget_probe(deadline)
-
-        original = Patch.empty()
-        original_eval = self.evaluate(original)
-        original._fitness = original_eval.fitness  # type: ignore[attr-defined]
-        history = [original_eval.fitness]
+    def _started(self, fitness: float) -> None:
         logger.info(
             "[%s seed=%d] start: fitness=%.4f popsize=%d",
-            self.problem.name, self.seed, original_eval.fitness, config.population_size,
+            self.problem.name, self.seed, fitness, self.config.population_size,
         )
-        if original_eval.is_plausible:
-            # Nothing to repair (shouldn't happen for real defect scenarios).
-            return self._finish(original, original_eval, 0, start, history)
+
+    def _search(self, original: Patch, out_of_budget: Callable[[], bool]) -> int:
+        config = self.config
 
         def fitness_of(patch: Patch) -> float:
             # Memoised on the patch object itself (ids are recycled by the
@@ -137,10 +110,6 @@ class CirFixEngine(EngineHarness):
                 cached = self.evaluate(patch).fitness
                 patch._fitness = cached  # type: ignore[attr-defined]
             return cached
-
-        best_patch, best_fitness = original, original_eval.fitness
-        generations = 0
-        winner: Patch | None = None
 
         # seed_popn (Algorithm 1 line 1): the original plus single-edit
         # variants localized against the original's own fault set — the
@@ -170,23 +139,14 @@ class CirFixEngine(EngineHarness):
                 )
             seedlings.append(seedling)
         population.extend(seedlings)
-        for seedling, evaluation in zip(
-            seedlings, self._evaluate_generation(seedlings, out_of_budget)
-        ):
-            if evaluation is None:
-                continue  # early stop: budget exhausted or winner already seen
-            seedling._fitness = evaluation.fitness  # type: ignore[attr-defined]
-            if evaluation.fitness > best_fitness:
-                best_fitness, best_patch = evaluation.fitness, seedling
-            if evaluation.fitness >= 1.0:
-                winner = seedling
-                break
-        history.append(best_fitness)
-        if self.events:
-            self.events.emit(self._generation_event(0, population, best_fitness))
-        self._save_checkpoint(0, best_fitness)
+        self._score_round(0, seedlings, population, out_of_budget)
 
-        while generations < config.max_generations and winner is None and not out_of_budget():
+        generations = 0
+        while (
+            generations < config.max_generations
+            and self.winner is None
+            and not out_of_budget()
+        ):
             generations += 1
             children: list[Patch] = elite(
                 population, fitness_of, config.elitism_fraction
@@ -228,52 +188,26 @@ class CirFixEngine(EngineHarness):
                     new_children = [child1, child2]
                 offspring.extend(new_children)
             children.extend(offspring)
-            for child, evaluation in zip(
-                offspring, self._evaluate_generation(offspring, out_of_budget)
-            ):
-                if evaluation is None:
-                    continue  # early stop: budget exhausted or winner already seen
-                child._fitness = evaluation.fitness  # type: ignore[attr-defined]
-                if evaluation.fitness > best_fitness:
-                    best_fitness, best_patch = evaluation.fitness, child
-                if evaluation.fitness >= 1.0:
-                    winner = child
-                    break
             population = children or population
-            history.append(best_fitness)
-            if self.events:
-                self.events.emit(
-                    self._generation_event(generations, population, best_fitness)
-                )
-            self._save_checkpoint(generations, best_fitness)
+            self._score_round(generations, offspring, population, out_of_budget)
             logger.info(
                 "[%s seed=%d] gen %d: best=%.4f sims=%d best_patch=%s",
-                self.problem.name, self.seed, generations, best_fitness,
-                self.eval_sims, best_patch.describe()[:80],
+                self.problem.name, self.seed, generations, self.best_fitness,
+                self.eval_sims, self.best_patch.describe()[:80],
             )
-
-        final_patch = winner if winner is not None else best_patch
-        final_eval = self.evaluate(final_patch)
-        if winner is not None:
-            if self.events:
-                self.events.emit(
-                    PlausiblePatchFound(
-                        generation=generations,
-                        fitness=final_eval.fitness,
-                        edits=len(final_patch),
-                    )
-                )
+        if self.winner is not None:
             logger.info(
                 "[%s seed=%d] plausible repair found (%d edits); minimizing",
-                self.problem.name, self.seed, len(final_patch),
+                self.problem.name, self.seed, len(self.winner),
             )
-            final_patch = self._minimize(final_patch)
-            final_eval = self.evaluate(final_patch)
+        return generations
+
+    def _concluded(self, patch: Patch, evaluation: Evaluation, rounds: int) -> None:
+        if self.winner is not None:
             logger.info(
                 "[%s seed=%d] minimized to %d edits: %s",
-                self.problem.name, self.seed, len(final_patch), final_patch.describe(),
+                self.problem.name, self.seed, len(patch), patch.describe(),
             )
-        return self._finish(final_patch, final_eval, generations, start, history)
 
 
 def repair(
@@ -288,46 +222,23 @@ def repair(
     """Run independent trials (paper: 5 per scenario) and return the first
     plausible outcome, or the best-fitness outcome if none succeeds.
 
-    The trials run one after another, in seed order, on one shared
-    evaluation backend (built from ``config`` unless one is passed in).
-    With ``config.workers > 1`` that backend is the supervised process
-    pool, so each trial's candidate evaluations run in parallel under its
-    deadlines and quarantine.  The lowest plausible seed wins, falling
+    The trials run through :func:`~repro.core.harness.run_trials`: in
+    seed order, on one shared evaluation backend (built from ``config``
+    unless one is passed in; with ``config.workers > 1`` it is the
+    supervised process pool).  The lowest plausible seed wins, falling
     back to the earliest best-fitness trial; the outcome is the same on
-    every backend.
+    every backend.  An empty ``seeds`` raises ``ValueError``.
 
     ``observers`` (repro.obs) see the full event stream of every trial.
-
     ``cancel`` is a cooperative cancellation probe (the service daemon
-    passes one): trials poll it alongside their budget checks, a
-    cancelled sweep stops after the current chunk, and later seeds are
-    never started.
-
-    ``checkpoint`` (repair-as-a-service crash recovery) receives the
-    deterministic cursor snapshot at every generation boundary.
-    Snapshots carry the trial's seed, so a sweep journals whichever
-    trial is currently running.
+    passes one): trials poll it alongside their budget checks, and later
+    seeds are never started once it fires.  ``checkpoint`` (crash
+    recovery) receives the deterministic cursor snapshot at every
+    generation boundary, stamped with the running trial's seed.
     """
-    config = config or RepairConfig()
-    events = observers if isinstance(observers, ObserverSet) else ObserverSet(observers)
-    scope: contextlib.AbstractContextManager
-    if backend is None:
-        backend = make_backend(problem, config)
-        scope = backend  # backends are context managers; exit closes
-    else:
-        scope = contextlib.nullcontext()  # caller owns the backend
-    with scope:
-        best: RepairOutcome | None = None
-        for seed in seeds:
-            if best is not None and cancel is not None and cancel():
-                break  # cancelled between trials: stop the sweep early
-            outcome = CirFixEngine(
-                problem, config, seed, backend=backend, observers=events,
-                cancel=cancel, checkpoint=checkpoint,
-            ).run()
-            if outcome.plausible:
-                return outcome
-            if best is None or outcome.fitness > best.fitness:
-                best = outcome
-        assert best is not None
-        return best
+    return best_outcome(
+        run_trials(
+            CirFixEngine, problem, config, seeds, backend=backend,
+            observers=observers, cancel=cancel, checkpoint=checkpoint,
+        )
+    )

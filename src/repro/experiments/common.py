@@ -14,10 +14,10 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from ..benchsuite import Scenario, load_scenario
-from ..core.backend import make_backend
 from ..core.config import RepairConfig
 from ..core.engines import DEFAULT_ENGINE, get_engine
-from ..core.repair import CirFixEngine, RepairOutcome
+from ..core.harness import best_outcome, run_trials
+from ..core.repair import CirFixEngine
 from ..obs.jsonl import JsonlTraceObserver
 from ..obs.observer import ObserverSet, RepairObserver
 
@@ -98,47 +98,25 @@ def run_scenario(
     stopping at the first plausible repair).
 
     This is the one entry point every experiment funnels through.  The
-    trials share one evaluation backend built from ``config`` — the
-    supervised process pool when ``config.workers > 1`` — so it is paid
-    for once per scenario, not once per seed.  ``observers`` (repro.obs) see every
-    trial's event stream; they never influence the search.  ``engine``
-    names a registered repair engine (:mod:`repro.core.engines`); the
-    built-in ``"cirfix"`` keeps the historical per-seed trial loop
-    bit-for-bit, other engines receive all seeds in one runner call.
+    built-in ``"cirfix"`` engine runs one trial per seed through
+    :func:`~repro.core.harness.run_trials`, on one evaluation backend
+    built from ``config`` — the supervised process pool when
+    ``config.workers > 1`` — so it is paid for once per scenario, not
+    once per seed.  Other registered engines (:mod:`repro.core.engines`)
+    receive all seeds in one runner call and scope their own backend.
+    ``observers`` (repro.obs) see every trial's event stream; they never
+    influence the search.
     """
     scaled = scenario.suggested_config(config)
     events = observers if isinstance(observers, ObserverSet) else ObserverSet(observers)
     start = time.monotonic()
-    best: RepairOutcome | None = None
-    winner: RepairOutcome | None = None
-    total_sims = 0
-    total_evals = 0
     problem = scenario.problem()
-    with make_backend(problem, scaled) as backend:
-        if engine == DEFAULT_ENGINE:
-            for seed in seeds:
-                outcome = CirFixEngine(
-                    problem, scaled, seed, backend=backend, observers=events
-                ).run()
-                total_sims += outcome.simulations
-                total_evals += outcome.eval_sims
-                if best is None or outcome.fitness > best.fitness:
-                    best = outcome
-                if outcome.plausible:
-                    winner = outcome
-                    break
-        else:
-            runner = get_engine(engine)
-            outcome = runner(
-                problem, scaled, tuple(seeds), backend=backend, observers=events
-            )
-            total_sims = outcome.simulations
-            total_evals = outcome.eval_sims
-            best = outcome
-            if outcome.plausible:
-                winner = outcome
-    assert best is not None
-    chosen = winner if winner is not None else best
+    if engine == DEFAULT_ENGINE:
+        outcomes = run_trials(CirFixEngine, problem, scaled, seeds, observers=events)
+    else:
+        outcomes = [get_engine(engine)(problem, scaled, tuple(seeds), observers=events)]
+    chosen = best_outcome(outcomes)
+    winner = chosen if chosen.plausible else None
     correct = False
     if winner is not None and winner.repaired_source is not None:
         correct = scenario.is_correct_repair(winner.repaired_source)
@@ -152,14 +130,14 @@ def run_scenario(
         correct=correct,
         repair_seconds=(time.monotonic() - start) if winner is not None else None,
         fitness=chosen.fitness,
-        simulations=total_sims,
+        simulations=sum(outcome.simulations for outcome in outcomes),
         generations=chosen.generations,
         edits=len(chosen.patch),
         paper_outcome=defect.paper_outcome,
         seed=chosen.seed,
         best_fitness_history=chosen.best_fitness_history,
         repaired_source=chosen.repaired_source,
-        eval_sims=total_evals,
+        eval_sims=sum(outcome.eval_sims for outcome in outcomes),
     )
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from ..benchsuite import load_scenario
 from ..core.config import RepairConfig
+from ..core.harness import best_outcome, run_trials
 from ..core.repair import CirFixEngine
 from .common import QUICK, format_table
 
@@ -46,18 +47,12 @@ def run_ext_ablation(
         scaled = scenario.suggested_config(config)
 
         def best_run(extended: bool):
-            best = None
-            for seed in seeds:
-                outcome = CirFixEngine(
-                    scenario.problem(),
-                    scaled.scaled(extended_templates=extended),
-                    seed,
-                ).run()
-                if best is None or outcome.fitness > best.fitness:
-                    best = outcome
-                if outcome.plausible:
-                    break
-            return best
+            return best_outcome(
+                run_trials(
+                    CirFixEngine, scenario.problem(),
+                    scaled.scaled(extended_templates=extended), seeds,
+                )
+            )
 
         core = best_run(extended=False)
         ext = best_run(extended=True)

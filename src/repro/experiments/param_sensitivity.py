@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from ..benchsuite import load_scenario
 from ..core.config import RepairConfig
+from ..core.harness import run_trials
 from ..core.repair import CirFixEngine
 from .common import SMOKE, format_table
 
@@ -63,13 +64,10 @@ def run_param_sensitivity(
             for scenario_id in scenario_ids:
                 scenario = load_scenario(scenario_id)
                 config = scenario.suggested_config(base).scaled(**{knob: override})
-                for seed in seeds:
-                    runs += 1
-                    outcome = CirFixEngine(scenario.problem(), config, seed).run()
-                    simulations += outcome.simulations
-                    if outcome.plausible:
-                        repaired += 1
-                        break
+                outcomes = run_trials(CirFixEngine, scenario.problem(), config, seeds)
+                runs += len(outcomes)
+                simulations += sum(outcome.simulations for outcome in outcomes)
+                repaired += outcomes[-1].plausible
             cells.append(
                 SweepCell(
                     knob=knob,

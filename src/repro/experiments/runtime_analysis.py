@@ -56,7 +56,7 @@ def run_runtime_analysis(
             RuntimeRow(
                 scenario_id=scenario_id,
                 total_seconds=total,
-                evaluation_seconds=engine.evaluation_seconds,
+                evaluation_seconds=engine.phase_seconds["evaluation"],
                 simulations=engine.eval_sims,
                 plausible=outcome.plausible,
             )

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from ..benchsuite import load_project
 from ..benchsuite.seeding import DefectSeeder
 from ..core.config import RepairConfig
+from ..core.harness import run_trials
 from ..core.repair import CirFixEngine
 from .common import SMOKE, format_table
 
@@ -50,11 +51,8 @@ def run_seeded_defects(
         for defect in seeded:
             scenario = seeder.as_scenario(defect)
             scaled = scenario.suggested_config(config)
-            for seed in seeds:
-                outcome = CirFixEngine(scenario.problem(), scaled, seed).run()
-                if outcome.plausible:
-                    repaired += 1
-                    break
+            outcomes = run_trials(CirFixEngine, scenario.problem(), scaled, seeds)
+            repaired += outcomes[-1].plausible
         mean_fitness = (
             sum(d.faulty_fitness for d in seeded) / len(seeded) if seeded else 0.0
         )

@@ -19,7 +19,7 @@ Contract (same as every engine behind the registry):
   ``config.max_fitness_evals`` bounds the solve exactly like a GP run.
 
 Template rounds map onto the harness's generation machinery: each round
-is one batched :meth:`~repro.core.harness.EngineHarness._evaluate_generation`
+is one batched :meth:`~repro.core.harness.EngineHarness._score_round`
 call, emitting the familiar chunk/generation events plus the
 synth-specific :class:`~repro.obs.events.SynthTemplateEnumerated` /
 :class:`~repro.obs.events.SynthSolveCompleted` lifecycle events.
@@ -27,26 +27,25 @@ synth-specific :class:`~repro.obs.events.SynthTemplateEnumerated` /
 
 from __future__ import annotations
 
-import contextlib
 import logging
-import time as time_mod
 from typing import Any, Callable, Sequence
 
-from ..core.backend import EvaluationBackend, make_backend
+from ..core.backend import EvaluationBackend
 from ..core.config import RepairConfig
-from ..core.harness import EngineHarness, RepairOutcome, RepairProblem
+from ..core.harness import (
+    EngineHarness,
+    Evaluation,
+    RepairOutcome,
+    RepairProblem,
+    run_trials,
+)
 from ..core.patch import Patch
 from ..hdl import ast
 # Unused here, but the end-to-end benchmark tracer
 # (benchmarks/e2e/tracer.py) wraps this name in this module.
 from ..instrument.trace import output_mismatch  # noqa: F401
-from ..obs.events import (
-    PlausiblePatchFound,
-    SynthSolveCompleted,
-    SynthTemplateEnumerated,
-    TrialStarted,
-)
-from ..obs.observer import ObserverSet, RepairObserver
+from ..obs.events import SynthSolveCompleted, SynthTemplateEnumerated
+from ..obs.observer import RepairObserver
 from .solver import SolveContext, fault_scope_ids, mine_literals
 from .templates import TEMPLATES, Candidate
 
@@ -78,6 +77,8 @@ class SynthEngine(EngineHarness):
         )
         #: Candidates enumerated per template (diagnostics).
         self.operator_stats = {template.name: 0 for template in TEMPLATES}
+        #: The template whose round produced the winner ("" until then).
+        self._winner_template = ""
 
     # ------------------------------------------------------------------
     # Solve context
@@ -105,49 +106,20 @@ class SynthEngine(EngineHarness):
     # Main loop: one batched round per template, early-stop on a winner
     # ------------------------------------------------------------------
 
-    def _run(self) -> RepairOutcome:
-        config = self.config
-        start = time_mod.monotonic()
-        deadline = start + config.max_wall_seconds
-        if self.events:
-            self.events.emit(
-                TrialStarted(
-                    scenario=self.problem.name,
-                    seed=self.seed,
-                    backend=config.backend,
-                    workers=config.workers,
-                    population_size=config.population_size,
-                    max_generations=config.max_generations,
-                )
-            )
-        out_of_budget = self._budget_probe(deadline)
+    def _started(self, fitness: float) -> None:
+        logger.info("[%s] synth start: fitness=%.4f", self.problem.name, fitness)
 
-        original = Patch.empty()
-        original_eval = self.evaluate(original)
-        original._fitness = original_eval.fitness  # type: ignore[attr-defined]
-        history = [original_eval.fitness]
-        logger.info(
-            "[%s] synth start: fitness=%.4f", self.problem.name, original_eval.fitness
-        )
-        if original_eval.is_plausible:
-            # Nothing to repair (shouldn't happen for real defect scenarios).
-            return self._finish(original, original_eval, 0, start, history)
-
+    def _search(self, original: Patch, out_of_budget: Callable[[], bool]) -> int:
         variant = self.variant_tree(original)
         faults = self.fault_localization(original, variant)
         ctx = self._solve_context(variant, faults)
 
-        best_patch, best_fitness = original, original_eval.fitness
         rounds = 0
-        total_candidates = 0
-        winner: Patch | None = None
-        winner_template = ""
         for template in TEMPLATES:
-            if winner is not None or out_of_budget():
+            if self.winner is not None or out_of_budget():
                 break
             candidates: list[Candidate] = template.instantiate(variant, ctx)
             self.operator_stats[template.name] += len(candidates)
-            total_candidates += len(candidates)
             if self.events:
                 self.events.emit(
                     SynthTemplateEnumerated(
@@ -160,57 +132,33 @@ class SynthEngine(EngineHarness):
                 continue
             rounds += 1
             patches = [candidate.patch for candidate in candidates]
-            for patch, evaluation in zip(
-                patches, self._evaluate_generation(patches, out_of_budget)
-            ):
-                if evaluation is None:
-                    continue  # early stop: budget exhausted or winner already seen
-                patch._fitness = evaluation.fitness  # type: ignore[attr-defined]
-                if evaluation.fitness > best_fitness:
-                    best_fitness, best_patch = evaluation.fitness, patch
-                if evaluation.fitness >= 1.0:
-                    winner = patch
-                    winner_template = template.name
-                    break
-            history.append(best_fitness)
-            if self.events:
-                self.events.emit(
-                    self._generation_event(rounds - 1, patches, best_fitness)
-                )
             # Template boundary = the synth engine's checkpoint boundary.
-            self._save_checkpoint(rounds - 1, best_fitness, label=template.name)
+            self._score_round(
+                rounds - 1, patches, patches, out_of_budget, label=template.name
+            )
+            if self.winner is not None:
+                self._winner_template = template.name
             logger.info(
                 "[%s] template %s: %d candidates, best=%.4f",
-                self.problem.name, template.name, len(candidates), best_fitness,
+                self.problem.name, template.name, len(candidates), self.best_fitness,
             )
-
-        final_patch = winner if winner is not None else best_patch
-        final_eval = self.evaluate(final_patch)
-        if winner is not None:
-            if self.events:
-                self.events.emit(
-                    PlausiblePatchFound(
-                        generation=rounds,
-                        fitness=final_eval.fitness,
-                        edits=len(final_patch),
-                    )
-                )
+        if self.winner is not None:
             logger.info(
                 "[%s] plausible repair via %s; minimizing",
-                self.problem.name, winner_template,
+                self.problem.name, self._winner_template,
             )
-            final_patch = self._minimize(final_patch)
-            final_eval = self.evaluate(final_patch)
+        return rounds
+
+    def _concluded(self, patch: Patch, evaluation: Evaluation, rounds: int) -> None:
         if self.events:
             self.events.emit(
                 SynthSolveCompleted(
                     templates=rounds,
-                    candidates=total_candidates,
-                    winner_template=winner_template,
-                    plausible=final_eval.is_plausible,
+                    candidates=sum(self.operator_stats.values()),
+                    winner_template=self._winner_template,
+                    plausible=evaluation.is_plausible,
                 )
             )
-        return self._finish(final_patch, final_eval, rounds, start, history)
 
 
 def synth_repair(
@@ -228,22 +176,13 @@ def synth_repair(
     would replay the identical trial; exactly one trial runs, stamped
     with ``seeds[0]``.  The multi-seed signature is kept so the runner
     is drop-in interchangeable with :func:`repro.core.repair.repair`.
+    An empty ``seeds`` raises ``ValueError``.
     """
-    config = config or RepairConfig()
-    if not seeds:
-        raise ValueError("synth_repair needs at least one seed")
-    events = observers if isinstance(observers, ObserverSet) else ObserverSet(observers)
-    scope: contextlib.AbstractContextManager
-    if backend is None:
-        backend = make_backend(problem, config)
-        scope = backend  # backends are context managers; exit closes
-    else:
-        scope = contextlib.nullcontext()  # caller owns the backend
-    with scope:
-        return SynthEngine(
-            problem, config, seeds[0], backend=backend, observers=events,
-            cancel=cancel, checkpoint=checkpoint,
-        ).run()
+    (outcome,) = run_trials(
+        SynthEngine, problem, config, seeds[:1], backend=backend,
+        observers=observers, cancel=cancel, checkpoint=checkpoint,
+    )
+    return outcome
 
 
 __all__ = ["SynthEngine", "synth_repair"]

@@ -16,15 +16,14 @@ outcome); :func:`run_race` returns the full per-engine result for the
 
 from __future__ import annotations
 
-import contextlib
 import time as time_mod
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from ..core.backend import EvaluationBackend, make_backend
+from ..core.backend import EvaluationBackend
 from ..core.config import RepairConfig
 from ..core.engines import get_engine
-from ..core.harness import RepairOutcome, RepairProblem
+from ..core.harness import RepairOutcome, RepairProblem, shared_backend
 from ..obs.observer import RepairObserver
 
 #: The engines a race pits against each other, in run order.
@@ -112,14 +111,8 @@ def run_race(
     """
     config = config or RepairConfig()
     runners = [(name, get_engine(name)) for name in engines]
-    scope: contextlib.AbstractContextManager
-    if backend is None:
-        backend = make_backend(problem, config)
-        scope = backend
-    else:
-        scope = contextlib.nullcontext()
     entries: list[RaceEntry] = []
-    with scope:
+    with shared_backend(problem, config, backend) as backend:
         for name, runner in runners:
             started = time_mod.monotonic()
             outcome = runner(

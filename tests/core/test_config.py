@@ -168,6 +168,11 @@ class TestFromFile:
         _config, seeds = RepairConfig.from_file(path)
         assert seeds is None
 
+    def test_empty_seeds_rejected(self, tmp_path):
+        path = self._write(tmp_path, "[gp]\nseeds =\n")
+        with pytest.raises(ConfigError, match="at least one seed is required"):
+            RepairConfig.from_file(path)
+
     def test_unknown_key_names_file_and_section(self, tmp_path):
         path = self._write(tmp_path, "[gp]\npoplation_size = 8\n")
         with pytest.raises(ConfigError, match=r"repair\.conf \[gp\].*poplation_size"):

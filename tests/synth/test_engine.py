@@ -1,6 +1,7 @@
 """SynthEngine end-to-end: repairs, determinism, observers, cancel."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +10,14 @@ from repro.core.engines import get_engine
 from repro.core.oracle import ensure_instrumented, generate_oracle
 from repro.core.serialize import outcome_to_json
 from repro.hdl import parse
+from repro.obs.observer import RecordingObserver
 from repro.synth import synth_repair
+
+#: The event-type sequence of the FAULTY_STUCK solve, pinned beside the
+#: GP golden (``tests/obs/golden/dec_numeric_event_types.txt``).
+GOLDEN = (
+    Path(__file__).parents[1] / "obs" / "golden" / "synth_tff_stuck_event_types.txt"
+)
 
 GOLDEN_FF = """
 module tff(clk, rstn, t, q);
@@ -129,6 +137,24 @@ class TestObserversAndCancel:
         )
         assert solve.plausible
         assert solve.winner_template
+
+    def test_event_sequence_is_pinned(self):
+        # FAULTY_STUCK runs four non-empty template rounds (and skips an
+        # empty one) before replace_variables repairs it, so the golden
+        # covers rounds, chunks, the winner and minimization.
+        types = {}
+        for backend, workers in (("serial", 1), ("process", 2)):
+            recorder = RecordingObserver()
+            outcome = synth_repair(
+                make_problem(FAULTY_STUCK, "tff"),
+                TEST_CONFIG.scaled(backend=backend, workers=workers),
+                observers=[recorder],
+            )
+            assert outcome.plausible
+            types[backend] = recorder.types()
+        assert types["serial"].count("generation_completed") >= 2
+        assert types["serial"] == types["process"]
+        assert "\n".join(types["serial"]) + "\n" == GOLDEN.read_text()
 
     def test_cancel_stops_the_solve(self):
         outcome = synth_repair(

@@ -65,6 +65,21 @@ class TestRepairCommand:
         with pytest.raises(SystemExit):
             main(["repair", str(ff_files / "faulty.v"), str(ff_files / "tb.v")])
 
+    def test_empty_seeds_is_a_usage_error(self, ff_files, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "repair",
+                    str(ff_files / "faulty.v"),
+                    str(ff_files / "tb.v"),
+                    "--golden",
+                    str(ff_files / "golden.v"),
+                    "--seeds",
+                ]
+            )
+        assert exc.value.code == 2
+        assert "--seeds" in capsys.readouterr().err
+
 
 class TestSimulateCommand:
     def test_simulate_with_record(self, ff_files, capsys):
