@@ -1,20 +1,23 @@
-"""Benchmark: the engine race — GP vs. template synthesis, head to head.
+"""Benchmark: escalation (``race``) against its two legs on minted defects.
 
-Sweeps both registered engines over the fixed-seed minted scenario set
-(the ``repro.experiments race`` study) on the serial *and* the process
-evaluation backend, and writes the raw numbers to
-``BENCH_engine_race.json`` at the repo root:
+Grades ``cirfix`` (GP), ``synth`` (template synthesis) and ``race``
+(synth first, GP only when synth finds no plausible repair) with
+:func:`~repro.mint.grade_scenarios` over the fixed-seed minted scenario
+set, on the serial *and* the process evaluation backend, and writes the
+raw numbers to ``BENCH_engine_race.json`` at the repo root:
 
-- ``stable``: per-family win rates, per-engine plausible counts and
-  ``eval_sims`` — the backend-independent verdict block, asserted
-  byte-identical across serial and process backends;
-- ``wall_clock``: per-engine first-to-plausible wall seconds (host- and
+- ``stable``: per-family plausible counts and ``eval_sims`` per engine,
+  plus each engine's grading summary — the backend-independent block,
+  asserted byte-identical across serial and process backends;
+- ``wall_clock``: per-engine grading wall seconds (host- and
   backend-dependent, recorded outside the stable block).
 
-Assertions pin the PR's acceptance bar: on the defect families the
-synth templates invert directly (``stuck_constant``, ``wrong_operator``,
-``negate_condition``), the synth engine reaches a plausible repair and
-spends fewer ``eval_sims`` than the GP engine at the same seed.
+Assertions: on the defect families the synth templates invert directly
+(``stuck_constant``, ``wrong_operator``, ``negate_condition``), synth
+reaches a plausible repair and spends fewer ``eval_sims`` than GP at the
+same seed; and every scenario's race row is synth's row when synth is
+plausible, and otherwise the row the tie rule picks (GP's unless synth
+scored strictly higher).
 """
 
 import json
@@ -22,87 +25,71 @@ import os
 import time
 from pathlib import Path
 
-from repro.experiments.race import run_engine_race
-from repro.mint import GRADE_CONFIG
+from repro.mint import GRADE_CONFIG, MintConfig, grade_scenarios, mint_scenarios
 
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 
 SEED = 0
 MINT_ATTEMPTS = 20
+ENGINES = ("cirfix", "synth", "race")
 #: Families the synth catalog inverts one-for-one; synth must win these.
 SYNTH_FAMILIES = ("stuck_constant", "wrong_operator", "negate_condition")
 
 
-def _stable(study) -> dict:
-    """The backend-independent verdict block (no wall-clock anywhere)."""
-    families = {}
-    for family, row in study.by_family().items():
-        families[family] = {
-            "scenarios": row["scenarios"],
-            "wins": dict(row["wins"]),
-            "engines": {
-                engine: dict(stats) for engine, stats in row["engines"].items()
-            },
-        }
+def _grade(minted, config) -> tuple[dict, dict]:
+    """engine → its GradeReport, and engine → its grading wall seconds."""
+    reports, seconds = {}, {}
+    for engine in ENGINES:
+        started = time.monotonic()
+        reports[engine] = grade_scenarios(
+            minted, seed=SEED, engine=engine, config=config
+        )
+        seconds[engine] = time.monotonic() - started
+    return reports, seconds
+
+
+def _stable(reports: dict) -> dict:
+    """The backend-independent block (no wall-clock anywhere)."""
+    families: dict = {}
+    for engine, report in reports.items():
+        for row in report.results:
+            stats = families.setdefault(row.mutator, {}).setdefault(
+                engine, {"scenarios": 0, "plausible": 0, "eval_sims": 0}
+            )
+            stats["scenarios"] += 1
+            stats["plausible"] += row.plausible
+            stats["eval_sims"] += row.eval_sims
     return {
-        "engines": list(study.engines),
-        "winners": [
-            study.winner_of(index) for index in range(len(study.minted))
-        ],
-        "by_family": families,
-        "table": study.stable_text(),
+        "engines": list(reports),
+        "by_family": dict(sorted(families.items())),
+        "summaries": {
+            engine: report.to_text().splitlines()
+            for engine, report in reports.items()
+        },
     }
 
 
-def _wall_clock(study) -> dict:
-    """Per-engine first-to-plausible wall seconds (measured, unstable)."""
-    out = {}
-    for engine in study.engines:
-        legs = [
-            result.repair_seconds
-            for result in study.results[engine]
-            if result.repair_seconds is not None
-        ]
-        out[engine] = {
-            "first_to_plausible": len(legs),
-            "total_seconds": sum(legs),
-            "mean_seconds": sum(legs) / len(legs) if legs else 0.0,
-        }
-    return out
-
-
 def test_engine_race(once):
+    minted = mint_scenarios(
+        MintConfig(seed=SEED, count=MINT_ATTEMPTS, shrink_rejected=False)
+    ).admitted
+
     def sweep():
-        started = time.monotonic()
-        serial = run_engine_race(seed=SEED, count=MINT_ATTEMPTS)
-        serial_seconds = time.monotonic() - started
-
-        started = time.monotonic()
-        process = run_engine_race(
-            seed=SEED,
-            count=MINT_ATTEMPTS,
-            config=GRADE_CONFIG.scaled(workers=2, backend="process"),
+        serial, serial_seconds = _grade(minted, GRADE_CONFIG)
+        process, process_seconds = _grade(
+            minted, GRADE_CONFIG.scaled(workers=2, backend="process")
         )
-        process_seconds = time.monotonic() - started
-
         stable = _stable(serial)
-        assert stable == _stable(process), "race verdict diverged by backend"
-        assert serial.stable_text() == process.stable_text()
-        return {
+        assert stable == _stable(process), "grading diverged by backend"
+        return serial, {
             "stable": stable,
             "wall_clock": {
-                "serial": {
-                    "sweep_seconds": serial_seconds,
-                    "engines": _wall_clock(serial),
-                },
-                "process": {
-                    "sweep_seconds": process_seconds,
-                    "engines": _wall_clock(process),
-                },
+                "serial": serial_seconds,
+                "process": process_seconds,
             },
         }
 
-    results = once(sweep)
+    reports, results = once(sweep)
     results = {
         "seed": SEED,
         "attempts": MINT_ATTEMPTS,
@@ -117,6 +104,10 @@ def test_engine_race(once):
     for family in SYNTH_FAMILIES:
         assert family in families, f"seed {SEED} minted no {family} scenarios"
         row = families[family]
-        synth, cirfix = row["engines"]["synth"], row["engines"]["cirfix"]
+        synth, cirfix = row["synth"], row["cirfix"]
         assert synth["plausible"] >= 1, (family, row)
         assert synth["eval_sims"] < cirfix["eval_sims"], (family, row)
+
+    for gp, synth, race in zip(*(reports[engine].results for engine in ENGINES)):
+        expected = synth if synth.plausible or synth.fitness > gp.fitness else gp
+        assert race == expected, race.scenario_id

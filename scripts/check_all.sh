@@ -523,37 +523,45 @@ print(f"GP cross-backend smoke ok: {serial['eval_sims']} eval_sims, "
       f"{published} entries published once, outcome JSON identical")
 EOF
 
-echo "== race smoke (race legs byte-identical to standalone engine runs) =="
+echo "== escalation smoke (race = synth, then GP only when synth fails) =="
 python - <<'EOF'
 import json
 from repro.benchsuite import load_scenario
 from repro.core.repair import repair
 from repro.core.serialize import outcome_to_json
 from repro.experiments.common import SMOKE
-from repro.synth import run_race, synth_repair
+from repro.synth import race_repair, synth_repair
 
-def report(outcome):
-    payload = json.loads(outcome_to_json(outcome, "counter_reset"))
+
+class Trials:
+    started = 0
+
+    def on_event(self, event):
+        self.started += event.type == "trial_started"
+
+
+def report(outcome, name):
+    payload = json.loads(outcome_to_json(outcome, name))
     payload.pop("elapsed_seconds")
     return payload
 
-# counter_reset is a *deleted* statement: GP can re-grow it, templates
-# cannot — so the race exercises both a winning and a losing synth leg.
-scenario = load_scenario("counter_reset")
-config = scenario.suggested_config(SMOKE)
-race = run_race(scenario.problem(), config, (0,))
-standalone = {
-    "cirfix": repair(load_scenario("counter_reset").problem(), config, (0,)),
-    "synth": synth_repair(load_scenario("counter_reset").problem(), config, (0,)),
-}
-for entry in race.entries:
-    assert report(entry.outcome) == report(standalone[entry.engine]), (
-        f"race {entry.engine} leg diverged from the standalone run")
-winner = race.winner
-assert winner.engine == "cirfix", "GP must win the deleted-statement race"
-assert report(winner.outcome) == report(standalone["cirfix"])
-print(f"race smoke ok: winner={winner.engine} "
-      f"({winner.outcome.eval_sims} eval_sims), legs match standalone runs")
+
+# counter_reset is a *deleted* statement: no template re-grows it, so
+# the race escalates and returns GP's outcome.  ff_cond is a negated
+# condition synth inverts, so GP never starts.
+for name, leg, trials_expected in (
+    ("counter_reset", repair, 2), ("ff_cond", synth_repair, 1),
+):
+    scenario = load_scenario(name)
+    config = scenario.suggested_config(SMOKE)
+    trials = Trials()
+    race = race_repair(scenario.problem(), config, (0,), observers=[trials])
+    standalone = leg(load_scenario(name).problem(), config, (0,))
+    assert report(race, name) == report(standalone, name), (
+        f"{name}: race diverged from a standalone {leg.__name__}")
+    assert trials.started == trials_expected, (name, trials.started)
+    print(f"escalation smoke ok: {name} = standalone {leg.__name__} "
+          f"(plausible={race.plausible}, {trials.started} trial(s))")
 EOF
 
 echo "ALL CHECKS PASSED"

@@ -50,14 +50,36 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from .api import build_problem, simulate
 from .benchsuite import DEFECTS
 from .core.config import BACKEND_NAMES, ConfigError, RepairConfig
 from .core.engines import DEFAULT_ENGINE, engine_descriptions, engine_names, get_engine
 from .instrument.trace import SimulationTrace
+
+
+@contextlib.contextmanager
+def _trace_observers(path: str | None) -> Iterator[list]:
+    """The observers a ``--trace PATH`` flag asks for.
+
+    Yields ``[]`` without a path; otherwise a JSONL trace observer that
+    is closed on exit, after which stderr names the trace file.
+    """
+    if not path:
+        yield []
+        return
+    from .obs import JsonlTraceObserver
+
+    observer = JsonlTraceObserver(path)
+    try:
+        yield [observer]
+    finally:
+        observer.close()
+        print(f"telemetry trace written to {path}", file=sys.stderr)
 
 
 def cmd_repair(args: argparse.Namespace) -> int:
@@ -97,28 +119,19 @@ def cmd_repair(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
 
-    observers = []
-    trace_observer = None
-    if args.trace:
-        from .obs import JsonlTraceObserver
-
-        trace_observer = JsonlTraceObserver(args.trace)
-        observers.append(trace_observer)
-    profiler = None
-    if args.profile:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
     runner = get_engine(args.engine)
-    try:
-        outcome = runner(problem, config, seeds, observers=observers)
-    finally:
-        if profiler is not None:
-            profiler.disable()
-        if trace_observer is not None:
-            trace_observer.close()
-            print(f"telemetry trace written to {args.trace}", file=sys.stderr)
+    profiler = None
+    with _trace_observers(args.trace) as observers:
+        if args.profile:
+            import cProfile
+
+            profiler = cProfile.Profile()
+            profiler.enable()
+        try:
+            outcome = runner(problem, config, seeds, observers=observers)
+        finally:
+            if profiler is not None:
+                profiler.disable()
     if profiler is not None:
         _report_profile(profiler, args)
     print(outcome.describe())
@@ -226,21 +239,11 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         inject_fault=args.inject_fault,
         check_logic=not args.no_logic,
     )
-    observers = []
-    trace_observer = None
-    if args.trace:
-        from .obs import JsonlTraceObserver
-
-        trace_observer = JsonlTraceObserver(args.trace)
-        observers.append(trace_observer)
     try:
-        report = run_fuzz(config, observers=observers)
+        with _trace_observers(args.trace) as observers:
+            report = run_fuzz(config, observers=observers)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
-    finally:
-        if trace_observer is not None:
-            trace_observer.close()
-            print(f"telemetry trace written to {args.trace}", file=sys.stderr)
     print(report.to_text(), end="")
     return 0 if report.ok else 1
 
@@ -260,21 +263,11 @@ def cmd_mint(args: argparse.Namespace) -> int:
         shrink_rejected=args.shrink,
         shrink_budget=args.shrink_budget,
     )
-    observers = []
-    trace_observer = None
-    if args.trace:
-        from .obs import JsonlTraceObserver
-
-        trace_observer = JsonlTraceObserver(args.trace)
-        observers.append(trace_observer)
     try:
-        report = mint_scenarios(config, observers=observers)
+        with _trace_observers(args.trace) as observers:
+            report = mint_scenarios(config, observers=observers)
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
-    finally:
-        if trace_observer is not None:
-            trace_observer.close()
-            print(f"telemetry trace written to {args.trace}", file=sys.stderr)
     if args.out:
         Path(args.out).write_text(report.to_json())
         print(f"minted scenarios written to {args.out}", file=sys.stderr)
@@ -290,14 +283,8 @@ def cmd_grade(args: argparse.Namespace) -> int:
     scenario.  The summary is byte-identical across evaluation backends
     for a fixed seed, so CI can ``cmp`` serial vs process output.
     """
-    from .core.engines import engine_names
     from .mint import GRADE_CONFIG, MintConfig, grade_scenarios, mint_scenarios
 
-    if args.engine not in engine_names():
-        raise SystemExit(
-            f"error: unknown engine {args.engine!r} "
-            f"(registered: {', '.join(engine_names())})"
-        )
     mint_config = MintConfig(
         seed=args.seed,
         count=args.count,
@@ -305,37 +292,27 @@ def cmd_grade(args: argparse.Namespace) -> int:
         bench_percent=args.bench_percent,
         shrink_rejected=False,
     )
-    observers = []
-    trace_observer = None
-    if args.trace:
-        from .obs import JsonlTraceObserver
-
-        trace_observer = JsonlTraceObserver(args.trace)
-        observers.append(trace_observer)
     try:
-        minted = mint_scenarios(mint_config).admitted
-        if args.max_scenarios is not None:
-            minted = minted[: args.max_scenarios]
-        config = GRADE_CONFIG
-        if args.workers is not None or args.backend is not None:
-            config = config.scaled(
-                workers=args.workers if args.workers is not None else config.workers,
-                backend=args.backend if args.backend is not None else config.backend,
+        with _trace_observers(args.trace) as observers:
+            minted = mint_scenarios(mint_config).admitted
+            if args.max_scenarios is not None:
+                minted = minted[: args.max_scenarios]
+            config = GRADE_CONFIG
+            if args.workers is not None or args.backend is not None:
+                config = config.scaled(
+                    workers=args.workers if args.workers is not None else config.workers,
+                    backend=args.backend if args.backend is not None else config.backend,
+                )
+            report = grade_scenarios(
+                minted,
+                seed=args.seed,
+                engine=args.engine,
+                config=config,
+                seeds=tuple(args.seeds),
+                observers=observers,
             )
-        report = grade_scenarios(
-            minted,
-            seed=args.seed,
-            engine=args.engine,
-            config=config,
-            seeds=tuple(args.seeds),
-            observers=observers,
-        )
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
-    finally:
-        if trace_observer is not None:
-            trace_observer.close()
-            print(f"telemetry trace written to {args.trace}", file=sys.stderr)
     if args.out:
         Path(args.out).write_text(report.to_text())
         print(f"grading summary written to {args.out}", file=sys.stderr)
@@ -569,7 +546,7 @@ def main(argv: list[str] | None = None) -> int:
     p_repair.add_argument(
         "--engine", choices=engine_names(), default=DEFAULT_ENGINE,
         help="registered repair engine: 'cirfix' (GP search), 'synth' "
-        "(template synthesis), or 'race' (both, winner returned) "
+        "(template synthesis), or 'race' (synth, then GP if synth fails) "
         f"(default: {DEFAULT_ENGINE}; see `python -m repro engines`)",
     )
     p_repair.add_argument("--budget", type=float, help="wall-clock seconds per trial")

@@ -26,8 +26,8 @@ Built-ins (registered lazily to avoid import cycles):
 - ``cirfix`` — genetic-programming search (paper Algorithm 1);
 - ``synth`` — template enumeration + brute-force literal solving
   (:mod:`repro.synth`, rtl-repair style);
-- ``race`` — runs both engines and returns the winner
-  (:mod:`repro.synth.race`).
+- ``race`` — escalation: runs ``synth`` first and ``cirfix`` only when
+  synth finds no plausible repair (:mod:`repro.synth.race`).
 """
 
 from __future__ import annotations
@@ -125,5 +125,5 @@ def _ensure_builtin() -> None:
         register_engine(
             "race",
             race_repair,
-            "runs cirfix and synth on the same scenario and returns the winner",
+            "escalation: synth first, then cirfix when synth finds no plausible repair",
         )

@@ -13,7 +13,6 @@ from . import (
     minted,
     param_sensitivity,
     phi_ablation,
-    race,
     rq1,
     rq2,
     rq3,
@@ -44,7 +43,6 @@ EXPERIMENTS = {
     "runtime": lambda ctx: runtime_analysis.main(ctx.preset),
     "seeded": lambda ctx: seeded_defects.main(ctx.preset),
     "minted": lambda ctx: minted.main(ctx.preset, workers=ctx.workers),
-    "race": lambda ctx: race.main(ctx.preset, workers=ctx.workers),
 }
 
 
@@ -70,7 +68,7 @@ def main() -> None:
         type=int,
         default=None,
         help="candidate-evaluation worker processes inside each scenario "
-        "(table3/rq1/minted/race; default serial)",
+        "(table3/rq1/minted; default serial)",
     )
     parser.add_argument(
         "--trace-dir",

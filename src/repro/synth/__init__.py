@@ -14,18 +14,16 @@ Modules:
   (4-state literal search, oracle mining, fault-scope bookkeeping);
 - :mod:`repro.synth.engine` — the :class:`SynthEngine` trial loop and
   the registered ``synth`` runner;
-- :mod:`repro.synth.race` — differential racing of both engines
-  (``engine="race"`` and the ``repro.experiments race`` driver).
+- :mod:`repro.synth.race` — ``engine="race"``: escalation from this
+  engine to GP when it finds no plausible repair.
 """
 
 from .engine import SynthEngine, synth_repair
-from .race import RACE_ENGINES, RaceResult, race_repair, run_race
+from .race import race_repair
 from .solver import SolveContext, literal_domain, mine_literals
 from .templates import TEMPLATES, TEMPLATES_BY_NAME, SynthTemplate
 
 __all__ = [
-    "RACE_ENGINES",
-    "RaceResult",
     "SolveContext",
     "SynthEngine",
     "SynthTemplate",
@@ -34,6 +32,5 @@ __all__ = [
     "literal_domain",
     "mine_literals",
     "race_repair",
-    "run_race",
     "synth_repair",
 ]

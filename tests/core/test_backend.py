@@ -29,7 +29,7 @@ from repro.core.repair import repair
 from repro.fuzz.faults import plant_eval_chaos
 from repro.hdl import generate, parse
 from repro.obs import RecordingObserver
-from repro.synth import run_race, synth_repair
+from repro.synth import race_repair, synth_repair
 
 GOLDEN_FF = """
 module tff(clk, rstn, t, q);
@@ -133,7 +133,7 @@ class TestBatchParity:
 
     def test_repair_unknown_backend_lists_valid_backends(self, problem):
         # Every runner fails while building its backend, before any trial.
-        for runner in (repair, synth_repair, run_race):
+        for runner in (repair, synth_repair, race_repair):
             recorder = RecordingObserver()
             with pytest.raises(ValueError, match="valid backends: auto, serial, process"):
                 runner(

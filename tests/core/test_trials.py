@@ -20,7 +20,7 @@ from repro.core.harness import best_outcome, run_trials
 from repro.core.repair import CirFixEngine, repair
 from repro.core.serialize import outcome_to_json
 from repro.experiments.common import run_scenario
-from repro.synth import run_race, synth_repair
+from repro.synth import race_repair, synth_repair
 
 #: Small and bounded by evaluations, not wall-clock, so outcomes are
 #: exact.  On ff_cond, seed 0 fails and seed 1 repairs under it.
@@ -123,7 +123,7 @@ class TestEmptySeeds:
             run_trials(CirFixEngine, scenario.problem(), config, ())
 
     @pytest.mark.parametrize(
-        "runner", [repair, synth_repair, run_race], ids=["repair", "synth", "race"]
+        "runner", [repair, synth_repair, race_repair], ids=["repair", "synth", "race"]
     )
     def test_runners(self, runner, scenario, config):
         with pytest.raises(ValueError, match=self.MESSAGE):

@@ -108,10 +108,29 @@ class TestEngineResume:
 
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_resume_is_bit_identical_and_warm(self, tmp_path, backend):
+        self.crash_and_resume(tmp_path, backend, crash_after=2)
+
+    # On counter_reset under TINY the synth leg fails, so a race job
+    # saves five synth snapshots (one per template round) and then four
+    # GP ones.  Crash after the second synth snapshot, or after the
+    # second GP one.
+    @pytest.mark.parametrize(
+        "crash_after, leg", [(2, "synth"), (7, "cirfix")],
+        ids=["synth-leg", "gp-leg"],
+    )
+    def test_race_resumes_in_either_leg(self, tmp_path, crash_after, leg):
+        self.crash_and_resume(
+            tmp_path, "serial", crash_after, engine="race", leg=leg
+        )
+
+    def crash_and_resume(self, tmp_path, backend, crash_after, leg="cirfix",
+                         **request):
+        """Crash a job after ``crash_after`` checkpoints, in engine
+        ``leg``, resume it, and check it against an uncrashed run."""
         job_id = "job-1-deadbeef"
 
         # Uninterrupted baseline (own cache + journal so it stays cold).
-        baseline_req = tiny_request(str(tmp_path / "cache-b"), backend)
+        baseline_req = tiny_request(str(tmp_path / "cache-b"), backend, **request)
         baseline_sink = JournalCheckpointSink(
             JobJournal(tmp_path / "journal-b"), job_id
         )
@@ -122,20 +141,20 @@ class TestEngineResume:
             checkpoint=baseline_sink.save,
         )
 
-        # "Crash" after the second checkpoint: cooperative cancel fires
+        # "Crash" after the chosen checkpoint: cooperative cancel fires
         # at a generation boundary, exactly like a kill landing between
         # generations — the journal holds a genuine mid-search cursor
         # and the persistent cache holds every pre-crash evaluation.
-        crashed_req = tiny_request(str(tmp_path / "cache-a"), backend)
+        crashed_req = tiny_request(str(tmp_path / "cache-a"), backend, **request)
         journal = JobJournal(tmp_path / "journal-a")
         crash_sink = JournalCheckpointSink(journal, job_id)
         crash_store = open_eval_store(crashed_req.resolved_config())
         run_request(
             crashed_req,
-            cancel=lambda: crash_sink.saves >= 2,
+            cancel=lambda: crash_sink.saves >= crash_after,
             checkpoint=crash_sink.save,
         )
-        assert journal.load_checkpoint(job_id) is not None
+        assert journal.load_checkpoint(job_id)["engine"] == leg
         # Every pre-crash store miss wrote an entry the replay can hit.
         pre_crash_misses = crash_store.misses
         assert pre_crash_misses > 0

@@ -1,92 +1,92 @@
-"""Differential racing: winner verdicts, determinism, registry routing."""
+"""Escalation (``engine="race"``): synth first, GP only when synth fails."""
 
-import json
+from types import SimpleNamespace
 
+import pytest
+
+import repro.synth.race as race_mod
 from repro.core import TEST_CONFIG
 from repro.core.engines import get_engine
 from repro.core.repair import repair
-from repro.core.serialize import outcome_to_json
-from repro.synth import RACE_ENGINES, race_repair, run_race, synth_repair
-from repro.synth.race import RaceEntry, RaceResult
+from repro.synth import race_repair, synth_repair
 
-from .test_engine import FAULTY_NEGATED, make_problem, stable_report
+from .test_engine import FAULTY_NEGATED, GOLDEN_FF, Recorder, make_problem, stable_report
+
+#: The reset assignment deleted, as in counter_reset: no template
+#: re-grows a statement, so the synth leg fails and GP runs.
+FAULTY_DELETED = GOLDEN_FF.replace(
+    "if (!rstn) q <= 1'b0;\n    else begin", "if (rstn) begin"
+)
 
 
-class TestRunRace:
-    def test_entries_cover_both_engines_and_match_standalone(self):
-        result = run_race(make_problem(FAULTY_NEGATED, "ff"), TEST_CONFIG, (0,))
-        assert [entry.engine for entry in result.entries] == list(RACE_ENGINES)
-        standalone = {
-            "cirfix": repair(make_problem(FAULTY_NEGATED, "ff"), TEST_CONFIG, (0,)),
-            "synth": synth_repair(make_problem(FAULTY_NEGATED, "ff"), TEST_CONFIG, (0,)),
-        }
-        for entry in result.entries:
-            assert stable_report(entry.outcome, "ff") == stable_report(
-                standalone[entry.engine], "ff"
+def trials_started(recorder: Recorder) -> int:
+    return sum(event.type == "trial_started" for event in recorder.events)
+
+
+class TestEscalation:
+    def test_synth_repair_is_returned_without_running_gp(self):
+        recorder = Recorder()
+        outcome = race_repair(
+            make_problem(FAULTY_NEGATED, "ff"), TEST_CONFIG, (0,),
+            observers=[recorder],
+        )
+        standalone = synth_repair(make_problem(FAULTY_NEGATED, "ff"), TEST_CONFIG, (0,))
+        assert outcome.plausible
+        assert stable_report(outcome, "ff") == stable_report(standalone, "ff")
+        assert trials_started(recorder) == 1
+
+    def test_gp_runs_when_synth_fails(self):
+        recorder = Recorder()
+        outcome = race_repair(
+            make_problem(FAULTY_DELETED, "ff"), TEST_CONFIG, (0,),
+            observers=[recorder],
+        )
+        standalone = repair(make_problem(FAULTY_DELETED, "ff"), TEST_CONFIG, (0,))
+        assert stable_report(outcome, "ff") == stable_report(standalone, "ff")
+        assert trials_started(recorder) == 2
+
+    def test_cancel_in_the_first_leg_stops_the_escalation(self):
+        # Cancel once the synth leg has closed its first template round:
+        # GP never starts, and the race returns what synth had.
+        def run(runner):
+            recorder = Recorder()
+
+            def cancel():
+                return any(e.type == "generation_completed" for e in recorder.events)
+
+            outcome = runner(
+                make_problem(FAULTY_DELETED, "ff"), TEST_CONFIG, (0,),
+                observers=[recorder], cancel=cancel,
             )
+            return outcome, recorder
 
-    def test_wall_clock_measured_but_outside_stable_dict(self):
-        result = run_race(make_problem(FAULTY_NEGATED, "ff"), TEST_CONFIG, (0,))
-        for entry in result.entries:
-            assert entry.wall_seconds > 0.0
-        text = json.dumps(result.stable_dict())
-        assert "wall" not in text
-
-    def test_race_verdict_is_deterministic(self):
-        first = run_race(make_problem(FAULTY_NEGATED, "ff"), TEST_CONFIG, (0,))
-        second = run_race(make_problem(FAULTY_NEGATED, "ff"), TEST_CONFIG, (0,))
-        assert first.stable_dict() == second.stable_dict()
+        outcome, recorder = run(race_repair)
+        first_leg, _ = run(synth_repair)
+        assert trials_started(recorder) == 1
+        assert stable_report(outcome, "ff") == stable_report(first_leg, "ff")
 
 
-class TestWinner:
-    def outcome(self, plausible, fitness, eval_sims):
-        base = repair(make_problem(FAULTY_NEGATED, "ff"), TEST_CONFIG, (0,))
-        base.plausible = plausible
-        base.fitness = fitness
-        base.eval_sims = eval_sims
-        return base
+class TestTieOrder:
+    """Neither leg plausible: GP's outcome wins unless synth scored higher."""
 
-    def entry(self, engine, plausible, fitness, eval_sims):
-        return RaceEntry(engine, self.outcome(plausible, fitness, eval_sims), 0.0)
+    def race(self, monkeypatch, synth_fitness, gp_fitness):
+        legs = {
+            "synth": SimpleNamespace(plausible=False, fitness=synth_fitness),
+            "gp": SimpleNamespace(plausible=False, fitness=gp_fitness),
+        }
+        monkeypatch.setattr(race_mod, "synth_repair", lambda *a, **k: legs["synth"])
+        monkeypatch.setattr(race_mod, "repair", lambda *a, **k: legs["gp"])
+        outcome = race_repair(make_problem(FAULTY_NEGATED, "ff"), TEST_CONFIG, (0,))
+        return next(name for name, leg in legs.items() if leg is outcome)
 
-    def test_cheapest_plausible_entry_wins(self):
-        result = RaceResult(
-            "s",
-            [
-                self.entry("cirfix", True, 1.0, 40),
-                self.entry("synth", True, 1.0, 12),
-            ],
-        )
-        assert result.winner.engine == "synth"
-
-    def test_engine_name_breaks_exact_ties(self):
-        result = RaceResult(
-            "s",
-            [
-                self.entry("synth", True, 1.0, 12),
-                self.entry("cirfix", True, 1.0, 12),
-            ],
-        )
-        assert result.winner.engine == "cirfix"
-
-    def test_best_fitness_wins_when_nothing_plausible(self):
-        result = RaceResult(
-            "s",
-            [
-                self.entry("cirfix", False, 0.7, 10),
-                self.entry("synth", False, 0.9, 99),
-            ],
-        )
-        assert result.winner.engine == "synth"
+    @pytest.mark.parametrize(
+        "synth_fitness, gp_fitness, winner",
+        [(0.5, 0.5, "gp"), (0.5, 0.4, "synth"), (0.4, 0.5, "gp")],
+        ids=["equal-fitness", "synth-higher", "gp-higher"],
+    )
+    def test_tie_order(self, monkeypatch, synth_fitness, gp_fitness, winner):
+        assert self.race(monkeypatch, synth_fitness, gp_fitness) == winner
 
 
-class TestRaceEngine:
-    def test_race_resolves_through_registry_and_returns_the_winner(self):
-        runner = get_engine("race")
-        outcome = runner(make_problem(FAULTY_NEGATED, "ff"), TEST_CONFIG, (0,))
-        result = run_race(make_problem(FAULTY_NEGATED, "ff"), TEST_CONFIG, (0,))
-        assert stable_report(outcome, "ff") == stable_report(
-            result.winner.outcome, "ff"
-        )
-        direct = race_repair(make_problem(FAULTY_NEGATED, "ff"), TEST_CONFIG, (0,))
-        assert stable_report(direct, "ff") == stable_report(outcome, "ff")
+def test_race_resolves_to_race_repair():
+    assert get_engine("race") is race_repair

@@ -61,6 +61,31 @@ class TestRepairCommand:
         )
         assert code == 0
 
+    def test_race_with_trace(self, ff_files, capsys):
+        # synth repairs ff_cond, so the race never escalates to GP.
+        trace = ff_files / "t.jsonl"
+        code = main(
+            [
+                "repair",
+                str(ff_files / "faulty.v"),
+                str(ff_files / "tb.v"),
+                "--golden",
+                str(ff_files / "golden.v"),
+                "--engine",
+                "race",
+                "--seeds",
+                "0",
+                "--trace",
+                str(trace),
+                "--output",
+                str(ff_files / "out3.v"),
+            ]
+        )
+        assert code == 0
+        assert str(trace) in capsys.readouterr().err
+        lines = trace.read_text().splitlines()
+        assert sum('"trial_started"' in line for line in lines) == 1
+
     def test_missing_oracle_errors(self, ff_files):
         with pytest.raises(SystemExit):
             main(["repair", str(ff_files / "faulty.v"), str(ff_files / "tb.v")])
