@@ -18,6 +18,48 @@ if grep -rnE --include='*.py' "(TrialStarted|PlausiblePatchFound|make_backend)\(
     exit 1
 fi
 
+echo "== one application per patch (core/harness.py applies and generates in _applied only) =="
+python - <<'EOF'
+import ast
+import sys
+
+PATH = "src/repro/core/harness.py"
+# EngineHarness._applied is the memo every candidate's tree and text come
+# from.  The only other codegen is the testbench text a RepairProblem
+# precomputes: the testbench is never patched.
+ALLOWED = {
+    ("EngineHarness._applied", "apply"),
+    ("EngineHarness._applied", "generate"),
+    ("RepairProblem.__init__", "generate(testbench)"),
+}
+
+
+def calls(node, scope):
+    """(line, enclosing def, call) for each .apply(...) and generate(...)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from calls(child, f"{scope}.{child.name}".lstrip("."))
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func
+            if isinstance(func, ast.Attribute) and func.attr == "apply":
+                yield child.lineno, scope, "apply"
+            elif isinstance(func, ast.Name) and func.id == "generate":
+                call = "generate" if scope == "EngineHarness._applied" else ast.unparse(child)
+                yield child.lineno, scope, call
+        yield from calls(child, scope)
+
+
+bad = [
+    f"{PATH}:{line}: {call} in {scope or 'module scope'}"
+    for line, scope, call in calls(ast.parse(open(PATH).read(), PATH), "")
+    if (scope, call) not in ALLOWED
+]
+if bad:
+    print("\n".join(bad), file=sys.stderr)
+    sys.exit("a patch is applied or generated outside EngineHarness._applied")
+EOF
+
 echo "== unit / integration / property tests =="
 python -m pytest tests/ -q
 

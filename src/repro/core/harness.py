@@ -31,7 +31,7 @@ import time as time_mod
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
-from ..hdl import ast, generate, parse
+from ..hdl import ast, generate, max_node_id, parse
 from ..instrument.trace import SimulationTrace
 # Unused here, but the end-to-end benchmark tracer
 # (benchmarks/e2e/tracer.py) wraps this name in this module.
@@ -131,8 +131,12 @@ class RepairProblem:
 
     Attributes:
         design: Faulty design AST (the modules the engine may edit).
+            Patched variants share its subtrees, so it is never mutated.
         testbench: Instrumented testbench AST (never edited).
         oracle: Expected-behaviour trace from the golden design.
+        design_max_id: ``max_node_id(design)``, the floor of the fresh-id
+            pool every :meth:`Patch.apply` over the design needs.
+        testbench_text: The testbench as generated source.
     """
 
     def __init__(
@@ -146,6 +150,7 @@ class RepairProblem:
         self.testbench = testbench
         self.oracle = oracle
         self.name = name
+        self.design_max_id = max_node_id(design)
         self.testbench_text = generate(testbench)
 
     @staticmethod
@@ -295,8 +300,31 @@ class EngineHarness:
     # ------------------------------------------------------------------
 
     def variant_tree(self, patch: Patch) -> ast.Source:
-        """The faulty design with ``patch`` applied (ids stable)."""
-        return patch.apply(self.problem.design)
+        """The faulty design with ``patch`` applied (ids stable).
+
+        The tree shares subtrees with the design: read it, never mutate it.
+        """
+        return self._applied(patch)[0]
+
+    def _applied(self, patch: Patch) -> tuple[ast.Source, str | None]:
+        """``patch`` applied to the design, and the tree's generated text
+        (None when codegen fails).
+
+        The one place a candidate is applied and generated.  The pair is
+        memoised on the patch object, like ``_fitness``: a selected parent
+        is scored, mutated and localized from one application.
+        """
+        design = self.problem.design
+        memo = getattr(patch, "_applied", None)
+        if memo is None or memo[0] is not design:
+            tree = patch.apply(design, self.problem.design_max_id)
+            try:
+                text: str | None = generate(tree)
+            except Exception:
+                text = None
+            memo = (design, tree, text)
+            patch._applied = memo  # type: ignore[attr-defined]
+        return memo[1], memo[2]
 
     def evaluate(self, patch: Patch) -> Evaluation:
         """Codegen → parse → simulate → fitness, with memoisation.
@@ -315,7 +343,8 @@ class EngineHarness:
         return self._record(design_text, result)
 
     def _lookup(self, patch: Patch) -> tuple[str, Evaluation | None]:
-        """Start one evaluation: codegen, memo lookup, lint gate.
+        """Start one evaluation: apply and codegen (once per patch object),
+        memo lookup, lint gate.
 
         Returns the candidate's design text and, when no simulation is
         needed (codegen failed, memo hit, or gate prune), its evaluation;
@@ -323,9 +352,10 @@ class EngineHarness:
         """
         self.fitness_evals += 1
         try:
-            tree = self.variant_tree(patch)
-            design_text = generate(tree)
+            tree, design_text = self._applied(patch)
         except Exception:
+            design_text = None
+        if design_text is None:
             return "", Evaluation(0.0, None, None, False, "")
         cached = self._cache.get(design_text)
         if cached is not None:

@@ -66,7 +66,9 @@ class Node:
     def clone(self) -> "Node":
         """Deep-copy this subtree, preserving node ids.
 
-        Every patch application clones the whole design, so this copies
+        Patch application clones every payload it inserts and every
+        template target it rewrites (the rest of an applied tree is
+        shared with the design and must not be mutated), so this copies
         field by field instead of calling ``copy.deepcopy``, which is
         several times slower.  The result is the same because attribute
         values are nodes, lists of nodes or strings, and immutable

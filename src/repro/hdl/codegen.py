@@ -7,9 +7,13 @@ statement per line, canonical spacing) and round-trips through the parser.
 
 from __future__ import annotations
 
+import re
+
 from . import ast
+from .tokens import KEYWORDS
 
 _INDENT = "  "
+_PLAIN_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
 
 
 class CodegenError(Exception):
@@ -19,6 +23,15 @@ class CodegenError(Exception):
 def generate(node: ast.Node) -> str:
     """Render an AST (any node type) back to Verilog source text."""
     return _Generator().render(node)
+
+
+def _name(name: str) -> str:
+    """``name`` as Verilog source: a keyword, or a name that is not a plain
+    identifier, is written escaped (backslash, name, space) so that it
+    lexes back as the same identifier."""
+    if name in KEYWORDS or not _PLAIN_NAME.fullmatch(name):
+        return f"\\{name} "
+    return name
 
 
 class _Generator:
@@ -45,9 +58,9 @@ class _Generator:
     # ------------------------------------------------------------------
 
     def module(self, mod: ast.ModuleDef) -> str:
-        header = f"module {mod.name}"
+        header = f"module {_name(mod.name)}"
         if mod.port_names:
-            header += "(" + ", ".join(mod.port_names) + ")"
+            header += "(" + ", ".join(map(_name, mod.port_names)) + ")"
         lines = [header + ";"]
         for item in mod.items:
             lines.append(self.item(item, 1))
@@ -82,7 +95,7 @@ class _Generator:
             parts.append("signed")
         if decl.msb is not None:
             parts.append(f"[{self.expr(decl.msb)}:{self.expr(decl.lsb)}]")
-        name = decl.name
+        name = _name(decl.name)
         if decl.array_msb is not None:
             name += f" [{self.expr(decl.array_msb)}:{self.expr(decl.array_lsb)}]"
         parts.append(name)
@@ -91,22 +104,22 @@ class _Generator:
         return " ".join(parts) + ";"
 
     def instance(self, inst: ast.Instance) -> str:
-        text = inst.module_name
+        text = _name(inst.module_name)
         if inst.params:
             text += " #(" + ", ".join(self.port_arg(p) for p in inst.params) + ")"
-        text += f" {inst.name}(" + ", ".join(self.port_arg(p) for p in inst.ports) + ");"
+        text += f" {_name(inst.name)}(" + ", ".join(self.port_arg(p) for p in inst.ports) + ");"
         return text
 
     def port_arg(self, arg: ast.PortArg | ast.ParamArg) -> str:
         expr = self.expr(arg.expr) if arg.expr is not None else ""
         if arg.name is not None:
-            return f".{arg.name}({expr})"
+            return f".{_name(arg.name)}({expr})"
         return expr
 
     def function(self, fn: ast.FunctionDef, level: int) -> str:
         pad = _INDENT * level
         rng = f" [{self.expr(fn.msb)}:{self.expr(fn.lsb)}]" if fn.msb is not None else ""
-        lines = [f"{pad}function{rng} {fn.name};"]
+        lines = [f"{pad}function{rng} {_name(fn.name)};"]
         for decl in fn.decls:
             lines.append(_INDENT * (level + 1) + self.decl(decl))
         lines.append(self.stmt(fn.body, level + 1))
@@ -115,7 +128,7 @@ class _Generator:
 
     def task(self, tk: ast.TaskDef, level: int) -> str:
         pad = _INDENT * level
-        lines = [f"{pad}task {tk.name};"]
+        lines = [f"{pad}task {_name(tk.name)};"]
         for decl in tk.decls:
             lines.append(_INDENT * (level + 1) + self.decl(decl))
         lines.append(self.stmt(tk.body, level + 1))
@@ -142,7 +155,7 @@ class _Generator:
         if stmt is None or isinstance(stmt, ast.NullStmt):
             return pad + ";"
         if isinstance(stmt, ast.Block):
-            name = f" : {stmt.name}" if stmt.name else ""
+            name = f" : {_name(stmt.name)}" if stmt.name else ""
             lines = [f"{pad}begin{name}"]
             for inner in stmt.stmts:
                 lines.append(self.stmt(inner, level + 1))
@@ -195,7 +208,7 @@ class _Generator:
                 return f"{pad}{self.senslist(stmt.senslist)};"
             return f"{pad}{self.senslist(stmt.senslist)}\n" + self.stmt(stmt.body, level + 1)
         if isinstance(stmt, ast.EventTrigger):
-            return f"{pad}-> {stmt.name};"
+            return f"{pad}-> {_name(stmt.name)};"
         if isinstance(stmt, ast.SysTaskCall):
             args = ", ".join(self.expr(a) for a in stmt.args)
             suffix = f"({args})" if stmt.args else ""
@@ -203,9 +216,9 @@ class _Generator:
         if isinstance(stmt, ast.TaskCall):
             args = ", ".join(self.expr(a) for a in stmt.args)
             suffix = f"({args})" if stmt.args else ""
-            return f"{pad}{stmt.name}{suffix};"
+            return f"{pad}{_name(stmt.name)}{suffix};"
         if isinstance(stmt, ast.Disable):
-            return f"{pad}disable {stmt.name};"
+            return f"{pad}disable {_name(stmt.name)};"
         raise CodegenError(f"unknown statement {type(stmt).__name__}")
 
     def _inline_assign(self, stmt: ast.BlockingAssign) -> str:
@@ -219,7 +232,7 @@ class _Generator:
         if expr is None:
             raise CodegenError("missing expression (deleted by mutation?)")
         if isinstance(expr, ast.Identifier):
-            return expr.name
+            return _name(expr.name)
         if isinstance(expr, (ast.Number, ast.RealNumber)):
             return expr.text
         if isinstance(expr, ast.StringConst):
@@ -242,5 +255,7 @@ class _Generator:
         if isinstance(expr, ast.Repeat_):
             return "{" + self.expr(expr.count) + "{" + self.expr(expr.value) + "}}"
         if isinstance(expr, ast.FunctionCall):
-            return f"{expr.name}(" + ", ".join(self.expr(a) for a in expr.args) + ")"
+            # A ``$`` name is a system function, written as it is.
+            name = expr.name if expr.name.startswith("$") else _name(expr.name)
+            return f"{name}(" + ", ".join(self.expr(a) for a in expr.args) + ")"
         raise CodegenError(f"unknown expression {type(expr).__name__}")

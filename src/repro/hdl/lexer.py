@@ -1,4 +1,4 @@
-"""Hand-written lexer for the supported Verilog subset.
+"""Regex lexer for the supported Verilog subset.
 
 The lexer strips ``//`` and ``/* */`` comments, recognises based number
 literals (``4'b10x0``, ``8'hFF``, ``'d42``), identifiers (including escaped
@@ -6,9 +6,20 @@ identifiers and system identifiers like ``$display``), strings, operators and
 punctuation.  Compiler directives (`` `timescale``, `` `define`` etc.) are
 handled by :mod:`repro.hdl.preprocess` before the lexer runs; any stray
 backtick directives encountered here are skipped to end of line.
+
+One compiled pattern does the work: a possessive run of trivia
+(whitespace, comments, directive lines) followed by one alternation with
+a named group per token class, scanned with ``finditer``.  The classes
+start with disjoint characters, so their order in the alternation only
+matters for the operators: the multi-character ones come first, in
+:data:`~repro.hdl.tokens.MULTI_CHAR_OPERATORS` order.  An unterminated
+block comment runs to the end of the input.  Line and column numbers come
+from the newlines before each token's start.
 """
 
 from __future__ import annotations
+
+import re
 
 from .tokens import (
     KEYWORDS,
@@ -29,169 +40,85 @@ class LexError(Exception):
         self.col = col
 
 
-_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | frozenset("0123456789$")
-_DIGITS = frozenset("0123456789")
-_BASE_CHARS = frozenset("bBoOdDhH")
-_NUMBER_BODY = frozenset("0123456789abcdefABCDEFxXzZ?_")
+_TRIVIA = r"(?:[ \t\r\n]+|//[^\n]*|/\*(?:.*?\*/|.*)|`[^\n]*)*+"
+_BASED = r"'[sS]?[bBoOdDhH][0-9a-fA-FxXzZ?_]*"
+_OPERATOR = "|".join(map(re.escape, MULTI_CHAR_OPERATORS)) + f"|[{re.escape(SINGLE_CHAR_OPERATORS)}]"
 
+_SCAN = re.compile(
+    _TRIVIA
+    + "(?:"
+    + "|".join(
+        (
+            r"(?P<IDENT>[A-Za-z_][A-Za-z0-9_$]*)",
+            f"(?P<PUNCT>[{re.escape(PUNCTUATION)}])",
+            # A digit run may go on as a real or a based literal; when a
+            # quote follows it, the literal must be based (the possessive
+            # run cannot give digits back to make it match).
+            rf"(?P<NUMBER>[0-9][0-9_]*+(?:\.[0-9]+|{_BASED}|(?!'))|{_BASED})",
+            f"(?P<OPERATOR>{_OPERATOR})",
+            r"(?P<SYSTEM_IDENT>\$[A-Za-z0-9_$]*)",
+            r'(?P<STRING>"(?:[^"\\]|\\.)*")',
+            r"(?P<ESCAPED>\\[^ \t\r\n]*)",
+            r"(?P<EOF>\Z)",
+            r"(?P<ERROR>)",
+        )
+    )
+    + ")",
+    re.DOTALL,
+)
 
-class Lexer:
-    """Tokenises Verilog source text.
-
-    Use :func:`tokenize` for the common one-shot case.
-    """
-
-    def __init__(self, source: str):
-        self._src = source
-        self._pos = 0
-        self._line = 1
-        self._col = 1
-
-    def tokens(self) -> list[Token]:
-        """Lex the whole input and return the token list (ending with EOF)."""
-        out: list[Token] = []
-        while True:
-            tok = self._next_token()
-            out.append(tok)
-            if tok.kind is TokenKind.EOF:
-                return out
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _peek(self, offset: int = 0) -> str:
-        pos = self._pos + offset
-        return self._src[pos] if pos < len(self._src) else ""
-
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            if self._pos >= len(self._src):
-                return
-            if self._src[self._pos] == "\n":
-                self._line += 1
-                self._col = 1
-            else:
-                self._col += 1
-            self._pos += 1
-
-    def _skip_trivia(self) -> None:
-        """Skip whitespace, comments, and backtick directives."""
-        while self._pos < len(self._src):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self._pos < len(self._src) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self._pos < len(self._src) and not (
-                    self._peek() == "*" and self._peek(1) == "/"
-                ):
-                    self._advance()
-                self._advance(2)
-            elif ch == "`":
-                # Directive survived preprocessing; ignore to end of line.
-                while self._pos < len(self._src) and self._peek() != "\n":
-                    self._advance()
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        line, col = self._line, self._col
-        ch = self._peek()
-        if not ch:
-            return Token(TokenKind.EOF, "", line, col)
-        if ch in _IDENT_START:
-            return self._lex_ident(line, col)
-        if ch in _DIGITS or (ch == "'" and self._peek(1) in _BASE_CHARS | frozenset("sS")):
-            return self._lex_number(line, col)
-        if ch == "$":
-            return self._lex_system_ident(line, col)
-        if ch == '"':
-            return self._lex_string(line, col)
-        if ch == "\\":
-            return self._lex_escaped_ident(line, col)
-        for op in MULTI_CHAR_OPERATORS:
-            if self._src.startswith(op, self._pos):
-                self._advance(len(op))
-                return Token(TokenKind.OPERATOR, op, line, col)
-        if ch in SINGLE_CHAR_OPERATORS:
-            self._advance()
-            return Token(TokenKind.OPERATOR, ch, line, col)
-        if ch in PUNCTUATION:
-            self._advance()
-            return Token(TokenKind.PUNCT, ch, line, col)
-        raise LexError(f"unexpected character {ch!r}", line, col)
-
-    def _lex_ident(self, line: int, col: int) -> Token:
-        start = self._pos
-        while self._peek() in _IDENT_CONT:
-            self._advance()
-        text = self._src[start : self._pos]
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, line, col)
-
-    def _lex_escaped_ident(self, line: int, col: int) -> Token:
-        self._advance()  # backslash
-        start = self._pos
-        while self._peek() and self._peek() not in " \t\r\n":
-            self._advance()
-        return Token(TokenKind.IDENT, self._src[start : self._pos], line, col)
-
-    def _lex_system_ident(self, line: int, col: int) -> Token:
-        start = self._pos
-        self._advance()  # $
-        while self._peek() in _IDENT_CONT:
-            self._advance()
-        return Token(TokenKind.SYSTEM_IDENT, self._src[start : self._pos], line, col)
-
-    def _lex_string(self, line: int, col: int) -> Token:
-        self._advance()  # opening quote
-        start = self._pos
-        while self._peek() and self._peek() != '"':
-            if self._peek() == "\\":
-                self._advance()
-            self._advance()
-        text = self._src[start : self._pos]
-        if not self._peek():
-            raise LexError("unterminated string literal", line, col)
-        self._advance()  # closing quote
-        return Token(TokenKind.STRING, text, line, col)
-
-    def _lex_number(self, line: int, col: int) -> Token:
-        """Lex a number: plain decimal, real, or based literal.
-
-        A based literal may carry an explicit size prefix (``4'b1010``) or
-        not (``'hFF``).  The size prefix, if present, was already consumed
-        as part of this token because we look ahead for a quote.
-        """
-        start = self._pos
-        while self._peek() in _DIGITS or self._peek() == "_":
-            self._advance()
-        # Real number (simple form: digits '.' digits).
-        if self._peek() == "." and self._peek(1) in _DIGITS:
-            self._advance()
-            while self._peek() in _DIGITS:
-                self._advance()
-            return Token(TokenKind.NUMBER, self._src[start : self._pos], line, col)
-        # Based literal: optional whitespace between size and base is legal,
-        # but our subset requires them adjacent (all benchmark code complies).
-        if self._peek() == "'":
-            self._advance()
-            if self._peek() in "sS":
-                self._advance()
-            if self._peek() not in _BASE_CHARS:
-                raise LexError("expected number base after quote", line, col)
-            self._advance()
-            while self._peek() in _NUMBER_BODY:
-                self._advance()
-        return Token(TokenKind.NUMBER, self._src[start : self._pos], line, col)
+#: Groups whose text is the token text unchanged.
+_PLAIN_KINDS = {
+    name: TokenKind[name] for name in ("PUNCT", "NUMBER", "OPERATOR", "SYSTEM_IDENT")
+}
 
 
 def tokenize(source: str) -> list[Token]:
-    """Tokenise ``source`` and return the token list terminated by EOF."""
-    return Lexer(source).tokens()
+    """Tokenise ``source`` and return the token list terminated by EOF.
+
+    Raises :class:`LexError` on an unterminated string, a quote with no
+    number base after it, or a character no token starts with.
+    """
+    tokens: list[Token] = []
+    append = tokens.append
+    end = len(source)
+    line, line_start = 1, 0
+    newline = source.find("\n")
+    if newline < 0:
+        newline = end
+    for match in _SCAN.finditer(source):
+        group = match.lastgroup
+        start = match.start(group)
+        while start > newline:
+            line += 1
+            line_start = newline + 1
+            newline = source.find("\n", line_start)
+            if newline < 0:
+                newline = end
+        text = match[group]
+        col = start - line_start + 1
+        if group == "IDENT":
+            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
+            append(Token(kind, text, line, col))
+        elif group in _PLAIN_KINDS:
+            append(Token(_PLAIN_KINDS[group], text, line, col))
+        elif group == "STRING":
+            append(Token(TokenKind.STRING, text[1:-1], line, col))
+        elif group == "ESCAPED":
+            append(Token(TokenKind.IDENT, text[1:], line, col))
+        elif group == "EOF":
+            append(Token(TokenKind.EOF, "", line, col))
+            break
+        else:
+            raise _lex_error(source, start, line, col)
+    return tokens
+
+
+def _lex_error(source: str, pos: int, line: int, col: int) -> LexError:
+    """The error for the character at ``pos``, where no token matched."""
+    ch = source[pos]
+    if ch == '"':
+        return LexError("unterminated string literal", line, col)
+    if "0" <= ch <= "9" or (ch == "'" and source[pos + 1 : pos + 2] in ("s", "S")):
+        return LexError("expected number base after quote", line, col)
+    return LexError(f"unexpected character {ch!r}", line, col)

@@ -62,6 +62,9 @@ _BINARY_PRECEDENCE = {
 
 _UNARY_OPS = frozenset({"!", "~", "+", "-", "&", "|", "^", "~&", "~|", "~^", "^~"})
 
+#: Token kinds :meth:`Parser._check` matches by text (never identifiers).
+_CHECK_KINDS = (TokenKind.KEYWORD, TokenKind.OPERATOR, TokenKind.PUNCT)
+
 _DECL_KEYWORDS = frozenset(
     {"input", "output", "inout", "wire", "reg", "integer", "real", "event", "genvar", "tri", "supply0", "supply1"}
 )
@@ -78,9 +81,10 @@ class Parser:
     # Token helpers
     # ------------------------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        pos = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[pos]
+    def _peek(self) -> Token:
+        # ``_next`` never moves past the final EOF token, so the index is
+        # always in range.
+        return self._tokens[self._pos]
 
     def _next(self) -> Token:
         tok = self._tokens[self._pos]
@@ -89,11 +93,8 @@ class Parser:
         return tok
 
     def _check(self, text: str) -> bool:
-        return self._peek().text == text and self._peek().kind in (
-            TokenKind.KEYWORD,
-            TokenKind.OPERATOR,
-            TokenKind.PUNCT,
-        )
+        tok = self._tokens[self._pos]
+        return tok.text == text and tok.kind in _CHECK_KINDS
 
     def _accept(self, text: str) -> bool:
         if self._check(text):

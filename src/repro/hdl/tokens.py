@@ -7,8 +7,8 @@ dispatches on :attr:`Token.kind` and :attr:`Token.text`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum, auto
+from typing import NamedTuple
 
 
 class TokenKind(Enum):
@@ -24,9 +24,9 @@ class TokenKind(Enum):
     EOF = auto()
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single lexical token.
+class Token(NamedTuple):
+    """A single lexical token (immutable; a named tuple, because the lexer
+    builds one per token and a tuple is the cheapest immutable record).
 
     Attributes:
         kind: Coarse category of the token.

@@ -14,6 +14,7 @@ import re
 
 import pytest
 
+from repro.benchsuite import load_scenario
 from repro.core import TEST_CONFIG, CirFixEngine, RepairProblem
 from repro.core.backend import (
     EvalFailure,
@@ -86,6 +87,20 @@ class TestSharedTestbench:
         for text in (FAULTY_FF, GOLDEN_FF, BROKEN_TEXT):
             evaluate_design_text(text, testbench, problem.oracle, TEST_CONFIG)
         assert (generate(testbench), [n.node_id for n in testbench.walk()]) == before
+
+
+class TestSharedDesign:
+    def test_trials_leave_the_design_untouched(self):
+        """Patched variants share subtrees with the design (``Patch.apply``
+        copies only the edited paths), so no engine's trial may leave a
+        mark on it: same text, same node ids."""
+        problem = load_scenario("ff_cond").problem()
+        design = problem.design
+        before = generate(design), [n.node_id for n in design.walk()]
+        for runner in (repair, synth_repair, race_repair):
+            runner(problem, TEST_CONFIG, (0,))
+            after = generate(design), [n.node_id for n in design.walk()]
+            assert after == before, runner.__name__
 
 
 class TestBatchParity:

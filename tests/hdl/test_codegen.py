@@ -83,3 +83,65 @@ class TestFragmentRendering:
         broken = ast.BlockingAssign(ast.Identifier("a"), None)  # type: ignore[arg-type]
         with pytest.raises(CodegenError):
             generate(broken)
+
+
+#: Escaped identifiers in every position codegen writes a name: module,
+#: port, decl, instance (module and instance name), port argument,
+#: function, task, named block, identifier, event trigger and disable;
+#: ``\module`` is an escaped keyword.
+ESCAPED_NAMES_SOURCE = r"""
+module \top+mod (\in+a , out);
+  input \in+a ;
+  output out;
+  reg \r+1 ;
+  reg \module ;
+  event \ev+t ;
+  wire \w+k ;
+  \sub+mod \u+1 (.\p+a (\in+a ), .q(\w+k ));
+  function \f+n ;
+    input x;
+    \f+n = x;
+  endfunction
+  task \t+k ;
+    begin
+      \r+1 = 0;
+    end
+  endtask
+  always @(\in+a ) begin : \blk+1
+    \r+1 = \f+n (\in+a );
+    \module = \r+1 ;
+    \t+k ;
+    -> \ev+t ;
+    disable \blk+1 ;
+  end
+  assign out = \r+1 ;
+endmodule
+
+module \sub+mod (\p+a , q);
+  input \p+a ;
+  output q;
+  assign q = \p+a ;
+endmodule
+"""
+
+
+class TestEscapedNames:
+    def test_escaped_names_round_trip(self):
+        tree = parse(ESCAPED_NAMES_SOURCE)
+        again = parse(generate(tree))
+        assert ast.structural_diff(tree, again, compare_ids=True) is None
+
+    @pytest.mark.parametrize(
+        "name",
+        ["top+mod", "in+a", "r+1", "module", "ev+t", "sub+mod", "u+1", "p+a",
+         "f+n", "t+k", "blk+1"],
+    )
+    def test_name_is_written_escaped(self, name):
+        assert f"\\{name} " in generate(parse(ESCAPED_NAMES_SOURCE))
+
+    def test_plain_names_and_system_names_stay_unescaped(self):
+        text = generate(
+            parse("module m(a); input a; initial $display(\"%d\", $time, a$b); endmodule")
+        )
+        assert "\\" not in text
+        assert "$display" in text and "$time" in text
