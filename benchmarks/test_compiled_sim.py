@@ -241,7 +241,9 @@ def test_smoke_repair_cache_hit_rate(once):
         "second_trial_hit_rate": second_trial_hits / lookups if lookups else 0.0,
     }
     # The first trial cannot hit (the engine memoises within a trial);
-    # the second trial re-scores the seed design and early mutants.
+    # the second trial replays the seed design and early mutants from the
+    # cache, since every candidate, the seed design included, is scored
+    # through the backend.
     assert after_first["hits"] == 0
     assert second_trial_hits > 0, "second seed saw no cross-trial repeats"
 

@@ -60,6 +60,36 @@ if bad:
     sys.exit("a patch is applied or generated outside EngineHarness._applied")
 EOF
 
+echo "== one scoring path (engines score candidates through the backend only) =="
+python - <<'EOF'
+import ast
+import pathlib
+import sys
+
+# The backend is the only place an engine scores a candidate, so the
+# caches and the supervisor sit under every simulation.  Importing the
+# name stays legal (the end-to-end tracer wraps core/harness.py's
+# import); mint/ and fuzz/ call it as admission checks and oracles.
+ROOTS = ("src/repro/core", "src/repro/synth", "src/repro/baselines", "src/repro/experiments")
+ALLOWED = {"src/repro/core/backend.py"}
+
+bad = []
+for root in ROOTS:
+    for path in sorted(pathlib.Path(root).rglob("*.py")):
+        if path.as_posix() in ALLOWED:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "evaluate_design_text":
+                bad.append(f"{path}:{node.lineno}: {ast.unparse(node)}")
+if bad:
+    print("\n".join(bad), file=sys.stderr)
+    sys.exit("evaluate_design_text() called outside core/backend.py; score through the backend")
+EOF
+
 echo "== unit / integration / property tests =="
 python -m pytest tests/ -q
 
@@ -202,7 +232,7 @@ print(f"gate smoke ok: {outcome.pruned} pruned, "
 EOF
 
 echo "== chaos smoke (supervised pool quarantines planted faults) =="
-REPRO_EVAL_CHAOS="hang@27,exit@28" python - <<'EOF'
+REPRO_EVAL_CHAOS="hang@28,exit@29" python - <<'EOF'
 from repro.benchsuite import load_scenario
 from repro.core.backend import make_backend
 from repro.core.config import RepairConfig
@@ -210,7 +240,8 @@ from repro.core.repair import CirFixEngine
 from repro.obs import MetricsObserver
 
 # One hang-mutant and one hard-exit-mutant are planted (via the
-# REPRO_EVAL_CHAOS dispatch ordinals above) into a --workers 2 repair.
+# REPRO_EVAL_CHAOS dispatch ordinals above; dispatch 0 is the unpatched
+# design) into a --workers 2 repair.
 # The supervisor must time out the hang, notice the dead worker, and
 # quarantine both — and the run must still find the repair.
 scenario = load_scenario("ff_cond")

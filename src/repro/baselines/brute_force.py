@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from ..hdl import ast
 from ..core.config import RepairConfig
+from ..core.harness import shared_backend
 from ..core.patch import Edit, Patch
 from ..core.repair import CirFixEngine, RepairProblem
 
@@ -44,10 +45,9 @@ class BruteForceRepair:
     ):
         self.problem = problem
         self.config = config or RepairConfig()
+        self.seed = seed
         self.rng = random.Random(seed)
         self.max_edits = max_edits
-        # Reuse the engine purely as an evaluator (codegen → sim → fitness).
-        self._engine = CirFixEngine(problem, self.config, seed)
 
     def _random_edit(self, tree: ast.Source) -> Edit | None:
         """A uniform GenProg-style edit: replace/insert/delete over all
@@ -65,16 +65,26 @@ class BruteForceRepair:
         return Edit(kind, target.node_id, source.clone())
 
     def run(self) -> BruteForceOutcome:
-        """Run the uniform random search until a repair or budget exhaustion."""
+        """Run the uniform random search until a repair or budget exhaustion.
+
+        Every candidate is scored on one backend (the process pool when
+        ``config.workers > 1``), which is closed before this returns.
+        """
+        with shared_backend(self.problem, self.config) as backend:
+            # The engine serves purely as an evaluator (codegen → sim → fitness).
+            engine = CirFixEngine(self.problem, self.config, self.seed, backend=backend)
+            return self._search(engine)
+
+    def _search(self, engine: CirFixEngine) -> BruteForceOutcome:
         start = time_mod.monotonic()
         deadline = start + self.config.max_wall_seconds
-        best_fitness = self._engine.evaluate(Patch.empty()).fitness
+        best_fitness = engine.evaluate(Patch.empty()).fitness
         best_patch = Patch.empty()
         tried = 0
         while time_mod.monotonic() < deadline:
             if (
                 self.config.max_fitness_evals is not None
-                and self._engine.eval_sims >= self.config.max_fitness_evals
+                and engine.eval_sims >= self.config.max_fitness_evals
             ):
                 break
             edits: list[Edit] = []
@@ -87,7 +97,7 @@ class BruteForceRepair:
                 continue
             patch = Patch(edits)
             tried += 1
-            evaluation = self._engine.evaluate(patch)
+            evaluation = engine.evaluate(patch)
             if evaluation.fitness > best_fitness:
                 best_fitness, best_patch = evaluation.fitness, patch
             if evaluation.is_plausible:
@@ -96,7 +106,7 @@ class BruteForceRepair:
                     patch,
                     evaluation.fitness,
                     tried,
-                    self._engine.eval_sims,
+                    engine.eval_sims,
                     time_mod.monotonic() - start,
                 )
         return BruteForceOutcome(
@@ -104,6 +114,6 @@ class BruteForceRepair:
             best_patch,
             best_fitness,
             tried,
-            self._engine.eval_sims,
+            engine.eval_sims,
             time_mod.monotonic() - start,
         )

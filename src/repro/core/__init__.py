@@ -16,7 +16,6 @@ from .backend import (
     ProcessPoolBackend,
     SerialBackend,
     SupervisionIncident,
-    TraceSummary,
     evaluate_design_text,
     make_backend,
 )
@@ -27,7 +26,7 @@ from .minimize import minimize_patch
 from .operators import apply_fix_pattern, crossover, mutate
 from .oracle import OracleError, combine_sources, degrade_oracle, ensure_instrumented, generate_oracle
 from .patch import Edit, Patch
-from .repair import CirFixEngine, Evaluation, RepairOutcome, RepairProblem, repair
+from .repair import CirFixEngine, RepairOutcome, RepairProblem, repair
 from .selection import elite, tournament_select
 from .serialize import outcome_to_json, patch_from_json, patch_to_json
 from .templates_ext import EXTENDED_TEMPLATES, applicable_extended, apply_extended
@@ -39,7 +38,6 @@ __all__ = [
     "RepairProblem",
     "CirFixEngine",
     "RepairOutcome",
-    "Evaluation",
     "repair",
     "EvaluationBackend",
     "SerialBackend",
@@ -47,7 +45,6 @@ __all__ = [
     "CandidateResult",
     "EvalFailure",
     "SupervisionIncident",
-    "TraceSummary",
     "make_backend",
     "evaluate_design_text",
     "Patch",

@@ -13,9 +13,12 @@ are independent.  This module factors the evaluation pipeline
   loads the oracle **once** at initialisation, then scores candidate
   design texts one task at a time.
 
-Both backends run the identical pipeline on the identical inputs and
-return the identical compact :class:`CandidateResult` — the simulation
-trace is reduced to a :class:`TraceSummary` inside the pipeline and never
+Every candidate the engine scores — batch members, the unpatched
+design, minimization subsets — goes through a backend, so the caches
+and the supervisor sit under every simulation.  Both backends run the
+identical pipeline on the identical inputs and return the identical
+compact :class:`CandidateResult` — the simulation trace is reduced to
+its fitness and sorted output mismatch inside the pipeline and never
 leaves it — so a batch submitted in child-index order produces identical
 results either way.  The engine's determinism guarantee does not depend
 on the backend (see ``docs/repair_engine.md``).
@@ -91,7 +94,7 @@ from ..sim.elaborate import ElaborationError
 # (benchmarks/e2e/tracer.py) wraps this name in this module.
 from ..sim.simulator import Simulator  # noqa: F401
 from .config import BACKEND_NAMES, RepairConfig
-from .fitness import FitnessBreakdown, evaluate_fitness
+from .fitness import evaluate_fitness
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (repair → backend)
     from .repair import RepairProblem
@@ -102,25 +105,6 @@ logger = logging.getLogger("repro.repair")
 # ----------------------------------------------------------------------
 # Result types
 # ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TraceSummary:
-    """Compact description of a candidate's simulation trace.
-
-    Every backend returns this instead of the full trace.  It holds all
-    the engine needs later: ``mismatched_vars`` is exactly the seed of
-    fault localization (Algorithm 2), so results stay small across the
-    pool's pipes and in the disk cache, and no parent is ever simulated
-    twice.
-    """
-
-    #: Number of recorded trace rows (``$cirfix_record`` samples).
-    rows: int
-    #: Number of distinct recorded variables.
-    recorded_vars: int
-    #: Output wires that ever differ from the oracle, sorted.
-    mismatched_vars: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -164,20 +148,25 @@ class SupervisionIncident:
 
 @dataclass
 class CandidateResult:
-    """What a backend reports for one candidate design text.
+    """What a backend reports for one candidate design text — the one
+    record the engine keeps per unique candidate.
 
-    ``summary`` is set when the candidate simulated and scored.  The
-    trailing stats fields are the telemetry payload (repro.obs): measured
-    where the evaluation actually ran, so pool workers batch them back
-    with the chunk results instead of emitting events across the process
+    ``mismatch`` is the seed of fault localization (Algorithm 2): the
+    output wires that ever differ from the oracle, sorted.  It is None
+    when the candidate did not simulate and score (it did not compile,
+    crashed in simulation, was pruned by the lint gate, or was
+    quarantined), so results stay small across the pool's pipes and in
+    the disk cache, and no parent is ever simulated twice.  The trailing
+    stats fields are the telemetry payload (repro.obs): measured where
+    the evaluation actually ran, so pool workers batch them back with the
+    chunk results instead of emitting events across the process
     boundary.  ``failure`` is set only for candidates the supervised pool
     quarantined.
     """
 
     fitness: float
-    breakdown: FitnessBreakdown | None
     compiled: bool
-    summary: TraceSummary | None
+    mismatch: tuple[str, ...] | None
     #: Wall-clock of the whole evaluation (codegen output → fitness).
     eval_seconds: float = 0.0
     #: Wall-clock of the frontend span (parse + elaborate + compile).
@@ -191,10 +180,15 @@ class CandidateResult:
     #: Set when the supervised pool quarantined this candidate.
     failure: EvalFailure | None = None
 
+    @property
+    def is_plausible(self) -> bool:
+        """Fitness 1.0: the candidate passes the whole testbench."""
+        return self.fitness >= 1.0
+
 
 def _quarantine_result(kind: str, attempts: int) -> CandidateResult:
     """The deterministic result a quarantined candidate scores."""
-    return CandidateResult(0.0, None, False, None, failure=EvalFailure(kind, attempts))
+    return CandidateResult(0.0, False, None, failure=EvalFailure(kind, attempts))
 
 
 # ----------------------------------------------------------------------
@@ -274,8 +268,7 @@ def evaluate_design_text(
     except (ParseError, LexError, ElaborationError, RecursionError, MemoryError):
         elapsed = time.perf_counter() - started
         return CandidateResult(
-            0.0, None, False, None,
-            eval_seconds=elapsed, parse_seconds=elapsed,
+            0.0, False, None, eval_seconds=elapsed, parse_seconds=elapsed
         )
     parse_seconds = time.perf_counter() - started
     try:
@@ -285,7 +278,7 @@ def evaluate_design_text(
         # monitor callback, pathological recursion, ...) scores zero.
         elapsed = time.perf_counter() - started
         return CandidateResult(
-            0.0, None, True, None,
+            0.0, True, None,
             eval_seconds=elapsed,
             parse_seconds=parse_seconds,
             sim_seconds=elapsed - parse_seconds,
@@ -294,19 +287,15 @@ def evaluate_design_text(
         )
     try:
         trace = SimulationTrace.from_records(result.trace)
-        breakdown = evaluate_fitness(trace, oracle, config.phi)
-        summary = TraceSummary(
-            rows=len(trace),
-            recorded_vars=len(trace.variables()),
-            mismatched_vars=tuple(sorted(output_mismatch(oracle, trace))),
-        )
+        fitness = evaluate_fitness(trace, oracle, config.phi).fitness
+        mismatch = tuple(sorted(output_mismatch(oracle, trace)))
     except Exception:
         # Trace decoding / fitness scoring can blow up on degenerate
         # recorded values (or run out of memory on a pathological trace);
         # that too is the candidate's fault, never the engine's problem.
         elapsed = time.perf_counter() - started
         return CandidateResult(
-            0.0, None, True, None,
+            0.0, True, None,
             eval_seconds=elapsed,
             parse_seconds=parse_seconds,
             sim_seconds=elapsed - parse_seconds,
@@ -315,7 +304,7 @@ def evaluate_design_text(
         )
     elapsed = time.perf_counter() - started
     return CandidateResult(
-        breakdown.fitness, breakdown, True, summary,
+        fitness, True, mismatch,
         eval_seconds=elapsed,
         parse_seconds=parse_seconds,
         sim_seconds=elapsed - parse_seconds,
@@ -330,7 +319,7 @@ def evaluate_design_text(
 
 #: Version tag of persisted evaluation payloads; bump whenever the
 #: encoded field set changes so stale entries decode as misses.
-EVAL_PAYLOAD_VERSION = 2
+EVAL_PAYLOAD_VERSION = 3
 
 
 def eval_context_digest(
@@ -386,31 +375,11 @@ def encode_eval_payload(result: CandidateResult) -> dict:
     including the recorded telemetry stats, so replayed hits produce the
     same event stream the original computation did.
     """
-    breakdown = None
-    if result.breakdown is not None:
-        b = result.breakdown
-        breakdown = {
-            "fitness": b.fitness,
-            "raw_sum": b.raw_sum,
-            "total": b.total,
-            "matches": b.matches,
-            "mismatches": b.mismatches,
-            "xz_positions": b.xz_positions,
-        }
-    summary = None
-    if result.summary is not None:
-        s = result.summary
-        summary = {
-            "rows": s.rows,
-            "recorded_vars": s.recorded_vars,
-            "mismatched_vars": list(s.mismatched_vars),
-        }
     return {
         "version": EVAL_PAYLOAD_VERSION,
         "fitness": result.fitness,
         "compiled": result.compiled,
-        "breakdown": breakdown,
-        "summary": summary,
+        "mismatch": None if result.mismatch is None else list(result.mismatch),
         "eval_seconds": result.eval_seconds,
         "parse_seconds": result.parse_seconds,
         "sim_seconds": result.sim_seconds,
@@ -429,24 +398,11 @@ def decode_eval_payload(payload: dict) -> CandidateResult | None:
     try:
         if payload.get("version") != EVAL_PAYLOAD_VERSION:
             return None
-        breakdown = (
-            FitnessBreakdown(**payload["breakdown"])
-            if payload["breakdown"] is not None
-            else None
-        )
-        summary = None
-        if payload["summary"] is not None:
-            s = payload["summary"]
-            summary = TraceSummary(
-                rows=int(s["rows"]),
-                recorded_vars=int(s["recorded_vars"]),
-                mismatched_vars=tuple(s["mismatched_vars"]),
-            )
+        mismatch = payload["mismatch"]
         return CandidateResult(
             float(payload["fitness"]),
-            breakdown,
             bool(payload["compiled"]),
-            summary,
+            None if mismatch is None else tuple(mismatch),
             eval_seconds=float(payload["eval_seconds"]),
             parse_seconds=float(payload["parse_seconds"]),
             sim_seconds=float(payload["sim_seconds"]),
@@ -725,9 +681,10 @@ def parse_chaos_spec(spec: str) -> dict[int, tuple[str, bool]]:
 
     Ordinals count the supervised pool's task dispatches (0-based, per
     backend instance, first attempts only) — a deterministic position in
-    the engine's chunk schedule.  A ``:once`` suffix plants the fault on
-    the first attempt only, so the retry succeeds (for testing the
-    requeue path); without it every retry re-triggers the fault and the
+    the engine's evaluation schedule, where an engine's unpatched design
+    is its first dispatch.  A ``:once`` suffix plants the fault on the
+    first attempt only, so the retry succeeds (for testing the requeue
+    path); without it every retry re-triggers the fault and the
     candidate is quarantined.
     """
     plan: dict[int, tuple[str, bool]] = {}
@@ -944,7 +901,7 @@ class ProcessPoolBackend:
 
     Workers parse the instrumented testbench and load the oracle once at
     initialisation; each task ships only a candidate design text and each
-    result only ``(fitness, breakdown, compiled, trace summary)``.  The
+    result only ``(fitness, compiled, mismatch)`` plus telemetry.  The
     pool persists across generations (and across seeds, when shared via
     :func:`repro.core.repair.repair`), so the per-candidate overhead is
     one pickle round-trip, not a process spawn.

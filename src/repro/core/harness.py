@@ -5,12 +5,17 @@ engine (:mod:`repro.synth.engine`) differ only in how they *propose*
 candidate patches.  Everything else — the trial skeleton (scoring the
 unpatched design, folding each scored round into the best and winning
 patch, minimizing the winner), candidate evaluation with memoisation,
-the lint gate, batched scoring through an
+the lint gate, scoring through an
 :class:`~repro.core.backend.EvaluationBackend`, fault localization from
 each candidate's recorded output mismatch, delta-debugging minimization,
 phase accounting, and the final :class:`RepairOutcome` assembly — lives
 here in :class:`EngineHarness`, so caching, supervision, gating, and
 telemetry apply to every engine unchanged.
+
+The backend is the only place a candidate is scored: chunks of a
+round, the unpatched design, minimization subsets and single lookups
+alike.  The engine keeps the backend's
+:class:`~repro.core.backend.CandidateResult` as its own record.
 
 :func:`run_trials` is the one multi-seed trial loop: every runner and
 experiment driver runs its trials through it, on one shared backend.
@@ -54,41 +59,16 @@ from ..obs.events import (
     WorkerCrashed,
 )
 from ..obs.observer import ObserverSet, RepairObserver
-from .backend import (
-    CandidateResult,
-    EvaluationBackend,
-    evaluate_design_text,
-    make_backend,
-)
+from .backend import CandidateResult, EvaluationBackend, make_backend
+# Unused here, but the end-to-end benchmark tracer
+# (benchmarks/e2e/tracer.py) wraps this name in this module.
+from .backend import evaluate_design_text  # noqa: F401
 from .config import RepairConfig
 from .faultloc import all_statement_ids, localize_faults
-from .fitness import FitnessBreakdown
 from .minimize import minimize_patch
 from .patch import Patch
 
 logger = logging.getLogger("repro.harness")
-
-
-@dataclass
-class Evaluation:
-    """Result of evaluating one candidate design.
-
-    ``mismatch`` is the seed of fault localization (Algorithm 2): the
-    output wires that ever differ from the oracle, taken from the
-    backend's :class:`~repro.core.backend.TraceSummary`.  It is None when
-    the candidate produced no summary (it did not compile, crashed in
-    simulation, or was pruned by the lint gate).
-    """
-
-    fitness: float
-    breakdown: FitnessBreakdown | None
-    mismatch: tuple[str, ...] | None
-    compiled: bool
-    source_text: str
-
-    @property
-    def is_plausible(self) -> bool:
-        return self.fitness >= 1.0
 
 
 @dataclass
@@ -194,7 +174,7 @@ class EngineHarness:
     batched backend scoring, localization, minimization, the outcome —
     is provided here.
 
-    Candidate batches are scored through an
+    Every candidate is scored through an
     :class:`~repro.core.backend.EvaluationBackend`; pass one to share a
     worker pool across trials, or leave it ``None`` to let the engine
     build (and own) the backend selected by ``config``.
@@ -238,7 +218,7 @@ class EngineHarness:
         )
         self._backend = backend
         self._owns_backend = False
-        self._cache: dict[str, Evaluation] = {}
+        self._cache: dict[str, CandidateResult] = {}
         self.fitness_evals = 0
         #: Deterministic count of unique candidate evaluations — every
         #: simulation the engine runs — so budget decisions keyed on it
@@ -326,28 +306,30 @@ class EngineHarness:
             patch._applied = memo  # type: ignore[attr-defined]
         return memo[1], memo[2]
 
-    def evaluate(self, patch: Patch) -> Evaluation:
+    def evaluate(self, patch: Patch) -> CandidateResult:
         """Codegen → parse → simulate → fitness, with memoisation.
 
-        A single candidate is scored in-process, never through the
-        backend, so it emits no chunk events on any backend.
+        A single candidate is scored as a one-text batch on the backend,
+        like a chunk member: it consults the backend's caches and, on the
+        pool, runs under supervision.  It emits no chunk events on any
+        backend.
         """
         design_text, known = self._lookup(patch)
         if known is not None:
             return known
+        backend = self._ensure_backend()
         started = time_mod.monotonic()
-        result = evaluate_design_text(
-            design_text, self.problem.testbench, self.problem.oracle, self.config
-        )
+        (result,) = backend.evaluate_batch([design_text])
         self.phase_seconds["evaluation"] += time_mod.monotonic() - started
+        self._note_incidents(None, backend)
         return self._record(design_text, result)
 
-    def _lookup(self, patch: Patch) -> tuple[str, Evaluation | None]:
+    def _lookup(self, patch: Patch) -> tuple[str, CandidateResult | None]:
         """Start one evaluation: apply and codegen (once per patch object),
         memo lookup, lint gate.
 
         Returns the candidate's design text and, when no simulation is
-        needed (codegen failed, memo hit, or gate prune), its evaluation;
+        needed (codegen failed, memo hit, or gate prune), its result;
         None means the text still has to be scored.
         """
         self.fitness_evals += 1
@@ -356,7 +338,7 @@ class EngineHarness:
         except Exception:
             design_text = None
         if design_text is None:
-            return "", Evaluation(0.0, None, None, False, "")
+            return "", CandidateResult(0.0, False, None)
         cached = self._cache.get(design_text)
         if cached is not None:
             return design_text, cached
@@ -366,7 +348,7 @@ class EngineHarness:
                 return design_text, self._prune(design_text, added)
         return design_text, None
 
-    def _record(self, design_text: str, result: CandidateResult) -> Evaluation:
+    def _record(self, design_text: str, result: CandidateResult) -> CandidateResult:
         """Finish one unique evaluation: counters, event, memo."""
         self.eval_sims += 1
         if result.failure is not None:
@@ -382,12 +364,8 @@ class EngineHarness:
                     sim_steps=result.sim_steps,
                 )
             )
-        mismatch = result.summary.mismatched_vars if result.summary is not None else None
-        evaluation = Evaluation(
-            result.fitness, result.breakdown, mismatch, result.compiled, design_text
-        )
-        self._cache[design_text] = evaluation
-        return evaluation
+        self._cache[design_text] = result
+        return result
 
     # ------------------------------------------------------------------
     # Lint gate (docs/lint.md)
@@ -414,10 +392,10 @@ class EngineHarness:
             return {}
         return new_violations(profile, self._gate_baseline_profile())
 
-    def _prune(self, design_text: str, added: dict[str, int]) -> Evaluation:
+    def _prune(self, design_text: str, added: dict[str, int]) -> CandidateResult:
         """Reject one unique candidate before simulation.
 
-        The pruned evaluation (fitness 0, no mismatch) is cached like any
+        The pruned result (fitness 0, no mismatch) is cached like any
         other, so duplicates of a pruned design are ordinary cache hits;
         ``eval_sims`` never ticks — pruning is free simulation budget.
         """
@@ -430,9 +408,9 @@ class EngineHarness:
                     new_violations=dict(added), rules=self._gate_rules_spec
                 )
             )
-        evaluation = Evaluation(0.0, None, None, False, design_text)
-        self._cache[design_text] = evaluation
-        return evaluation
+        result = CandidateResult(0.0, False, None)
+        self._cache[design_text] = result
+        return result
 
     # ------------------------------------------------------------------
     # Batched evaluation (generate-then-evaluate)
@@ -452,10 +430,12 @@ class EngineHarness:
             self._backend = None
             self._owns_backend = False
 
-    def _evaluate_generation(self, patches, out_of_budget) -> list[Evaluation | None]:
+    def _evaluate_generation(
+        self, patches, out_of_budget
+    ) -> list[CandidateResult | None]:
         """Score a whole generation's patches through the backend.
 
-        Returns evaluations aligned with ``patches``.  Unique uncached
+        Returns results aligned with ``patches``.  Unique uncached
         design texts are submitted in first-occurrence (child-index) order
         in near-equal chunks sized by :func:`adaptive_chunk_size` (with
         ``config.eval_chunk_size`` as the granularity floor); between chunks
@@ -466,7 +446,7 @@ class EngineHarness:
         schedule is independent of the backend and worker count, which is
         what makes outcomes bit-identical across backends.
         """
-        results: list[Evaluation | None] = [None] * len(patches)
+        results: list[CandidateResult | None] = [None] * len(patches)
         pending: list[str] = []
         indices_for_text: dict[str, list[int]] = {}
         for i, patch in enumerate(patches):
@@ -507,26 +487,27 @@ class EngineHarness:
                 )
             self._note_incidents(chunk_id, backend)
             for text, result in zip(chunk, chunk_results):
-                evaluation = self._record(text, result)
+                self._record(text, result)
                 for index in indices_for_text[text]:
-                    results[index] = evaluation
-                if evaluation.fitness >= 1.0:
+                    results[index] = result
+                if result.is_plausible:
                     found_winner = True
         return results
 
-    def _note_incidents(self, chunk_id: int, backend: EvaluationBackend) -> None:
-        """Drain supervision incidents for one chunk into events.
+    def _note_incidents(
+        self, chunk_id: int | None, backend: EvaluationBackend
+    ) -> None:
+        """Drain supervision incidents for one chunk (or, with ``chunk_id``
+        None, one single candidate) into events.
 
         Healthy runs never have incidents, so this is a no-op on the
         deterministic schedule — golden event sequences are untouched.
         Quarantine *counters* are tallied from the results themselves
         (which also covers externally-owned backends); this method only
-        produces the per-incident telemetry.
+        produces the per-incident telemetry.  A single candidate is no
+        chunk, so its requeues emit no ``chunk_retried``.
         """
-        take = getattr(backend, "take_incidents", None)
-        if take is None:
-            return
-        incidents = take()
+        incidents = backend.take_incidents()
         if not incidents or not self.events:
             return
         requeued = 0
@@ -550,7 +531,7 @@ class EngineHarness:
                         quarantined=incident.quarantined,
                     )
                 )
-        if requeued:
+        if requeued and chunk_id is not None:
             self.events.emit(ChunkRetried(chunk=chunk_id, requeued=requeued))
 
     # ------------------------------------------------------------------
@@ -619,32 +600,32 @@ class EngineHarness:
         out_of_budget = self._budget_probe(start + config.max_wall_seconds)
 
         original = Patch.empty()
-        original_eval = self.evaluate(original)
-        original._fitness = original_eval.fitness  # type: ignore[attr-defined]
-        self.history = [original_eval.fitness]
-        self.best_patch, self.best_fitness = original, original_eval.fitness
+        original_result = self.evaluate(original)
+        original._fitness = original_result.fitness  # type: ignore[attr-defined]
+        self.history = [original_result.fitness]
+        self.best_patch, self.best_fitness = original, original_result.fitness
         self.winner = None
-        self._started(original_eval.fitness)
-        if original_eval.is_plausible:
+        self._started(original_result.fitness)
+        if original_result.is_plausible:
             # Nothing to repair (shouldn't happen for real defect scenarios).
-            return self._finish(original, original_eval, 0, start)
+            return self._finish(original, original_result, 0, start)
 
         rounds = self._search(original, out_of_budget)
         patch = self.winner if self.winner is not None else self.best_patch
-        evaluation = self.evaluate(patch)
+        result = self.evaluate(patch)
         if self.winner is not None:
             if self.events:
                 self.events.emit(
                     PlausiblePatchFound(
                         generation=rounds,
-                        fitness=evaluation.fitness,
+                        fitness=result.fitness,
                         edits=len(patch),
                     )
                 )
             patch = self._minimize(patch)
-            evaluation = self.evaluate(patch)
-        self._concluded(patch, evaluation, rounds)
-        return self._finish(patch, evaluation, rounds, start)
+            result = self.evaluate(patch)
+        self._concluded(patch, result, rounds)
+        return self._finish(patch, result, rounds, start)
 
     def _search(  # pragma: no cover - interface
         self, original: Patch, out_of_budget: Callable[[], bool]
@@ -659,7 +640,7 @@ class EngineHarness:
     def _started(self, fitness: float) -> None:
         """Hook: the unpatched design scored ``fitness`` (engines log it)."""
 
-    def _concluded(self, patch: Patch, evaluation: Evaluation, rounds: int) -> None:
+    def _concluded(self, patch: Patch, result: CandidateResult, rounds: int) -> None:
         """Hook: the search ended on ``patch``, minimized if plausible."""
 
     def _score_round(
@@ -677,15 +658,15 @@ class EngineHarness:
         emits ``GenerationCompleted`` for ``population`` and saves the
         checkpoint at ``cursor``.
         """
-        for patch, evaluation in zip(
+        for patch, result in zip(
             batch, self._evaluate_generation(batch, out_of_budget)
         ):
-            if evaluation is None:
+            if result is None:
                 continue  # early stop: budget exhausted or winner already seen
-            patch._fitness = evaluation.fitness  # type: ignore[attr-defined]
-            if evaluation.fitness > self.best_fitness:
-                self.best_fitness, self.best_patch = evaluation.fitness, patch
-            if evaluation.fitness >= 1.0:
+            patch._fitness = result.fitness  # type: ignore[attr-defined]
+            if result.fitness > self.best_fitness:
+                self.best_fitness, self.best_patch = result.fitness, patch
+            if result.is_plausible:
                 self.winner = patch
                 break
         self.history.append(self.best_fitness)
@@ -806,13 +787,13 @@ class EngineHarness:
             ) - (self.phase_seconds["evaluation"] - eval_before)
 
     def _finish(
-        self, patch: Patch, evaluation: Evaluation, generations: int, start: float
+        self, patch: Patch, result: CandidateResult, generations: int, start: float
     ) -> RepairOutcome:
         outcome = RepairOutcome(
-            plausible=evaluation.is_plausible,
+            plausible=result.is_plausible,
             patch=patch,
-            fitness=evaluation.fitness,
-            repaired_source=evaluation.source_text if evaluation.is_plausible else None,
+            fitness=result.fitness,
+            repaired_source=self._applied(patch)[1] if result.is_plausible else None,
             generations=generations,
             fitness_evals=self.fitness_evals,
             simulations=self.eval_sims,
@@ -919,7 +900,6 @@ def best_outcome(outcomes: Sequence[RepairOutcome]) -> RepairOutcome:
 
 __all__ = [
     "EngineHarness",
-    "Evaluation",
     "RepairOutcome",
     "RepairProblem",
     "adaptive_chunk_size",

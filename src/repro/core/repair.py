@@ -28,7 +28,7 @@ The engine-neutral machinery (the trial skeleton and the multi-seed
 trial loop, candidate evaluation, lint gate, batched backend scoring,
 localization, minimization, outcome assembly) lives in
 :mod:`repro.core.harness`; this module holds only how GP proposes each
-generation.  ``Evaluation``, ``RepairOutcome``, ``RepairProblem``, and
+generation.  ``RepairOutcome``, ``RepairProblem``, and
 ``adaptive_chunk_size`` are re-exported here for compatibility.
 """
 
@@ -40,11 +40,10 @@ import random
 from typing import Any, Callable, Sequence
 
 from ..obs.observer import RepairObserver
-from .backend import EvaluationBackend
+from .backend import CandidateResult, EvaluationBackend
 from .config import RepairConfig
 from .harness import (  # noqa: F401  (re-exported for compatibility)
     EngineHarness,
-    Evaluation,
     RepairOutcome,
     RepairProblem,
     adaptive_chunk_size,
@@ -202,7 +201,7 @@ class CirFixEngine(EngineHarness):
             )
         return generations
 
-    def _concluded(self, patch: Patch, evaluation: Evaluation, rounds: int) -> None:
+    def _concluded(self, patch: Patch, result: CandidateResult, rounds: int) -> None:
         if self.winner is not None:
             logger.info(
                 "[%s seed=%d] minimized to %d edits: %s",

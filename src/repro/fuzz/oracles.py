@@ -211,12 +211,10 @@ def check_determinism(
             Violation(
                 "determinism",
                 f"self-fitness {result_a.fitness} != 1.0 "
-                f"(mismatched: {result_a.summary.mismatched_vars if result_a.summary else '?'})",
+                f"(mismatched: {result_a.mismatch if result_a.mismatch is not None else '?'})",
             )
         )
-    if (result_a.fitness, result_a.compiled, result_a.summary) != (
-        result_b.fitness, result_b.compiled, result_b.summary
-    ):
+    if _result_key(result_a) != _result_key(result_b):
         violations.append(
             Violation("determinism", "repeated evaluation not bit-identical")
         )
@@ -290,8 +288,9 @@ def check_engines(text: str) -> list[Violation]:
 
 
 def _result_key(result) -> tuple:
-    """Backend-independent fields of a ``CandidateResult``."""
-    return (result.fitness, result.compiled, result.summary, result.breakdown)
+    """Backend-independent fields of a ``CandidateResult``: every field
+    but the telemetry and the pool-only ``failure``."""
+    return (result.fitness, result.compiled, result.mismatch)
 
 
 def check_backends(

@@ -30,11 +30,10 @@ from __future__ import annotations
 import logging
 from typing import Any, Callable, Sequence
 
-from ..core.backend import EvaluationBackend
+from ..core.backend import CandidateResult, EvaluationBackend
 from ..core.config import RepairConfig
 from ..core.harness import (
     EngineHarness,
-    Evaluation,
     RepairOutcome,
     RepairProblem,
     run_trials,
@@ -149,14 +148,14 @@ class SynthEngine(EngineHarness):
             )
         return rounds
 
-    def _concluded(self, patch: Patch, evaluation: Evaluation, rounds: int) -> None:
+    def _concluded(self, patch: Patch, result: CandidateResult, rounds: int) -> None:
         if self.events:
             self.events.emit(
                 SynthSolveCompleted(
                     templates=rounds,
                     candidates=sum(self.operator_stats.values()),
                     winner_template=self._winner_template,
-                    plausible=evaluation.is_plausible,
+                    plausible=result.is_plausible,
                 )
             )
 

@@ -1,5 +1,7 @@
 """Brute-force baseline tests."""
 
+import multiprocessing
+
 from repro.baselines import BruteForceRepair
 from repro.benchsuite import load_scenario
 from repro.core.config import RepairConfig
@@ -46,3 +48,30 @@ class TestBruteForce:
         brute = BruteForceRepair(scenario.problem(), config, seed=0).run()
         assert cirfix.plausible
         assert not brute.plausible
+
+    def test_pool_run_matches_serial_and_closes_its_pool(self, count_simulations):
+        """At ``workers=2`` every candidate is scored on the pool, no
+        worker outlives ``run()``, and the outcome is the serial one."""
+        scenario = load_scenario("ff_cond")
+        # Bounded by max_fitness_evals alone, so both runs see the same
+        # candidates whatever the host speed.
+        config = tiny_config().scaled(max_wall_seconds=1e6)
+        serial = BruteForceRepair(scenario.problem(), config, seed=0).run()
+
+        before = set(multiprocessing.active_children())
+        runs = count_simulations()
+        # Keep a reference: the pool must be closed by run() itself, not
+        # by garbage collection.
+        brute = BruteForceRepair(
+            scenario.problem(), config.scaled(workers=2, backend="process"), seed=0
+        )
+        pooled = brute.run()
+        assert set(multiprocessing.active_children()) <= before
+        assert runs == [], "the pool run simulated in this process"
+        assert (
+            pooled.plausible, pooled.patch.describe(), pooled.fitness,
+            pooled.simulations,
+        ) == (
+            serial.plausible, serial.patch.describe(), serial.fitness,
+            serial.simulations,
+        )

@@ -118,7 +118,7 @@ class TestBatchParity:
         for s, p in zip(serial_results, pool_results):
             assert s.compiled == p.compiled
             assert s.fitness == p.fitness
-            assert s.summary == p.summary
+            assert s.mismatch == p.mismatch
 
     def test_batch_flags_uncompilable(self, problem):
         backend = SerialBackend.for_problem(problem, TEST_CONFIG)
@@ -267,7 +267,7 @@ class TestSupervisedPool:
         # First attempt died, the requeued retry produced the real score.
         assert result.failure is None
         assert result.fitness == expected.fitness
-        assert result.summary == expected.summary
+        assert result.mismatch == expected.mismatch
         assert [(i.kind, i.quarantined) for i in incidents] == [("crash", False)]
 
     def test_pool_keeps_working_after_respawn(self, problem):
@@ -295,8 +295,8 @@ class TestSupervisedPool:
             results = pool.evaluate_batch(texts)
             assert pool.take_incidents() == []
         for s, p in zip(expected, results):
-            assert (s.fitness, s.compiled, s.summary, s.breakdown) == (
-                p.fitness, p.compiled, p.summary, p.breakdown
+            assert (s.fitness, s.compiled, s.mismatch) == (
+                p.fitness, p.compiled, p.mismatch
             )
             assert p.failure is None
 
@@ -340,7 +340,7 @@ class TestNeverRaises:
         )
         assert result.compiled  # the simulation itself succeeded
         assert result.fitness == 0.0
-        assert result.breakdown is None and result.summary is None
+        assert result.mismatch is None
         assert result.sim_steps > 0  # sim counters survive the guard
 
     def test_trace_decode_crash_scores_zero(self, problem, monkeypatch):
@@ -403,35 +403,31 @@ class TestMakeBackendDegraded:
 
 
 class TestLocalizationFromSummary:
-    def test_pool_parent_localizes_without_resimulating(self, problem, monkeypatch):
-        """A parent scored by the pool localizes from its recorded
-        mismatch: no in-process simulation, and the node set a fresh
-        simulation's trace gives."""
-        import repro.core.harness as harness_mod
+    def test_pool_parent_localizes_without_resimulating(
+        self, problem, count_simulations
+    ):
+        """On the pool, the engine process simulates nothing during a whole
+        run — not the unpatched design, not a minimization subset — and
+        a parent localizes from its recorded mismatch, to the node set a
+        fresh simulation's trace gives."""
         from repro.benchsuite.scenario import simulate_design_text
         from repro.core.faultloc import localize_faults
         from repro.instrument.trace import output_mismatch
 
         config = TEST_CONFIG.scaled(backend="process", workers=2)
         engine = CirFixEngine(problem, config, seed=0)
+        runs = count_simulations()
+        outcome = engine.run()
         parent = Patch.empty()
-        try:
-            (evaluation,) = engine._evaluate_generation([parent], lambda: False)
-            assert isinstance(engine._backend, ProcessPoolBackend)
+        variant = engine.variant_tree(parent)
+        localized = engine.fault_localization(parent, variant)
+        assert runs == [], "the engine process ran a simulation"
+        assert outcome.eval_sims == engine.eval_sims > 1
 
-            def no_simulation(*args, **kwargs):
-                raise AssertionError("localization re-simulated an evaluated parent")
-
-            monkeypatch.setattr(harness_mod, "evaluate_design_text", no_simulation)
-            variant = engine.variant_tree(parent)
-            localized = engine.fault_localization(parent, variant)
-        finally:
-            engine._release_backend()
-        trace = simulate_design_text(evaluation.source_text, problem.testbench)
+        trace = simulate_design_text(engine._applied(parent)[1], problem.testbench)
         mismatch = output_mismatch(problem.oracle, trace)
         assert mismatch, "the faulty design should mismatch the oracle"
         assert localized == localize_faults(variant, mismatch).nodes
-        assert engine.simulations == engine.eval_sims == 1
 
 
 class TestCrossBackendDeterminism:

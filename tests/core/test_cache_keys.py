@@ -14,6 +14,7 @@ import pytest
 
 from repro.benchsuite import load_scenario
 from repro.core.backend import (
+    EVAL_PAYLOAD_VERSION,
     EvalCache,
     ProcessPoolBackend,
     SerialBackend,
@@ -22,7 +23,6 @@ from repro.core.backend import (
     eval_context_digest,
 )
 from repro.core.config import RepairConfig
-from repro.core.fitness import FitnessBreakdown
 
 
 @pytest.fixture(scope="module")
@@ -140,32 +140,44 @@ class TestPayloadCodec:
     """encode/decode round-trips every CandidateResult shape we persist."""
 
     def test_success_roundtrip(self):
-        from repro.core.backend import CandidateResult, TraceSummary
+        from repro.core.backend import CandidateResult
 
-        result = CandidateResult(
-            0.75,
-            FitnessBreakdown(0.75, 3.0, 4.0, 3, 1, 0),
-            True,
-            TraceSummary(rows=2, recorded_vars=1, mismatched_vars=("q",)),
-            sim_events=10,
-            sim_steps=20,
-        )
+        result = CandidateResult(0.75, True, ("q",), sim_events=10, sim_steps=20)
         decoded = decode_eval_payload(encode_eval_payload(result))
         assert decoded == result
 
     def test_failure_without_trace_roundtrip(self):
         from repro.core.backend import CandidateResult
 
-        result = CandidateResult(0.0, None, False, None)
+        result = CandidateResult(0.0, False, None)
         decoded = decode_eval_payload(encode_eval_payload(result))
         assert decoded is not None
         assert decoded.fitness == 0.0
-        assert decoded.breakdown is None
-        assert decoded.summary is None
+        assert decoded.mismatch is None
 
     def test_garbage_payload_decodes_to_none(self):
-        assert decode_eval_payload({"version": 2}) is None
+        assert decode_eval_payload({"version": EVAL_PAYLOAD_VERSION}) is None
         assert decode_eval_payload({"version": 99, "fitness": 1.0}) is None
+
+    def test_version_two_payload_decodes_to_none(self):
+        """Entries written while results carried a fitness breakdown and a
+        trace summary (version 2) read as misses and refill once."""
+        legacy = {
+            "version": 2,
+            "fitness": 0.5,
+            "compiled": True,
+            "breakdown": {
+                "fitness": 0.5, "raw_sum": 1.0, "total": 2.0,
+                "matches": 1, "mismatches": 1, "xz_positions": 0,
+            },
+            "summary": {"rows": 1, "recorded_vars": 1, "mismatched_vars": ["q"]},
+            "eval_seconds": 0.0,
+            "parse_seconds": 0.0,
+            "sim_seconds": 0.0,
+            "sim_events": 0,
+            "sim_steps": 0,
+        }
+        assert decode_eval_payload(legacy) is None
 
     def test_version_one_payload_decodes_to_none(self):
         """Entries written while payloads carried the full trace (version
@@ -173,7 +185,7 @@ class TestPayloadCodec:
         rewritten once."""
         from repro.core.backend import CandidateResult
 
-        legacy = encode_eval_payload(CandidateResult(0.0, None, False, None))
+        legacy = encode_eval_payload(CandidateResult(0.0, False, None))
         legacy.update(version=1, trace_csv="time,q\n0,1\n")
         assert decode_eval_payload(legacy) is None
 
@@ -182,14 +194,9 @@ class TestTieredEvalCache:
     """The in-memory EvalCache over a persistent store."""
 
     def _success(self):
-        from repro.core.backend import CandidateResult, TraceSummary
+        from repro.core.backend import CandidateResult
 
-        return CandidateResult(
-            0.5,
-            FitnessBreakdown(0.5, 1.0, 2.0, 1, 1, 0),
-            True,
-            TraceSummary(rows=1, recorded_vars=1, mismatched_vars=()),
-        )
+        return CandidateResult(0.5, True, ())
 
     def _store(self, tmp_path):
         from repro.cache import PersistentEvalCache
@@ -218,11 +225,11 @@ class TestTieredEvalCache:
         from repro.core.backend import CandidateResult
 
         store = self._store(tmp_path)
-        failed = CandidateResult(0.0, None, False, None)
+        failed = CandidateResult(0.0, False, None)
         EvalCache(8, store=store, context="ctx").put("module bad; endmodule", failed)
         replay = EvalCache(8, store=store, context="ctx").get("module bad; endmodule")
         assert replay is not None
-        assert replay.breakdown is None
+        assert replay.mismatch is None
 
 
 class TestBackendIntegration:
@@ -271,3 +278,34 @@ class TestBackendIntegration:
             assert pool.cache.info()["store_hits"] == 1
         assert replayed == computed
         PersistentEvalCache.reset_shared()
+
+    def test_warm_resubmission_simulates_nothing(self, tmp_path, count_simulations):
+        """The same request run twice against one cache directory: every
+        evaluation of the second run — the unpatched design, each
+        candidate, each minimization subset — replays from the cache, so
+        it simulates nothing and ends where the first run ended."""
+        from repro.api import run_request
+        from repro.cache import PersistentEvalCache
+        from repro.service.jobs import RepairRequest
+
+        PersistentEvalCache.reset_shared()
+        request = RepairRequest(
+            scenario="counter_reset",
+            seeds=(0,),
+            config={
+                "population_size": 16,
+                "max_generations": 2,
+                "max_fitness_evals": 32,
+                "minimize_budget": 8,
+                "max_wall_seconds": 1e6,
+            },
+        )
+        base = RepairConfig(cache_dir=str(tmp_path / "c"))
+        cold = run_request(request, base)
+        runs = count_simulations()
+        warm = run_request(request, base)
+        PersistentEvalCache.reset_shared()
+        assert runs == []
+        assert (warm.plausible, warm.fitness, warm.eval_sims, warm.repaired_source) == (
+            cold.plausible, cold.fitness, cold.eval_sims, cold.repaired_source
+        )

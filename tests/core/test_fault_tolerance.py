@@ -10,12 +10,17 @@ engine's own counters at every level (outcome, metrics, events).
 
 import pytest
 
+from repro.benchsuite import load_scenario
 from repro.core import TEST_CONFIG, CirFixEngine, RepairProblem, repair
-from repro.core.backend import ProcessPoolBackend
+from repro.core.backend import EvalFailure, ProcessPoolBackend
+from repro.core.minimize import minimize_patch
 from repro.core.oracle import ensure_instrumented, generate_oracle
+from repro.core.patch import Patch
 from repro.fuzz.faults import plant_eval_chaos
 from repro.hdl import parse
 from repro.obs import MetricsObserver, RecordingObserver
+
+from .test_minimize_integration import bloated_counter_patch
 
 GOLDEN_FF = """
 module tff(clk, rstn, t, q);
@@ -63,11 +68,12 @@ def problem():
 
 #: Short-but-roomy supervision budget: the deadline must outlast the
 #: memory balloon's climb to its 128 MiB cap on slow hosts, while the
-#: planted hang burns exactly one deadline.  The ordinals (0, 1, 2) are
+#: planted hang burns exactly one deadline.  Dispatch 0 is the unpatched
+#: design, so the ordinals (1, 2, 3) poison the first three mutants,
 #: early in the deterministic dispatch schedule; the winning repair for
-#: this scenario appears much later (ordinal 17 of 18 under seed 0), so
+#: this scenario appears much later (ordinal 18 of 19 under seed 0), so
 #: poisoning them never quarantines the repair itself.
-CHAOS_SPEC = "hang@0,exit@1,balloon@2"
+CHAOS_SPEC = "hang@1,exit@2,balloon@3"
 CHAOS_CONFIG = TEST_CONFIG.scaled(
     max_generations=4,
     eval_deadline_seconds=8.0,
@@ -158,11 +164,72 @@ def test_chaos_run_matches_clean_run_outside_poisoned_slots(problem):
 
 def test_multi_seed_repair_quarantines_a_planted_hang(problem):
     """A multi-seed ``repair()`` runs its trials on the supervised pool:
-    the hang planted at dispatch ordinal 0 (seed 0's first candidate)
-    burns one deadline and is quarantined, and seed 0 still repairs."""
+    the hang planted at dispatch ordinal 1 (seed 0's first mutant; 0 is
+    the unpatched design) burns one deadline and is quarantined, and
+    seed 0 still repairs."""
     config = CHAOS_CONFIG.scaled(workers=2, eval_deadline_seconds=2.0)
-    with plant_eval_chaos("hang@0"):
+    with plant_eval_chaos("hang@1"):
         outcome = repair(problem, config, seeds=(0, 1))
     assert outcome.plausible
     assert outcome.seed == 0
     assert outcome.quarantined == 1
+
+
+class TestSingleCandidatesAreSupervised:
+    """The unpatched design and minimization subsets are scored on the
+    pool like chunk members: a planted fault there is quarantined, not
+    run in the engine process where no deadline could stop it."""
+
+    @pytest.fixture(scope="class")
+    def counter(self):
+        scenario = load_scenario("counter_reset")
+        config = scenario.suggested_config(TEST_CONFIG).scaled(
+            eval_deadline_seconds=2.0, eval_max_retries=0
+        )
+        return scenario.problem(), config
+
+    def test_minimization_subset_is_quarantined(self, counter):
+        problem, config = counter
+        bloated = bloated_counter_patch(problem.design)
+        # Dispatch 0 is the bloated patch itself, so 1 is ddmin's first subset.
+        with plant_eval_chaos("hang@1"):
+            with ProcessPoolBackend.for_problem(problem, config, workers=2) as pool:
+                engine = CirFixEngine(problem, config, backend=pool)
+                assert engine.evaluate(bloated).is_plausible
+                minimized = minimize_patch(
+                    bloated, lambda p: engine.evaluate(p).is_plausible
+                )
+                assert engine.candidates_quarantined == 1
+                assert engine.evaluate(minimized).is_plausible
+
+    def test_unpatched_design_is_quarantined(self, counter):
+        problem, config = counter
+        recorder = RecordingObserver()
+        with plant_eval_chaos("hang@0"):
+            with ProcessPoolBackend.for_problem(problem, config, workers=2) as pool:
+                engine = CirFixEngine(
+                    problem, config, backend=pool, observers=[recorder]
+                )
+                result = engine.evaluate(Patch.empty())
+        assert result.failure == EvalFailure("timeout", 1)
+        assert result.fitness == 0.0
+        assert engine.candidates_quarantined == 1
+        # The incident is drained right after the single candidate; it was
+        # no chunk, so nothing reports a chunk.
+        assert recorder.types() == ["candidate_timed_out", "candidate_evaluated"]
+
+    def test_single_candidate_requeue_emits_no_chunk_retried(self, counter):
+        problem, config = counter
+        recorder = RecordingObserver()
+        config = config.scaled(eval_max_retries=1)
+        with plant_eval_chaos("exit@0:once"):
+            with ProcessPoolBackend.for_problem(problem, config, workers=2) as pool:
+                engine = CirFixEngine(
+                    problem, config, backend=pool, observers=[recorder]
+                )
+                result = engine.evaluate(Patch.empty())
+        assert result.failure is None and result.compiled
+        assert engine.candidates_quarantined == 0
+        crashed = [e for e in recorder.events if e.type == "worker_crashed"]
+        assert [(e.kind, e.quarantined) for e in crashed] == [("crash", False)]
+        assert not [e for e in recorder.events if e.type == "chunk_retried"]

@@ -63,7 +63,7 @@ class TestEvalCache:
     def _result(self, fitness=0.5):
         from repro.core.backend import CandidateResult
 
-        return CandidateResult(fitness, None, True, None)
+        return CandidateResult(fitness, True, None)
 
     def test_hit_replays_the_stored_result(self):
         cache = EvalCache(4)
