@@ -90,6 +90,61 @@ if bad:
     sys.exit("evaluate_design_text() called outside core/backend.py; score through the backend")
 EOF
 
+echo "== one way in (repro repair runs through run_request; simulators built in their homes only) =="
+python - <<'EOF'
+import ast
+import pathlib
+import sys
+
+# `repro repair` reads its files into a RepairRequest and runs it with
+# run_request, as the daemon runs `repro submit`; it neither builds its
+# own problem nor picks its own engine runner.
+CLI = "src/repro/cli.py"
+CLI_BANNED = {"get_engine", "build_problem"}
+# A simulator is built by the simulator package itself, by the backend
+# (candidates), by the golden run (oracles), by the fuzz reference
+# oracles, and by two standalone simulation helpers.  Everything else
+# scores through the backend or reads the golden run.
+SIMULATORS = {"Simulator", "CompiledSimulator"}
+ALLOWED_FILES = {
+    "src/repro/core/backend.py",
+    "src/repro/core/oracle.py",
+    "src/repro/fuzz/oracles.py",
+}
+ALLOWED_SCOPES = {
+    ("src/repro/api.py", "simulate"),
+    ("src/repro/benchsuite/scenario.py", "simulate_design_text"),
+}
+
+
+def calls(node, scope):
+    """(line, enclosing def, called name) for each call in ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from calls(child, f"{scope}.{child.name}".lstrip("."))
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            yield child.lineno, scope, name
+        yield from calls(child, scope)
+
+
+bad = []
+for path in sorted(pathlib.Path("src/repro").rglob("*.py")):
+    posix = path.as_posix()
+    if posix.startswith("src/repro/sim/") or posix in ALLOWED_FILES:
+        continue
+    for line, scope, name in calls(ast.parse(path.read_text(), posix), ""):
+        if posix == CLI and name in CLI_BANNED:
+            bad.append(f"{posix}:{line}: {name}() in {scope}; use run_request")
+        elif name in SIMULATORS and (posix, scope) not in ALLOWED_SCOPES:
+            bad.append(f"{posix}:{line}: {name}() in {scope or 'module scope'}")
+if bad:
+    print("\n".join(bad), file=sys.stderr)
+    sys.exit("a second way in: run requests through run_request, score through the backend")
+EOF
+
 echo "== unit / integration / property tests =="
 python -m pytest tests/ -q
 

@@ -11,16 +11,18 @@ pipeline is built from behind small functions:
 - :func:`repair_scenario` / :func:`repair_verilog` — convenience
   wrappers building a request from a benchmark scenario id or raw
   Verilog texts;
-- :func:`localize` — Algorithm 2 on its own: simulate the faulty design
-  once and return the implicated node set;
+- :func:`localize` — Algorithm 2 on its own: score the faulty design
+  once through the evaluation backend and return the implicated node
+  set;
 - :func:`simulate` — run a design (optionally under a testbench,
   optionally instrumented) and return the :class:`~repro.sim.SimResult`;
 - :func:`lint` — static analysis (``repro.lint``) over a design source
   or AST, returning the :class:`~repro.lint.LintReport`;
 
-plus the supporting constructors :func:`build_problem` (file-based, the
-artifact's ``repair.conf`` workflow) and :func:`materialize_request`
-(request → ready-to-run problem/config pair).
+plus the supporting constructors :func:`materialize_request` (request →
+ready-to-run problem/config pair) and :func:`build_problem` (file-based,
+the artifact's ``repair.conf`` workflow), a thin wrapper that reads its
+files into a request and materializes it.
 
 Every repair entry point accepts ``observers`` (:mod:`repro.obs`
 instances receiving the engine's event stream — they never influence the
@@ -41,13 +43,14 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Callable, Sequence
 
+from .core.backend import SerialBackend
 from .core.config import RepairConfig
 from .core.engines import DEFAULT_ENGINE, get_engine
 from .core.faultloc import FaultLocalization, localize_faults
 from .core.oracle import combine_sources, ensure_instrumented, generate_oracle
 from .core.repair import RepairOutcome, RepairProblem
-from .hdl import ast, parse
-from .instrument.trace import SimulationTrace, output_mismatch
+from .hdl import ast, generate, parse
+from .instrument.trace import SimulationTrace
 from .obs.observer import RepairObserver
 from .service.jobs import RepairRequest
 from .sim.simulator import SimResult, Simulator
@@ -131,10 +134,11 @@ def run_request(
 ) -> RepairOutcome:
     """Execute one :class:`~repro.service.jobs.RepairRequest`.
 
-    The canonical repair entry point: the service daemon, the CLI, and
-    the convenience wrappers below all funnel through here, so a request
-    submitted over the service protocol and the same request run
-    in-process produce bit-identical outcomes.
+    The canonical repair entry point: the service daemon, ``repro
+    repair`` and the convenience wrappers below all funnel through here,
+    so a request submitted over the service protocol, the same files
+    repaired from the command line, and the same request run in-process
+    produce bit-identical outcomes.
 
     ``checkpoint`` (crash recovery, ``docs/service.md``) receives the
     engine's deterministic cursor snapshot at every search boundary; the
@@ -237,21 +241,17 @@ def build_problem(
     Exactly one oracle source is required: ``golden`` (a
     previously-functioning design, simulated to produce the expected
     trace) or ``oracle`` (an expected-behaviour CSV in the Figure 2
-    shape).  Raises :class:`ValueError` when neither is given.
+    shape).  Raises :class:`ValueError` when neither or both are given.
+    The files become a raw-text :class:`RepairRequest`, materialized
+    exactly as :func:`run_request` materializes it; the problem is named
+    after ``source``.
     """
-    source = Path(source)
-    faulty = parse(source.read_text())
-    testbench_ast = parse(Path(testbench).read_text())
-    if golden is not None:
-        golden_ast = parse(Path(golden).read_text())
-        bench = ensure_instrumented(testbench_ast, golden_ast)
-        oracle_trace = generate_oracle(golden_ast, bench)
-    elif oracle is not None:
-        bench = ensure_instrumented(testbench_ast, faulty)
-        oracle_trace = SimulationTrace.from_csv(Path(oracle).read_text())
-    else:
+    if golden is None and oracle is None:
         raise ValueError("provide either a golden design or an oracle CSV")
-    return RepairProblem(faulty, bench, oracle_trace, name=source.stem)
+    request = RepairRequest.from_files(source, testbench, golden, oracle)
+    problem = materialize_request(request)[0]
+    problem.name = Path(source).stem
+    return problem
 
 
 def localize(
@@ -260,23 +260,25 @@ def localize(
 ) -> FaultLocalization:
     """Run fault localization (Algorithm 2) on the unpatched design.
 
-    Simulates the faulty design once under its instrumented testbench,
-    diffs the trace against the oracle, and returns the implicated node
-    set.  An empty mismatch yields an empty localization (the design
-    already matches its oracle).
+    Scores the faulty design once on the serial evaluation backend, the
+    way the engines score it, and seeds Algorithm 2 with the outputs
+    that mismatch the oracle.  An empty mismatch yields an empty
+    localization (the design already matches its oracle).  Raises
+    :class:`ValueError` when the design cannot be scored: it does not
+    compile, or it crashes in simulation.
     """
     config = config or RepairConfig()
     problem, scaled = _as_problem(scenario, config)
-    sim = Simulator(
-        combine_sources(problem.design, problem.testbench),
-        max_steps=scaled.max_sim_steps,
-    )
-    result = sim.run(scaled.max_sim_time)
-    trace = SimulationTrace.from_records(result.trace)
-    mismatch = output_mismatch(problem.oracle, trace)
-    if not mismatch:
+    with SerialBackend.for_problem(problem, scaled) as backend:
+        [result] = backend.evaluate_batch([generate(problem.design)])
+    if result.mismatch is None:
+        raise ValueError(
+            f"{problem.name}: the design cannot be scored (it does not "
+            "compile, or it crashes in simulation)"
+        )
+    if not result.mismatch:
         return FaultLocalization()
-    return localize_faults(problem.design, mismatch)
+    return localize_faults(problem.design, set(result.mismatch))
 
 
 def lint(design: "ast.Source | str", rules: "str | None" = None):

@@ -13,7 +13,12 @@ from dataclasses import dataclass, field
 
 from ..core.config import RepairConfig
 from ..core.fitness import evaluate_fitness
-from ..core.oracle import combine_sources, ensure_instrumented, generate_oracle
+from ..core.oracle import (
+    combine_sources,
+    ensure_instrumented,
+    generate_oracle,
+    golden_run,
+)
 from ..core.repair import RepairProblem
 from ..hdl import parse
 from ..instrument.trace import SimulationTrace
@@ -85,7 +90,6 @@ class Scenario:
     defect: Defect
     project: Project
     faulty_design_text: str
-    _oracle: SimulationTrace | None = field(default=None, repr=False)
     _problem: RepairProblem | None = field(default=None, repr=False)
 
     @property
@@ -147,11 +151,7 @@ class Scenario:
 
     def oracle(self) -> SimulationTrace:
         """Expected-behaviour trace from the golden design (cached)."""
-        if self._oracle is None:
-            self._oracle = _cached_oracle(
-                self.project.name, self.project.design_text, self.project.testbench_text
-            )
-        return self._oracle
+        return _golden_run(self.project)[0]
 
     def problem(self) -> RepairProblem:
         """The RepairProblem for this scenario (cached)."""
@@ -172,11 +172,8 @@ class Scenario:
         the golden run's measured cost keeps such rejects cheap without
         truncating legitimate candidates.
         """
-        oracle = self.oracle()
+        oracle, steps = _golden_run(self.project)
         end_time = oracle.times()[-1] if len(oracle) else 10_000
-        steps = _golden_steps(
-            self.project.name, self.project.design_text, self.project.testbench_text
-        )
         return base.scaled(
             max_sim_time=max(end_time * 4, 2_000),
             max_sim_steps=max(steps * 30, 20_000),
@@ -212,38 +209,22 @@ class Scenario:
         return evaluate_fitness(actual, expected).fitness >= 1.0
 
 
-#: Oracle traces are deterministic per project; cache them process-wide so
-#: multiple scenarios over the same project do not re-simulate the golden
-#: design (the texts participate in the key to stay correct under edits).
-_ORACLE_CACHE: dict[tuple[str, int], SimulationTrace] = {}
+#: Golden runs are deterministic per project: cache ``golden_run``'s
+#: ``(oracle, steps_used)`` process-wide, so the scenarios over one
+#: project simulate its golden design once, for both the oracle and the
+#: step budget.  The texts themselves are part of the key, so an edited
+#: project never reads a stale run.
+_GOLDEN_RUNS: dict[tuple[str, str, str], tuple[SimulationTrace, int]] = {}
 
 
-def _cached_oracle(name: str, design_text: str, testbench_text: str) -> SimulationTrace:
-    key = (name, hash((design_text, testbench_text)))
-    oracle = _ORACLE_CACHE.get(key)
-    if oracle is None:
-        golden = parse(design_text)
-        bench = ensure_instrumented(parse(testbench_text), golden)
-        oracle = generate_oracle(golden, bench)
-        _ORACLE_CACHE[key] = oracle
-    return oracle
-
-
-#: Statement count of each golden run, for budget scaling.
-_STEPS_CACHE: dict[tuple[str, int], int] = {}
-
-
-def _golden_steps(name: str, design_text: str, testbench_text: str) -> int:
-    key = (name, hash((design_text, testbench_text)))
-    steps = _STEPS_CACHE.get(key)
-    if steps is None:
-        golden = parse(design_text)
-        bench = ensure_instrumented(parse(testbench_text), golden)
-        combined = combine_sources(golden, bench)
-        result = Simulator(combined).run(1_000_000)
-        steps = result.steps_used
-        _STEPS_CACHE[key] = steps
-    return steps
+def _golden_run(project: Project) -> tuple[SimulationTrace, int]:
+    key = (project.name, project.design_text, project.testbench_text)
+    run = _GOLDEN_RUNS.get(key)
+    if run is None:
+        golden = parse(project.design_text)
+        bench = ensure_instrumented(parse(project.testbench_text), golden)
+        run = _GOLDEN_RUNS[key] = golden_run(golden, bench)
+    return run
 
 
 def simulate_design_text(design_text: str, instrumented_testbench) -> SimulationTrace:

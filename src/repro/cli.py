@@ -44,6 +44,11 @@ The ``[gp]`` section accepts every :class:`repro.core.config.RepairConfig`
 field; unknown keys are rejected with the offending key named.  CLI flags
 (``--budget``, ``--population``, ``--workers``, ``--backend``) are applied
 on top of the file.
+
+``repair`` reads its files into a raw-text
+:class:`~repro.service.jobs.RepairRequest` and runs it with
+:func:`repro.api.run_request`, the path the daemon runs ``submit`` jobs
+on, so ``repair`` and ``submit`` of the same files write the same report.
 """
 
 from __future__ import annotations
@@ -55,11 +60,12 @@ import sys
 from pathlib import Path
 from typing import Iterator
 
-from .api import build_problem, simulate
+from .api import run_request, simulate
 from .benchsuite import DEFECTS
 from .core.config import BACKEND_NAMES, ConfigError, RepairConfig
-from .core.engines import DEFAULT_ENGINE, engine_descriptions, engine_names, get_engine
+from .core.engines import DEFAULT_ENGINE, engine_descriptions, engine_names
 from .instrument.trace import SimulationTrace
+from .service.jobs import RepairRequest
 
 
 @contextlib.contextmanager
@@ -94,9 +100,9 @@ def cmd_repair(args: argparse.Namespace) -> int:
             raise SystemExit(f"error: {args.conf} has no [project] section")
         project = ini["project"]
         source = Path(project["source"])
-        testbench = Path(project["testbench"])
-        golden = Path(project["golden"]) if "golden" in project else None
-        oracle = Path(project["oracle"]) if "oracle" in project else None
+        testbench = project["testbench"]
+        golden = project.get("golden")
+        oracle = project.get("oracle")
         config, file_seeds = RepairConfig.from_file(args.conf)
         if file_seeds is not None:
             seeds = file_seeds
@@ -104,9 +110,7 @@ def cmd_repair(args: argparse.Namespace) -> int:
         if not args.source or not args.testbench:
             raise SystemExit("error: provide SOURCE TESTBENCH or --conf FILE")
         source = Path(args.source)
-        testbench = Path(args.testbench)
-        golden = Path(args.golden) if args.golden else None
-        oracle = Path(args.oracle) if args.oracle else None
+        testbench, golden, oracle = args.testbench, args.golden, args.oracle
     config = RepairConfig.from_cli_args(args, base=config)
 
     if args.log:
@@ -114,12 +118,15 @@ def cmd_repair(args: argparse.Namespace) -> int:
 
         logging.basicConfig(level=logging.INFO, format="%(message)s")
 
+    # The files become the raw-text request `repro submit` sends, run
+    # exactly as the daemon runs it.
     try:
-        problem = build_problem(source, testbench, golden=golden, oracle=oracle)
+        request = RepairRequest.from_files(
+            source, testbench, golden, oracle, seeds=seeds, engine=args.engine
+        ).validate()
     except ValueError as exc:
         raise SystemExit(f"error: {exc}")
 
-    runner = get_engine(args.engine)
     profiler = None
     with _trace_observers(args.trace) as observers:
         if args.profile:
@@ -128,7 +135,10 @@ def cmd_repair(args: argparse.Namespace) -> int:
             profiler = cProfile.Profile()
             profiler.enable()
         try:
-            outcome = runner(problem, config, seeds, observers=observers)
+            outcome = run_request(request, base_config=config, observers=observers)
+        except ValueError as exc:
+            # A malformed oracle CSV is only parsed when the problem is built.
+            raise SystemExit(f"error: {exc}")
         finally:
             if profiler is not None:
                 profiler.disable()
@@ -425,7 +435,7 @@ def cmd_submit(args: argparse.Namespace) -> int:
     """
     import json as json_mod
 
-    from .service import RepairRequest, ServiceClient, ServiceError
+    from .service import ServiceClient, ServiceError
 
     overrides: dict[str, object] = {}
     for item in args.config or []:
@@ -433,26 +443,17 @@ def cmd_submit(args: argparse.Namespace) -> int:
             raise SystemExit(f"error: --config expects key=value (got {item!r})")
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
+    fields = dict(
+        config=overrides, seeds=tuple(args.seeds), engine=args.engine,
+        tenant=args.tenant,
+    )
     if args.scenario:
-        request = RepairRequest(
-            scenario=args.scenario,
-            config=overrides,
-            seeds=tuple(args.seeds),
-            engine=args.engine,
-            tenant=args.tenant,
-        )
+        request = RepairRequest(scenario=args.scenario, **fields)
     else:
         if not args.source or not args.testbench:
             raise SystemExit("error: provide a SCENARIO id or --source/--testbench")
-        request = RepairRequest(
-            design=Path(args.source).read_text(),
-            testbench=Path(args.testbench).read_text(),
-            golden=Path(args.golden).read_text() if args.golden else "",
-            oracle_csv=Path(args.oracle).read_text() if args.oracle else "",
-            config=overrides,
-            seeds=tuple(args.seeds),
-            engine=args.engine,
-            tenant=args.tenant,
+        request = RepairRequest.from_files(
+            args.source, args.testbench, args.golden, args.oracle, **fields
         )
     on_event = None
     if args.stream:
@@ -798,7 +799,7 @@ def main(argv: list[str] | None = None) -> int:
     p_submit.add_argument("--testbench", help="testbench .v (with --source)")
     p_submit.add_argument("--golden", help="previously-functioning design .v")
     p_submit.add_argument("--oracle", help="expected-behaviour CSV (Figure 2 shape)")
-    p_submit.add_argument("--seeds", type=int, nargs="*", default=[0, 1, 2])
+    p_submit.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
     p_submit.add_argument(
         "--engine", choices=engine_names(), default=DEFAULT_ENGINE,
         help="registered repair engine the daemon should run "

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..hdl import ast
-from ..hdl.dataflow import condition_expr, expr_names, lhs_names
+from ..hdl.dataflow import lhs_names
 
 
 @dataclass
@@ -47,16 +47,11 @@ _CONDITIONAL_TYPES = (ast.If, ast.Case, ast.While, ast.Ternary, ast.For)
 
 
 # The name-level queries are shared with repro.lint and live in
-# repro.hdl.dataflow; the aliases keep this module's call sites (and any
-# external users of the historical private names) unchanged.
+# repro.hdl.dataflow; this adapter applies the LHS query to an assignment.
 def _lhs_names(node: ast.Node) -> set[str]:
     """Identifier names written by an assignment's LHS (through selects
     and concatenations)."""
     return lhs_names(node.lhs)  # type: ignore[attr-defined]
-
-
-_condition_expr = condition_expr
-_expr_names = expr_names
 
 
 def _implicated(node: ast.Node, mismatch: set[str]) -> bool:

@@ -45,11 +45,6 @@ _FAMILIES: tuple[tuple[type, ...], ...] = (
 )
 
 
-def is_statement(node: ast.Node) -> bool:
-    """True when the node is a procedural statement."""
-    return isinstance(node, ast.Stmt)
-
-
 def insertion_sources(design: ast.Node) -> list[ast.Node]:
     """Statements from the design usable as insertion material."""
     return [

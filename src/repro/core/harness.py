@@ -36,7 +36,7 @@ import time as time_mod
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Sequence
 
-from ..hdl import ast, generate, max_node_id, parse
+from ..hdl import ast, generate, max_node_id
 from ..instrument.trace import SimulationTrace
 # Unused here, but the end-to-end benchmark tracer
 # (benchmarks/e2e/tracer.py) wraps this name in this module.
@@ -132,15 +132,6 @@ class RepairProblem:
         self.name = name
         self.design_max_id = max_node_id(design)
         self.testbench_text = generate(testbench)
-
-    @staticmethod
-    def from_text(
-        faulty_design: str,
-        testbench: str,
-        oracle: SimulationTrace,
-        name: str = "scenario",
-    ) -> "RepairProblem":
-        return RepairProblem(parse(faulty_design), parse(testbench), oracle, name)
 
 
 def adaptive_chunk_size(batch: int, eval_chunk_size: int) -> int:

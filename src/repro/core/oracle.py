@@ -46,14 +46,18 @@ def ensure_instrumented(
     return instrumented
 
 
-def generate_oracle(
+def golden_run(
     golden_design: ast.Source,
     instrumented_testbench: ast.Source,
     max_sim_time: int = 1_000_000,
     max_sim_steps: int = 5_000_000,
     require_finish: bool = True,
-) -> SimulationTrace:
-    """Simulate the golden design and return the recorded expected trace."""
+) -> tuple[SimulationTrace, int]:
+    """Simulate the golden design once: ``(expected trace, statements run)``.
+
+    The statement count is the golden run's cost, which
+    ``Scenario.suggested_config`` scales the candidates' step budget from.
+    """
     combined = combine_sources(golden_design, instrumented_testbench)
     sim = Simulator(combined, max_steps=max_sim_steps)
     result = sim.run(max_sim_time)
@@ -63,7 +67,21 @@ def generate_oracle(
         raise OracleError("golden design simulation did not reach $finish")
     if not result.trace:
         raise OracleError("golden design produced an empty trace (not instrumented?)")
-    return SimulationTrace.from_records(result.trace)
+    return SimulationTrace.from_records(result.trace), result.steps_used
+
+
+def generate_oracle(
+    golden_design: ast.Source,
+    instrumented_testbench: ast.Source,
+    max_sim_time: int = 1_000_000,
+    max_sim_steps: int = 5_000_000,
+    require_finish: bool = True,
+) -> SimulationTrace:
+    """Simulate the golden design and return the recorded expected trace."""
+    return golden_run(
+        golden_design, instrumented_testbench, max_sim_time, max_sim_steps,
+        require_finish,
+    )[0]
 
 
 def degrade_oracle(oracle: SimulationTrace, fraction: float) -> SimulationTrace:

@@ -23,6 +23,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Mapping
 
 from ..core.config import RepairConfig
@@ -88,6 +89,34 @@ class RepairRequest:
     engine: str = DEFAULT_ENGINE
     #: Fair-share scheduling bucket; never part of the dedup key.
     tenant: str = "default"
+
+    @classmethod
+    def from_files(
+        cls,
+        source: "str | Path",
+        testbench: "str | Path",
+        golden: "str | Path | None" = None,
+        oracle: "str | Path | None" = None,
+        **fields: Any,
+    ) -> "RepairRequest":
+        """A raw-text request read from files (the ``repair.conf`` workflow).
+
+        ``golden`` (a previously-functioning design) and ``oracle`` (an
+        expected-behaviour CSV) are the two oracle sources; an absent one
+        stays "".  ``fields`` set the remaining request fields.  Nothing
+        is validated here: call :meth:`validate`.
+        """
+
+        def read(path: "str | Path | None") -> str:
+            return Path(path).read_text() if path else ""
+
+        return cls(
+            design=read(source),
+            testbench=read(testbench),
+            golden=read(golden),
+            oracle_csv=read(oracle),
+            **fields,
+        )
 
     def validate(self) -> "RepairRequest":
         """Check structural validity; raises ``ValueError``.

@@ -814,11 +814,6 @@ def _compile_stmt_strict(stmt: ast.Stmt, sc: _Scope) -> _CStmt:
     return (True, run)
 
 
-def _run_steps(steps: tuple, S) -> None:
-    for _sync, f in steps:
-        f(S)
-
-
 def _gen_steps(steps: tuple, S):
     for sync, f in steps:
         if sync:

@@ -352,11 +352,3 @@ def _eval_concat(expr: ast.Concat, scope: EvalScope) -> Value:
     assert result is not None
     return result
 
-
-def const_eval(expr: ast.Expr, scope: EvalScope) -> int:
-    """Evaluate an expression expected to be a defined constant (ranges,
-    parameters, delays).  Raises :class:`EvalError` when it is x/z."""
-    value = eval_expr(expr, scope)
-    if not value.is_fully_defined:
-        raise EvalError("constant expression evaluated to x/z")
-    return value.to_int() if value.signed else value.aval

@@ -206,10 +206,6 @@ class Instance:
             return self.name
         return f"{self.parent.path}.{self.name}"
 
-    def lookup_signal(self, name: str) -> Signal | None:
-        """The signal named ``name`` in this instance, or None."""
-        return self.signals.get(name)
-
     def lookup(self, name: str) -> Signal | Memory | NamedEvent | Value | None:
         """Resolve a simple name within this instance."""
         if name in self.signals:

@@ -1,11 +1,16 @@
 """Scenario machinery tests (defect transplantation, config scaling,
 correctness checking)."""
 
+import uuid
+
 import pytest
 
-from repro.benchsuite import load_scenario
-from repro.benchsuite.scenario import Defect
+from repro.benchsuite import DEFECTS, PROJECT_NAMES, load_scenario
+from repro.benchsuite.scenario import Defect, Scenario
 from repro.core.config import RepairConfig
+from repro.core.oracle import combine_sources, ensure_instrumented
+from repro.hdl import parse
+from repro.sim.simulator import Simulator
 
 
 class TestDefectApply:
@@ -35,14 +40,37 @@ class TestScenario:
         assert first.oracle().times() == second.oracle().times()
 
     def test_suggested_config_scales_bounds(self):
-        scenario = load_scenario("rs_sens")
         base = RepairConfig()
-        scaled = scenario.suggested_config(base)
-        end_time = scenario.oracle().times()[-1]
-        assert scaled.max_sim_time >= end_time
-        assert scaled.max_sim_steps >= 20_000
-        # Other fields untouched.
-        assert scaled.population_size == base.population_size
+        for project in PROJECT_NAMES:
+            defect = next(d for d in DEFECTS if d.project == project)
+            scenario = load_scenario(defect.scenario_id)
+            scaled = scenario.suggested_config(base)
+            end_time = scenario.oracle().times()[-1]
+            assert scaled.max_sim_time >= end_time
+            assert scaled.max_sim_steps >= 20_000
+            # The step budget is 30x the golden run's own statement count.
+            golden = parse(scenario.project.design_text)
+            bench = ensure_instrumented(parse(scenario.project.testbench_text), golden)
+            steps = Simulator(combine_sources(golden, bench)).run(1_000_000).steps_used
+            assert scaled.max_sim_steps == max(30 * steps, 20_000), project
+            # Other fields untouched.
+            assert scaled.population_size == base.population_size
+
+    def test_one_golden_simulation_builds_oracle_and_budget(self, count_simulations):
+        # A fresh project name keeps the process-wide golden-run cache cold.
+        counter = load_scenario("counter_reset")
+        scenario = Scenario.from_texts(
+            "golden_run_probe",
+            golden_text=counter.project.design_text,
+            testbench_text=counter.project.testbench_text,
+            faulty_text=counter.faulty_design_text,
+            project_name=f"probe_{uuid.uuid4().hex}",
+        )
+        runs = count_simulations()
+        oracle = scenario.oracle()
+        scenario.suggested_config(RepairConfig())
+        assert runs == ["Simulator"]
+        assert scenario.oracle() is oracle
 
     def test_is_correct_repair_accepts_golden(self):
         scenario = load_scenario("ff_cond")

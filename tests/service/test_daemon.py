@@ -104,6 +104,64 @@ class TestParityAndWarmCache:
         assert completed.cache_hit_rate == response.cache["hit_rate"]
 
 
+class TestRepairMatchesSubmit:
+    #: One config for both paths, with the wall clock lifted so the
+    #: budget is deterministic.
+    CONFIG = {
+        "population_size": "120",
+        "max_generations": "4",
+        "max_fitness_evals": "600",
+        "minimize_budget": "64",
+        "max_wall_seconds": "1000000",
+    }
+
+    def test_repair_and_submit_write_the_same_report(self, tmp_path, capsys):
+        """``repro repair`` of some files and ``repro submit`` of the same
+        files run one request path: their reports differ only in the
+        wall clock and in the scenario label."""
+        from repro.benchsuite import load_scenario
+        from repro.cli import main
+
+        scenario = load_scenario("ff_cond")
+        (tmp_path / "faulty.v").write_text(scenario.faulty_design_text)
+        (tmp_path / "golden.v").write_text(scenario.project.design_text)
+        (tmp_path / "tb.v").write_text(scenario.project.testbench_text)
+        conf = tmp_path / "repair.conf"
+        conf.write_text(
+            "[project]\n"
+            f"source = {tmp_path}/faulty.v\n"
+            f"testbench = {tmp_path}/tb.v\n"
+            f"golden = {tmp_path}/golden.v\n"
+            "[gp]\n"
+            + "".join(f"{key} = {value}\n" for key, value in self.CONFIG.items())
+            + "seeds = 0,1\n"
+        )
+        out = tmp_path / "repaired.v"
+        assert main(["repair", "--conf", str(conf), "--output", str(out)]) == 0
+        repaired = json.loads(out.with_suffix(".report.json").read_text())
+        capsys.readouterr()
+
+        overrides = [f"--config={key}={value}" for key, value in self.CONFIG.items()]
+        daemon = DaemonHarness(tmp_path, "d")
+        with daemon:
+            code = main(
+                [
+                    "submit", "--socket", daemon.socket_path,
+                    "--source", str(tmp_path / "faulty.v"),
+                    "--testbench", str(tmp_path / "tb.v"),
+                    "--golden", str(tmp_path / "golden.v"),
+                    "--seeds", "0", "1", *overrides,
+                ]
+            )
+        assert code == 0
+        submitted = json.loads(capsys.readouterr().out)
+
+        assert (repaired.pop("scenario"), submitted.pop("scenario")) == ("faulty", "")
+        repaired.pop("elapsed_seconds")
+        submitted.pop("elapsed_seconds")
+        assert repaired == submitted
+
+
 class TestJoin:
     def test_duplicate_inflight_submission_joins(self, tmp_path):
         # Enough seeds that the job is still in flight when we resubmit.

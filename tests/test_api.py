@@ -69,6 +69,37 @@ class TestLocalize:
         problem = RepairProblem(golden, bench, oracle)
         assert len(localize(problem)) == 0
 
+    def test_matches_the_engines_first_fault_set(self):
+        from repro.benchsuite import load_scenario
+        from repro.core.backend import SerialBackend
+        from repro.core.config import RepairConfig
+        from repro.core.patch import Patch
+        from repro.core.repair import CirFixEngine
+
+        scenario = load_scenario("dec_numeric")
+        problem = scenario.problem()
+        config = scenario.suggested_config(RepairConfig())
+        with SerialBackend.for_problem(problem, config) as backend:
+            engine = CirFixEngine(problem, config, 0, backend=backend)
+            original = Patch.empty()
+            faults = engine.fault_localization(original, engine.variant_tree(original))
+        assert localize("dec_numeric").nodes == faults
+
+    def test_unscorable_design_rejected(self):
+        from repro.core.oracle import ensure_instrumented, generate_oracle
+        from repro.hdl import parse
+
+        golden = parse(DESIGN)
+        bench = ensure_instrumented(parse(TESTBENCH), golden)
+        oracle = generate_oracle(golden, bench)
+        # Without its ``out`` port the design cannot bind the testbench.
+        portless = parse(
+            DESIGN.replace("counter(clk, rst, out)", "counter(clk, rst)")
+            .replace("output [1:0] out;\n", "")
+        )
+        with pytest.raises(ValueError, match="cannot be scored"):
+            localize(RepairProblem(portless, bench, oracle))
+
     def test_unknown_scenario_rejected(self):
         with pytest.raises(KeyError, match="unknown scenario"):
             localize("not_a_scenario")

@@ -105,6 +105,37 @@ class TestRepairCommand:
         assert exc.value.code == 2
         assert "--seeds" in capsys.readouterr().err
 
+    def test_submit_empty_seeds_is_a_usage_error(self, ff_files, capsys):
+        # argparse rejects the bare flag before any daemon is contacted.
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "submit",
+                    "--socket",
+                    str(ff_files / "no-daemon.sock"),
+                    "counter_reset",
+                    "--seeds",
+                ]
+            )
+        assert exc.value.code == 2
+        assert "--seeds" in capsys.readouterr().err
+
+    def test_both_oracle_sources_error(self, ff_files, tmp_path):
+        oracle = tmp_path / "expected.csv"
+        oracle.write_text("time,q\n0,0\n")
+        with pytest.raises(SystemExit, match="exactly one oracle source"):
+            main(
+                [
+                    "repair",
+                    str(ff_files / "faulty.v"),
+                    str(ff_files / "tb.v"),
+                    "--golden",
+                    str(ff_files / "golden.v"),
+                    "--oracle",
+                    str(oracle),
+                ]
+            )
+
 
 class TestSimulateCommand:
     def test_simulate_with_record(self, ff_files, capsys):
