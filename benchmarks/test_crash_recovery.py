@@ -4,14 +4,16 @@ A real chaos run, measured end to end and written to
 ``BENCH_crash_recovery.json`` at the repo root:
 
 1. start a journaled daemon as a subprocess (``repro serve
-   --journal-dir``), submit a multi-generation repair, and ``kill -9``
-   the daemon after the engine has checkpointed mid-search;
+   --journal-dir``), submit a multi-generation repair with a streaming
+   client, and ``kill -9`` the daemon once the streamed events show the
+   engine has finished generation 2;
 2. restart with ``--recover`` and measure **recovery latency** — from
    the restart exec to the recovered job's terminal response (a client
    re-attaches by resubmitting, which dedup-joins the recovered job);
-3. report the **warm-resume hit rate**: the deterministic replay runs
-   out of the persistent eval cache, so pre-crash evaluations cost disk
-   hits instead of simulations;
+3. report the **warm-resume hit rate**: the recovered job runs again from
+   the start, and its deterministic replay runs out of the persistent
+   eval cache, so every pre-crash evaluation costs a disk hit instead of
+   a simulation;
 4. assert the recovered outcome is bit-identical (minus wall clock) to
    a direct uninterrupted run of the same request.
 
@@ -38,7 +40,7 @@ from repro.service.journal import JobJournal
 _REPO_ROOT = Path(__file__).resolve().parents[1]
 _RESULTS: dict[str, object] = {"scenario": "fsm_case", "cpu_count": os.cpu_count()}
 
-#: Full-budget search with no early exit: 8 generations of checkpoints.
+#: Full-budget search with no early exit: 8 generations.
 _CONFIG = {
     "population_size": 60,
     "max_generations": 8,
@@ -46,6 +48,10 @@ _CONFIG = {
     "max_wall_seconds": 120.0,
     "minimize_budget": 32,
 }
+
+
+class _KillNow(Exception):
+    """Raised from the event callback to stop reading the job's stream."""
 
 
 def _request() -> RepairRequest:
@@ -108,25 +114,27 @@ def test_crash_recovery(once):
         try:
             client = _wait_ready(socket_path)
             submitted = time.monotonic()
-            status, _ = client.submit(request, wait=False)
-            checkpoints = Path(journal_dir) / "checkpoints"
-            deadline = time.monotonic() + 60
-            # Let the engine bank at least two generation checkpoints so
-            # the replayed prefix is a real fraction of the search.
-            while True:
-                snapshots = list(checkpoints.glob("*.json"))
-                if snapshots:
-                    try:
-                        state = json.loads(snapshots[0].read_bytes())["state"]
-                        if state.get("cursor", 0) >= 2:
-                            break
-                    except (ValueError, KeyError):
-                        pass  # racing an atomic replace; retry
-                assert time.monotonic() < deadline, "engine never checkpointed"
-                time.sleep(0.01)
+            streamed: dict[str, object] = {}
+
+            def on_event(event) -> None:
+                # Kill once the engine has finished generation 2, so the
+                # replayed prefix is a real fraction of the search.
+                if event.type == "job_started":
+                    streamed["job_id"] = event.job_id
+                elif event.type == "generation_completed" and event.generation >= 2:
+                    streamed["generation"] = event
+                    raise _KillNow
+
+            try:
+                client.submit(request, stream=True, on_event=on_event)
+            except _KillNow:
+                pass
+            else:
+                raise AssertionError("job finished before generation 2")
             numbers["pre_crash_seconds"] = time.monotonic() - submitted
-            numbers["checkpoint_cursor_at_kill"] = state["cursor"]
-            numbers["pre_crash_eval_sims"] = state["eval_sims"]
+            at_kill = streamed["generation"]
+            numbers["generation_at_kill"] = at_kill.generation
+            numbers["pre_crash_eval_sims"] = at_kill.eval_sims
             os.kill(victim.pid, signal.SIGKILL)
             victim.wait(timeout=30)
         finally:
@@ -137,7 +145,7 @@ def test_crash_recovery(once):
         journal = JobJournal(journal_dir)
         unfinished = journal.unfinished()
         assert len(unfinished) == 1, "job finished before the kill landed"
-        assert unfinished[0].job_id == status.job_id
+        assert unfinished[0].job_id == streamed["job_id"]
 
         # Phase 2: restart with --recover; re-attach by resubmitting.
         restarted_at = time.monotonic()
@@ -156,7 +164,7 @@ def test_crash_recovery(once):
             except subprocess.TimeoutExpired:
                 survivor.kill()
 
-        assert joined.job_id == status.job_id, "client did not re-attach"
+        assert joined.job_id == streamed["job_id"], "client did not re-attach"
         assert response.status == "done"
         numbers["warm_resume_hit_rate"] = response.cache["hit_rate"]
         numbers["warm_resume_store_hits"] = response.cache["store_hits"]
@@ -170,9 +178,8 @@ def test_crash_recovery(once):
         assert got == want, "recovered outcome diverged from direct run"
         numbers["outcome_bit_identical"] = True
 
-        # Journal is clean again: terminal record, checkpoint discarded.
+        # Journal is clean again: the recovered job has its terminal record.
         assert journal.unfinished() == []
-        assert journal.load_checkpoint(status.job_id) is None
         return numbers
 
     numbers = once(chaos)
@@ -185,5 +192,7 @@ def test_crash_recovery(once):
     (_REPO_ROOT / "BENCH_crash_recovery.json").write_text(
         json.dumps(_RESULTS, indent=2) + "\n"
     )
-    # The replayed prefix must be warm: most pre-crash work is cache hits.
+    # The replayed prefix must be warm: every evaluation scored before the
+    # kill was published to the store, so the replay hits each of them.
+    assert numbers["warm_resume_store_hits"] >= numbers["pre_crash_eval_sims"], numbers
     assert numbers["warm_resume_hit_rate"] >= 0.3, numbers

@@ -130,7 +130,6 @@ def run_request(
     base_config: RepairConfig | None = None,
     observers: Sequence[RepairObserver] | None = None,
     cancel: Callable[[], bool] | None = None,
-    checkpoint: "Callable[[dict], None] | None" = None,
 ) -> RepairOutcome:
     """Execute one :class:`~repro.service.jobs.RepairRequest`.
 
@@ -138,11 +137,8 @@ def run_request(
     repair`` and the convenience wrappers below all funnel through here,
     so a request submitted over the service protocol, the same files
     repaired from the command line, and the same request run in-process
-    produce bit-identical outcomes.
-
-    ``checkpoint`` (crash recovery, ``docs/service.md``) receives the
-    engine's deterministic cursor snapshot at every search boundary; the
-    daemon passes a journal-backed sink, batch callers leave it None.
+    produce bit-identical outcomes.  The daemon recovers a crashed job
+    by calling it again with the same request (``docs/service.md``).
     """
     problem, config = materialize_request(request, base_config)
     runner = get_engine(request.engine)
@@ -152,7 +148,6 @@ def run_request(
         request.seeds,
         observers=observers,
         cancel=cancel,
-        checkpoint=checkpoint,
     )
 
 

@@ -398,15 +398,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.conf:
         config, _ = RepairConfig.from_file(args.conf)
     config = RepairConfig.from_cli_args(args, base=config)
-    daemon = RepairDaemon(
-        args.socket,
-        base_config=config,
-        max_jobs=args.max_jobs,
-        tenant_quota=args.tenant_quota,
-        journal_dir=args.journal_dir,
-        recover=args.recover,
-        max_queue_depth=args.max_queue_depth,
-    )
+    try:
+        daemon = RepairDaemon(
+            args.socket,
+            base_config=config,
+            max_jobs=args.max_jobs,
+            tenant_quota=args.tenant_quota,
+            journal_dir=args.journal_dir,
+            recover=args.recover,
+            max_queue_depth=args.max_queue_depth,
+        )
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
 
     async def _main() -> None:
         """Start the server, announce readiness, serve until shutdown."""
@@ -769,8 +772,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_serve.add_argument(
         "--journal-dir", dest="journal_dir", metavar="DIR",
-        help="durable job journal for crash recovery (admissions, "
-        "completions, and engine checkpoints are write-ahead logged)",
+        help="durable job journal for crash recovery (admissions, starts "
+        "and completions are write-ahead logged; --recover reruns "
+        "unfinished jobs)",
     )
     p_serve.add_argument(
         "--recover", action="store_true",

@@ -1,4 +1,4 @@
-"""The repair-engine registry (ROADMAP item 3 groundwork).
+"""The repair-engine registry.
 
 ``repro.api`` and the service daemon are *engine-neutral*: every repair
 entry point takes ``engine: str = "cirfix"`` and resolves it here, so a
@@ -9,17 +9,14 @@ or protocol change required.
 A runner is a callable with the signature::
 
     runner(problem, config, seeds, *,
-           backend=None, observers=None, cancel=None,
-           checkpoint=None) -> RepairOutcome
+           backend=None, observers=None, cancel=None) -> RepairOutcome
 
 mirroring :func:`repro.core.repair.repair` (which is the built-in
 ``"cirfix"`` runner).  Runners must honour the package-wide contracts:
 same seed → bit-identical outcome; observers never influence the search;
-``cancel`` polled cooperatively; ``checkpoint`` (a callable receiving
-the engine's deterministic cursor snapshot at each search boundary, see
-:meth:`repro.core.harness.EngineHarness._save_checkpoint`) never
-influences the search either — it only records progress for
-crash recovery.
+``cancel`` polled cooperatively.  Determinism is also what crash
+recovery rests on: the service daemon recovers a job by running the
+same request again, warm out of the persistent eval cache.
 
 Built-ins (registered lazily to avoid import cycles):
 
@@ -55,7 +52,6 @@ class EngineRunner(Protocol):
         backend: "EvaluationBackend | None" = None,
         observers: "Sequence[RepairObserver] | None" = None,
         cancel: Callable[[], bool] | None = None,
-        checkpoint: "Callable[[dict], None] | None" = None,
     ) -> "RepairOutcome":
         """Run trials on ``problem`` and return the chosen outcome."""
         ...  # pragma: no cover - protocol

@@ -31,10 +31,9 @@ cancellation is polled at chunk boundaries.  See
 from __future__ import annotations
 
 import contextlib
-import logging
 import time as time_mod
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ..hdl import ast, generate, max_node_id
 from ..instrument.trace import SimulationTrace
@@ -49,7 +48,6 @@ from ..obs.events import (
     CandidateEvaluated,
     CandidatePruned,
     CandidateTimedOut,
-    CheckpointSaved,
     ChunkRetried,
     GenerationCompleted,
     PhaseCompleted,
@@ -67,8 +65,6 @@ from .config import RepairConfig
 from .faultloc import all_statement_ids, localize_faults
 from .minimize import minimize_patch
 from .patch import Patch
-
-logger = logging.getLogger("repro.harness")
 
 
 @dataclass
@@ -171,9 +167,6 @@ class EngineHarness:
     build (and own) the backend selected by ``config``.
     """
 
-    #: Registry name stamped into checkpoint snapshots (subclasses set it).
-    engine_name = "engine"
-
     def __init__(
         self,
         problem: RepairProblem,
@@ -182,7 +175,6 @@ class EngineHarness:
         backend: EvaluationBackend | None = None,
         observers: Sequence[RepairObserver] | None = None,
         cancel: Callable[[], bool] | None = None,
-        checkpoint: "Callable[[dict[str, Any]], None] | None" = None,
     ):
         self.problem = problem
         self.config = config or RepairConfig()
@@ -192,12 +184,6 @@ class EngineHarness:
         #: chunk boundary and returns its best-so-far outcome.  None (the
         #: default) keeps every cancellation branch dead.
         self._cancel = cancel
-        #: Crash-recovery hook (repair-as-a-service): called with a
-        #: deterministic cursor snapshot at every search boundary (see
-        #: :meth:`_save_checkpoint`).  None (the default) keeps every
-        #: checkpoint branch dead — direct runs never emit checkpoint
-        #: events, so golden traces are untouched.
-        self._checkpoint = checkpoint
         #: Telemetry fan-out (repro.obs).  Falsy when no observers are
         #: attached, so every emit site costs one branch on unobserved
         #: runs; observers only ever read already-computed values, which
@@ -640,14 +626,12 @@ class EngineHarness:
         batch: list[Patch],
         population: list[Patch],
         out_of_budget: Callable[[], bool],
-        label: str = "",
     ) -> None:
         """Score one round's new patches and close the round.
 
         Folds ``batch`` into the trial's best patch and winner (stopping
-        at the first plausible patch), then records the best fitness,
-        emits ``GenerationCompleted`` for ``population`` and saves the
-        checkpoint at ``cursor``.
+        at the first plausible patch), then records the best fitness and
+        emits ``GenerationCompleted`` for ``population`` at ``cursor``.
         """
         for patch, result in zip(
             batch, self._evaluate_generation(batch, out_of_budget)
@@ -665,7 +649,6 @@ class EngineHarness:
             self.events.emit(
                 self._generation_event(cursor, population, self.best_fitness)
             )
-        self._save_checkpoint(cursor, self.best_fitness, label)
 
     def _budget_probe(self, deadline: float) -> Callable[[], bool]:
         """The shared out-of-budget predicate for one trial.
@@ -688,62 +671,6 @@ class EngineHarness:
             return False
 
         return out_of_budget
-
-    def _rng_digest(self) -> str:
-        """Digest of the engine's random stream position ("" when none).
-
-        Engines with internal randomness override this; the digest goes
-        into checkpoint snapshots so a resumed replay can prove it
-        reproduced the exact pre-crash stream position.
-        """
-        return ""
-
-    def _save_checkpoint(self, cursor: int, best_fitness: float,
-                         label: str = "") -> None:
-        """Snapshot the deterministic engine cursor at a search boundary.
-
-        Called after each generation (GP) / template round (synth).  The
-        snapshot is a *cursor*, not a population dump: resume replays the
-        search from the start with the persistent eval cache warm, so
-        every pre-crash evaluation is a disk hit and reaching this cursor
-        again costs cache lookups, not simulations — recovery cost is
-        bounded by the one interrupted generation's uncached work.  The
-        stored counters (``eval_sims``, rng digest) let the sink verify
-        the replay crossed this exact state.
-
-        A failing sink never breaks the search (crash-safety machinery
-        must not introduce crashes); the failure is logged and the run
-        continues un-journaled.
-        """
-        if self._checkpoint is None:
-            return
-        state: dict[str, Any] = {
-            "engine": self.engine_name,
-            "seed": self.seed,
-            "cursor": cursor,
-            "label": label,
-            "eval_sims": self.eval_sims,
-            "fitness_evals": self.fitness_evals,
-            "best_fitness": best_fitness,
-            "rng": self._rng_digest(),
-        }
-        try:
-            self._checkpoint(state)
-        except Exception as exc:  # noqa: BLE001 - isolation boundary
-            logger.warning(
-                "checkpoint sink failed at %s cursor %d (%s); continuing",
-                self.engine_name, cursor, exc,
-            )
-        if self.events:
-            self.events.emit(
-                CheckpointSaved(
-                    engine=self.engine_name,
-                    seed=self.seed,
-                    cursor=cursor,
-                    eval_sims=self.eval_sims,
-                    best_fitness=best_fitness,
-                )
-            )
 
     def _generation_event(self, generation: int, population: list[Patch],
                           best_fitness: float) -> GenerationCompleted:
@@ -847,7 +774,6 @@ def run_trials(
     backend: EvaluationBackend | None = None,
     observers: Sequence[RepairObserver] | None = None,
     cancel: Callable[[], bool] | None = None,
-    checkpoint: "Callable[[dict[str, Any]], None] | None" = None,
 ) -> list[RepairOutcome]:
     """Run one ``engine`` trial per seed and return every trial's outcome.
 
@@ -856,8 +782,7 @@ def run_trials(
     when ``cancel()`` fires between trials.  Results replayed from the
     shared backend's cache equal freshly computed ones, so every trial's
     outcome is the one it would have on a backend of its own.
-    ``observers`` see every trial's events back to back; ``checkpoint``
-    snapshots carry the running trial's seed.
+    ``observers`` see every trial's events back to back.
 
     Raises ``ValueError`` when ``seeds`` is empty.
     """
@@ -872,7 +797,7 @@ def run_trials(
                 break  # cancelled between trials: later seeds never start
             outcome = engine(
                 problem, config, seed, backend=backend, observers=events,
-                cancel=cancel, checkpoint=checkpoint,
+                cancel=cancel,
             ).run()
             outcomes.append(outcome)
             if outcome.plausible:

@@ -34,10 +34,9 @@ generation.  ``RepairOutcome``, ``RepairProblem``, and
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import random
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 from ..obs.observer import RepairObserver
 from .backend import CandidateResult, EvaluationBackend
@@ -62,8 +61,6 @@ logger = logging.getLogger("repro.repair")
 class CirFixEngine(EngineHarness):
     """Runs Algorithm 1 for one defect scenario and one random seed."""
 
-    engine_name = "cirfix"
-
     def __init__(
         self,
         problem: RepairProblem,
@@ -72,21 +69,14 @@ class CirFixEngine(EngineHarness):
         backend: EvaluationBackend | None = None,
         observers: Sequence[RepairObserver] | None = None,
         cancel: Callable[[], bool] | None = None,
-        checkpoint: "Callable[[dict[str, Any]], None] | None" = None,
     ):
         super().__init__(
             problem, config, seed, backend=backend, observers=observers,
-            cancel=cancel, checkpoint=checkpoint,
+            cancel=cancel,
         )
         self.rng = random.Random(seed)
         #: How often each reproduction path ran (diagnostics).
         self.operator_stats = {"template": 0, "mutation": 0, "crossover": 0}
-
-    def _rng_digest(self) -> str:
-        """Stable digest of the GP random stream's current position."""
-        return hashlib.sha256(
-            repr(self.rng.getstate()).encode()
-        ).hexdigest()[:16]
 
     # ------------------------------------------------------------------
     # Main loop (Algorithm 1)
@@ -216,7 +206,6 @@ def repair(
     backend: EvaluationBackend | None = None,
     observers: Sequence[RepairObserver] | None = None,
     cancel: Callable[[], bool] | None = None,
-    checkpoint: "Callable[[dict[str, Any]], None] | None" = None,
 ) -> RepairOutcome:
     """Run independent trials (paper: 5 per scenario) and return the first
     plausible outcome, or the best-fitness outcome if none succeeds.
@@ -231,13 +220,11 @@ def repair(
     ``observers`` (repro.obs) see the full event stream of every trial.
     ``cancel`` is a cooperative cancellation probe (the service daemon
     passes one): trials poll it alongside their budget checks, and later
-    seeds are never started once it fires.  ``checkpoint`` (crash
-    recovery) receives the deterministic cursor snapshot at every
-    generation boundary, stamped with the running trial's seed.
+    seeds are never started once it fires.
     """
     return best_outcome(
         run_trials(
             CirFixEngine, problem, config, seeds, backend=backend,
-            observers=observers, cancel=cancel, checkpoint=checkpoint,
+            observers=observers, cancel=cancel,
         )
     )

@@ -3,8 +3,8 @@
 The paper's Figure 3 shows a Category-2 defect in the controller's reset
 block (one assignment missing, one incorrect) repaired by CirFix with an
 insert and a replace.  This experiment reproduces exactly that shape: it
-constructs the known-good two-edit patch, verifies it is plausible, shows
-the repaired reset block, and (optionally) lets the GP search find its own.
+constructs the known-good two-edit patch, verifies it is plausible, and
+shows the repaired reset block.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from ..benchsuite import load_scenario
 from ..core.patch import Edit, Patch
 from ..core.repair import CirFixEngine
 from ..hdl import ast, generate
-from .common import QUICK, ScenarioResult, run_scenario
+from .common import QUICK
 
 
 @dataclass
@@ -87,11 +87,6 @@ def _render_reset_block(tree: ast.Source) -> str:
             if "rst_n" in cond_text and node.then_stmt is not None:
                 return generate(node.then_stmt)
     return "<reset block not found>"
-
-
-def run_search(seeds: tuple[int, ...] = (0, 1, 2)) -> ScenarioResult:
-    """Let the GP find the Figure 3 repair itself (slower)."""
-    return run_scenario(load_scenario("sdram_reset"), QUICK, seeds=seeds)
 
 
 def main() -> None:

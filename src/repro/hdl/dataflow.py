@@ -1,8 +1,7 @@
 """Name-level dataflow helpers over the AST.
 
-These queries — which identifiers an assignment writes, which names an
-expression reads, which expression guards a conditional — are the shared
-substrate of two analyses: the fixed-point fault localization in
+These queries — which identifiers an assignment writes and which names
+an expression reads — are the shared substrate of two analyses: the fixed-point fault localization in
 :mod:`repro.core.faultloc` (paper §3.1, Algorithm 2) and the static lint
 rules in :mod:`repro.lint`.  They live here so the lint subsystem can
 depend on the frontend alone, without importing the repair engine.
@@ -64,12 +63,3 @@ def expr_names(expr: ast.Expr | None) -> set[str]:
     if expr is None:
         return set()
     return {n.name for n in expr.walk() if isinstance(n, ast.Identifier)}
-
-
-def condition_expr(node: ast.Node) -> ast.Expr | None:
-    """The guard expression of a conditional construct, if any."""
-    if isinstance(node, (ast.If, ast.While, ast.Ternary, ast.For)):
-        return node.cond
-    if isinstance(node, ast.Case):
-        return node.expr
-    return None

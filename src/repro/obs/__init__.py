@@ -28,7 +28,6 @@ from .events import (
     CandidateEvaluated,
     CandidatePruned,
     CandidateTimedOut,
-    CheckpointSaved,
     ChunkRetried,
     FuzzProgramChecked,
     FuzzRunCompleted,
@@ -74,7 +73,6 @@ __all__ = [
     "JobAdmitted",
     "JobStarted",
     "JobCompleted",
-    "CheckpointSaved",
     "JobRecovered",
     "JobShed",
     "FuzzProgramChecked",

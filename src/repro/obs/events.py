@@ -292,34 +292,14 @@ class JobCompleted(RepairEvent):
 
 
 @dataclass(frozen=True)
-class CheckpointSaved(RepairEvent):
-    """The engine snapshotted its resume cursor at a search boundary.
-
-    Emitted only when a checkpoint sink is attached (the service daemon
-    attaches one per job when journaling is on), at each generation
-    boundary (GP) / template round (synth) — so direct batch runs and
-    their golden traces are untouched, while a journaled run emits the
-    identical sequence whether or not it was ever interrupted.
-    """
-
-    type: ClassVar[str] = "checkpoint_saved"
-    engine: str
-    seed: int
-    #: Generation (GP) / template-round (synth) index just completed.
-    cursor: int
-    eval_sims: int
-    best_fitness: float
-
-
-@dataclass(frozen=True)
 class JobRecovered(RepairEvent):
     """The daemon re-admitted one unfinished job from its journal.
 
     Service-lifecycle only (like the other ``job_*`` events): emitted on
     ``repro serve --recover`` startup, once per journaled job that never
-    reached a terminal state.  ``cursor`` is the last checkpointed
-    generation/template round (-1 when the job died before its first
-    checkpoint); ``attempts`` counts recovery re-admissions (1 = first).
+    reached a terminal state.  The job then runs again from the start.
+    ``attempts`` counts the daemon lifetimes that admitted it (2 = first
+    recovery).
     """
 
     type: ClassVar[str] = "job_recovered"
@@ -327,8 +307,6 @@ class JobRecovered(RepairEvent):
     tenant: str
     scenario: str
     attempts: int
-    had_checkpoint: bool
-    cursor: int
 
 
 @dataclass(frozen=True)
@@ -523,7 +501,6 @@ EVENT_TYPES: dict[str, type[RepairEvent]] = {
         JobAdmitted,
         JobStarted,
         JobCompleted,
-        CheckpointSaved,
         JobRecovered,
         JobShed,
         FuzzProgramChecked,

@@ -24,7 +24,6 @@ from .events import (
     CandidateEvaluated,
     CandidatePruned,
     CandidateTimedOut,
-    CheckpointSaved,
     ChunkRetried,
     GenerationCompleted,
     JobRecovered,
@@ -118,8 +117,6 @@ class MetricsObserver:
     #: Total candidate re-dispatches across those chunks.
     candidates_requeued: int = 0
     # -- crash safety (journaled service runs only; else all zero) ------
-    #: Engine cursor snapshots persisted to the job journal.
-    checkpoints_saved: int = 0
     #: Jobs re-admitted from the journal after a daemon crash.
     jobs_recovered: int = 0
     #: Submissions shed by admission backpressure.
@@ -176,8 +173,6 @@ class MetricsObserver:
         elif isinstance(event, ChunkRetried):
             self.chunks_retried += 1
             self.candidates_requeued += event.requeued
-        elif isinstance(event, CheckpointSaved):
-            self.checkpoints_saved += 1
         elif isinstance(event, JobRecovered):
             self.jobs_recovered += 1
         elif isinstance(event, JobShed):
@@ -276,7 +271,6 @@ class MetricsObserver:
                 "requeued": self.candidates_requeued,
             },
             "crash_safety": {
-                "checkpoints_saved": self.checkpoints_saved,
                 "jobs_recovered": self.jobs_recovered,
                 "jobs_shed": self.jobs_shed,
             },

@@ -95,11 +95,6 @@ def render_report(events: list[RepairEvent], source: str = "run.jsonl") -> str:
                 # Crash-safety rows appear only on journaled service
                 # traces, so direct-run reports are unchanged.
                 *(
-                    [["checkpoints saved", str(metrics.checkpoints_saved)]]
-                    if metrics.checkpoints_saved
-                    else []
-                ),
-                *(
                     [["jobs recovered from journal", str(metrics.jobs_recovered)]]
                     if metrics.jobs_recovered
                     else []

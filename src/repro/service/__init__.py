@@ -16,8 +16,8 @@ Layers, bottom-up:
   executing jobs on a thread pool and streaming :mod:`repro.obs`
   telemetry to clients;
 - :mod:`repro.service.journal` — the durable job journal
-  (:class:`JobJournal`) write-ahead logging admissions and engine
-  checkpoints for crash recovery (``repro serve --journal-dir``);
+  (:class:`JobJournal`) write-ahead logging each job's admission, start
+  and completion for crash recovery (``repro serve --journal-dir``);
 - :mod:`repro.service.client` — a blocking client (:class:`ServiceClient`)
   used by ``repro submit`` / ``repro jobs`` and the tests, with typed
   retryable errors and idempotent resubmission.
@@ -36,7 +36,7 @@ from .client import (
 )
 from .daemon import PROTOCOL_VERSION, RepairDaemon
 from .jobs import JOB_STATES, SCHEMA_VERSION, JobStatus, RepairRequest, RepairResponse
-from .journal import JobJournal, JournalCheckpointSink
+from .journal import JobJournal
 from .queue import Job, JobQueue
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "JobJournal",
     "JobQueue",
     "JobStatus",
-    "JournalCheckpointSink",
     "RepairDaemon",
     "RepairRequest",
     "RepairResponse",

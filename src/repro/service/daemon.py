@@ -33,11 +33,10 @@ so clients can self-correct without parsing prose.
 
 Crash safety (``docs/service.md``, "Operations"): with ``journal_dir``
 set every admission/start/completion is write-ahead logged
-(:mod:`repro.service.journal`) and engines checkpoint their cursor at
-each generation boundary; ``recover=True`` replays the journal on
-startup and re-admits unfinished jobs, whose deterministic replay runs
-warm out of the persistent eval cache.  SIGTERM/SIGINT trigger the same
-drain path as the ``shutdown`` op.
+(:mod:`repro.service.journal`); ``recover=True`` replays the journal on
+startup and re-admits unfinished jobs, which run again from the start
+and, being deterministic, replay warm out of the persistent eval cache.
+SIGTERM/SIGINT trigger the same drain path as the ``shutdown`` op.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ from ..obs.events import (
 )
 from ..obs.observer import ObserverSet, RepairObserver
 from .jobs import RepairRequest, RepairResponse
-from .journal import JobJournal, JournalCheckpointSink
+from .journal import JobJournal
 from .queue import Job, JobQueue
 
 #: Version of the NDJSON socket protocol (echoed by ``ping``).
@@ -149,8 +148,6 @@ class _JobRuntime:
         self.done = asyncio.Event()
         #: The terminal :class:`RepairResponse` once ``done`` is set.
         self.response: RepairResponse | None = None
-        #: Journal-backed engine checkpoint sink (None when unjournaled).
-        self.checkpoint: JournalCheckpointSink | None = None
 
 
 class RepairDaemon:
@@ -171,8 +168,9 @@ class RepairDaemon:
         journal_dir: Directory for the durable job journal
             (:class:`~repro.service.journal.JobJournal`).  None (the
             default) keeps the daemon fully in-memory, as before.
-        recover: With a journal, replay it on startup and re-admit every
-            job that never reached a terminal state.
+        recover: Replay the journal on startup and re-admit every job
+            that never reached a terminal state.  Needs ``journal_dir``;
+            without one the constructor raises ``ValueError``.
         max_queue_depth: Admission backpressure — reject new (non-join)
             submissions with a typed ``overloaded`` error once this many
             jobs are queued.  0 (the default) disables shedding.
@@ -189,6 +187,10 @@ class RepairDaemon:
         recover: bool = False,
         max_queue_depth: int = 0,
     ) -> None:
+        if recover and not journal_dir:
+            raise ValueError(
+                "--recover requires --journal-dir: there is no journal to replay"
+            )
         self.socket_path = os.fspath(socket_path)
         self.base_config = base_config or RepairConfig()
         self.max_jobs = max(1, int(max_jobs))
@@ -226,7 +228,7 @@ class RepairDaemon:
             with contextlib.suppress(NotImplementedError, RuntimeError, ValueError):
                 self._loop.add_signal_handler(sig, self.stop)
                 handled_signals.append(sig)
-        if self.journal is not None and self.recover:
+        if self.recover:
             self._recover_jobs()
         with contextlib.suppress(OSError):
             os.unlink(self.socket_path)
@@ -290,8 +292,6 @@ class RepairDaemon:
     def _new_runtime(self, job: Job, config: RepairConfig) -> _JobRuntime:
         """Create (and register) the runtime for one admitted job."""
         runtime = _JobRuntime(config)
-        if self.journal is not None:
-            runtime.checkpoint = JournalCheckpointSink(self.journal, job.job_id)
         self._runtimes[job.job_id] = runtime
         return runtime
 
@@ -300,10 +300,11 @@ class RepairDaemon:
 
         Recovered jobs keep their journaled ids (clients re-attach by
         resubmitting the identical request, which joins via the dedup
-        key), are re-journaled with a bumped attempt count, and replay
-        deterministically — the persistent eval cache turns every
-        pre-crash evaluation into a warm hit, so reaching the journaled
-        checkpoint again costs cache lookups, not simulations.
+        key), are re-journaled with a bumped attempt count, and run again
+        from the start.  The search is deterministic, so the persistent
+        eval cache turns every pre-crash evaluation into a warm hit:
+        reaching the crash point again costs cache lookups, not
+        simulations.
         """
         assert self.journal is not None
         records = self.journal.unfinished()
@@ -334,8 +335,6 @@ class RepairDaemon:
                 continue
             job.recovered = True
             runtime = self._new_runtime(job, config)
-            assert runtime.checkpoint is not None
-            snapshot = runtime.checkpoint.load()
             self.journal.record_admitted(
                 job.job_id, request.to_dict(), attempts=record.attempts + 1
             )
@@ -346,10 +345,6 @@ class RepairDaemon:
                     tenant=request.tenant,
                     scenario=request.scenario or "<custom>",
                     attempts=record.attempts + 1,
-                    had_checkpoint=snapshot is not None,
-                    cursor=(
-                        int(snapshot.get("cursor", -1)) if snapshot else -1
-                    ),
                 ),
             )
 
@@ -612,11 +607,6 @@ class RepairDaemon:
                 base_config=self.base_config,
                 observers=[runtime.broadcast],
                 cancel=job.cancel_flag.is_set,
-                checkpoint=(
-                    runtime.checkpoint.save
-                    if runtime.checkpoint is not None
-                    else None
-                ),
             )
             response = RepairResponse(
                 job_id=job.job_id,

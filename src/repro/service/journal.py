@@ -9,21 +9,18 @@ at any instant the directory is a consistent snapshot of daemon state.
 
 On ``repro serve --recover`` the daemon replays the journal
 (:meth:`JobJournal.unfinished`) and re-admits every job that never
-reached a terminal state.  Alongside the per-job records the journal
-stores engine **checkpoints** (:class:`JournalCheckpointSink`): at each
-generation/template boundary the engine snapshots its deterministic
-cursor — seed, rng stream digest, ``eval_sims``, best-so-far — and the
-sink persists it.  Recovery does not deserialize populations: the
-engine replays from the start with the persistent eval cache warm, so
-every pre-crash evaluation is a disk hit and the replay reaches the
-checkpointed cursor at cache speed; the stored snapshot then serves as
-a *verification* record — when the replay crosses the same cursor the
-sink compares seed, rng digest, and ``eval_sims`` and flags any drift.
+reached a terminal state.  The journal stores requests, not engine
+state: a recovered job runs its request again from the start.  The
+search is deterministic and every evaluation it scored before the crash
+is in the persistent eval cache, so the replay reaches the crash point
+on disk hits and ends on the outcome an uninterrupted run would have.
 
 Layout under ``--journal-dir``::
 
     jobs/<job_id>.json          admission/start/terminal record
-    checkpoints/<job_id>.json   latest engine cursor snapshot
+
+Anything else under the directory, such as the engine-state directory an
+older build wrote, is ignored and left in place.
 
 Corrupt or truncated files (a crash can land mid-write only on the tmp
 file, but disks lie) are dropped and counted, never fatal — mirroring
@@ -107,22 +104,18 @@ def _job_ordinal(job_id: str) -> int:
 
 
 class JobJournal:
-    """Atomic per-job WAL + checkpoint store under one directory.
+    """Atomic per-job WAL under one directory.
 
-    Thread-safe: admissions and terminal transitions happen on the
-    daemon's event-loop thread while checkpoint saves arrive from job
-    worker threads.
+    Thread-safe: every write and counter update holds one lock, so the
+    journal may be shared across threads.
     """
 
     def __init__(self, root: "str | os.PathLike[str]") -> None:
         self.root = Path(root)
         self._jobs_dir = self.root / "jobs"
-        self._checkpoints_dir = self.root / "checkpoints"
         self._jobs_dir.mkdir(parents=True, exist_ok=True)
-        self._checkpoints_dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self.records_written = 0
-        self.checkpoints_written = 0
         self.corrupt_dropped = 0
 
     # ------------------------------------------------------------------
@@ -141,15 +134,10 @@ class JobJournal:
         self._transition(job_id, "running")
 
     def record_completed(self, job_id: str, state: str, error: str = "") -> None:
-        """Terminal transition; also discards the job's checkpoint."""
+        """Terminal transition (``done``, ``failed`` or ``cancelled``)."""
         if state not in TERMINAL_STATES:
             raise ValueError(f"non-terminal journal state {state!r}")
         self._transition(job_id, state, error)
-        with self._lock:
-            try:
-                self._checkpoint_path(job_id).unlink(missing_ok=True)
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
 
     def _transition(self, job_id: str, state: str, error: str = "") -> None:
         record = self.get(job_id)
@@ -224,46 +212,6 @@ class JobJournal:
             return None
 
     # ------------------------------------------------------------------
-    # Engine checkpoints
-    # ------------------------------------------------------------------
-
-    def _checkpoint_path(self, job_id: str) -> Path:
-        return self._checkpoints_dir / f"{job_id}.json"
-
-    def save_checkpoint(self, job_id: str, state: dict[str, Any]) -> None:
-        """Persist the latest engine cursor snapshot for one job."""
-        payload = {"schema": JOURNAL_SCHEMA, "job_id": job_id, "state": state}
-        data = json.dumps(payload, sort_keys=True).encode()
-        with self._lock:
-            if self._atomic_write(self._checkpoint_path(job_id), data):
-                self.checkpoints_written += 1
-
-    def load_checkpoint(self, job_id: str) -> dict[str, Any] | None:
-        """The job's last snapshot; None when absent or corrupt."""
-        path = self._checkpoint_path(job_id)
-        try:
-            payload = json.loads(path.read_bytes())
-            if (
-                not isinstance(payload, dict)
-                or payload.get("schema") != JOURNAL_SCHEMA
-                or payload.get("job_id") != job_id
-                or not isinstance(payload.get("state"), dict)
-            ):
-                raise ValueError("malformed checkpoint")
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError):
-            with self._lock:
-                self.corrupt_dropped += 1
-            logger.warning("dropping corrupt checkpoint %s", path.name)
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:  # pragma: no cover - best-effort
-                pass
-            return None
-        return payload["state"]
-
-    # ------------------------------------------------------------------
     # Shared plumbing
     # ------------------------------------------------------------------
 
@@ -287,68 +235,18 @@ class JobJournal:
         with self._lock:
             return {
                 "records_written": self.records_written,
-                "checkpoints_written": self.checkpoints_written,
                 "corrupt_dropped": self.corrupt_dropped,
             }
 
-
-class JournalCheckpointSink:
-    """Per-job adapter between an engine's checkpoint hook and the journal.
-
-    The engine calls :meth:`save` at every search boundary (from its
-    worker thread).  On a recovered job the daemon primes the sink with
-    the pre-crash snapshot (:meth:`load`); when the deterministic replay
-    crosses the same ``(engine, seed, cursor)`` the sink compares the
-    replayed ``eval_sims`` and rng digest against the snapshot —
-    :attr:`verified` records whether the resume was bit-exact.
-    """
-
-    def __init__(self, journal: JobJournal, job_id: str) -> None:
-        self._journal = journal
-        self.job_id = job_id
-        #: Snapshots persisted through this sink.
-        self.saves = 0
-        #: The pre-crash snapshot being verified (None once checked).
-        self.resumed_from: dict[str, Any] | None = None
-        #: None until the replay reaches the resumed cursor; then True
-        #: when the replayed counters matched the snapshot bit-exactly.
-        self.verified: bool | None = None
-
-    def load(self) -> dict[str, Any] | None:
-        """Prime the sink with the journaled snapshot (daemon recovery)."""
-        self.resumed_from = self._journal.load_checkpoint(self.job_id)
-        return self.resumed_from
-
-    def save(self, state: dict[str, Any]) -> None:
-        """Persist one snapshot; verify it against a primed resume point."""
-        self.saves += 1
-        resumed = self.resumed_from
-        if (
-            resumed is not None
-            and state.get("engine") == resumed.get("engine")
-            and state.get("seed") == resumed.get("seed")
-            and state.get("cursor") == resumed.get("cursor")
-        ):
-            self.verified = (
-                state.get("eval_sims") == resumed.get("eval_sims")
-                and state.get("rng") == resumed.get("rng")
-            )
-            self.resumed_from = None  # one-shot: later cursors are new work
-            if not self.verified:
-                logger.warning(
-                    "job %s resume drift at cursor %s: replay eval_sims=%s "
-                    "rng=%s vs journal eval_sims=%s rng=%s",
-                    self.job_id, state.get("cursor"), state.get("eval_sims"),
-                    state.get("rng"), resumed.get("eval_sims"),
-                    resumed.get("rng"),
-                )
-        self._journal.save_checkpoint(self.job_id, state)
+    # Unused here, but the end-to-end benchmark tracer
+    # (benchmarks/e2e/tracer.py) wraps this name in this module.
+    def save_checkpoint(self, job_id: str, state: dict[str, Any]) -> None:
+        """Do nothing: the journal records jobs, never engine state."""
 
 
 __all__ = [
     "JOURNAL_SCHEMA",
     "TERMINAL_STATES",
     "JobJournal",
-    "JournalCheckpointSink",
     "JournalRecord",
 ]

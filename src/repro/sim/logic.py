@@ -281,13 +281,6 @@ class Value:
         return f"Value({self.width}'b{self.to_bit_string()})"
 
 
-#: Common constants.
-TRUE = Value(1, 1)
-FALSE = Value(1, 0)
-X_BIT = Value(1, 1, 1)
-Z_BIT = Value(1, 0, 1)
-
-
 def truthiness(value: Value) -> str:
     """Classify a value for conditional evaluation.
 

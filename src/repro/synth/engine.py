@@ -28,7 +28,7 @@ synth-specific :class:`~repro.obs.events.SynthTemplateEnumerated` /
 from __future__ import annotations
 
 import logging
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 from ..core.backend import CandidateResult, EvaluationBackend
 from ..core.config import RepairConfig
@@ -58,8 +58,6 @@ class SynthEngine(EngineHarness):
     (it is recorded in the outcome); the search itself is derandomized.
     """
 
-    engine_name = "synth"
-
     def __init__(
         self,
         problem: RepairProblem,
@@ -68,11 +66,10 @@ class SynthEngine(EngineHarness):
         backend: EvaluationBackend | None = None,
         observers: Sequence[RepairObserver] | None = None,
         cancel: Callable[[], bool] | None = None,
-        checkpoint: "Callable[[dict[str, Any]], None] | None" = None,
     ):
         super().__init__(
             problem, config, seed, backend=backend, observers=observers,
-            cancel=cancel, checkpoint=checkpoint,
+            cancel=cancel,
         )
         #: Candidates enumerated per template (diagnostics).
         self.operator_stats = {template.name: 0 for template in TEMPLATES}
@@ -131,10 +128,7 @@ class SynthEngine(EngineHarness):
                 continue
             rounds += 1
             patches = [candidate.patch for candidate in candidates]
-            # Template boundary = the synth engine's checkpoint boundary.
-            self._score_round(
-                rounds - 1, patches, patches, out_of_budget, label=template.name
-            )
+            self._score_round(rounds - 1, patches, patches, out_of_budget)
             if self.winner is not None:
                 self._winner_template = template.name
             logger.info(
@@ -167,7 +161,6 @@ def synth_repair(
     backend: EvaluationBackend | None = None,
     observers: Sequence[RepairObserver] | None = None,
     cancel: Callable[[], bool] | None = None,
-    checkpoint: "Callable[[dict[str, Any]], None] | None" = None,
 ) -> RepairOutcome:
     """The registered ``"synth"`` runner (engine-registry contract).
 
@@ -179,7 +172,7 @@ def synth_repair(
     """
     (outcome,) = run_trials(
         SynthEngine, problem, config, seeds[:1], backend=backend,
-        observers=observers, cancel=cancel, checkpoint=checkpoint,
+        observers=observers, cancel=cancel,
     )
     return outcome
 

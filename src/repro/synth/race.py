@@ -11,7 +11,7 @@ requests, journaled daemon jobs and ``--engine race`` callers resolve it.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+from typing import Callable, Sequence
 
 from ..core.backend import EvaluationBackend
 from ..core.config import RepairConfig
@@ -28,27 +28,20 @@ def race_repair(
     backend: EvaluationBackend | None = None,
     observers: Sequence[RepairObserver] | None = None,
     cancel: Callable[[], bool] | None = None,
-    checkpoint: "Callable[[dict[str, Any]], None] | None" = None,
 ) -> RepairOutcome:
     """The registered ``"race"`` runner: escalate from synth to GP.
 
     Runs :func:`~repro.synth.engine.synth_repair` and returns its outcome
     when it is plausible or when ``cancel()`` has fired.  Otherwise runs
-    :func:`~repro.core.repair.repair` on the same backend, seeds,
-    observers and checkpoint sink with the full ``config`` budget, so the
-    GP leg is exactly a standalone ``repair()``, and returns
+    :func:`~repro.core.repair.repair` on the same backend, seeds and
+    observers with the full ``config`` budget, so the GP leg is exactly a
+    standalone ``repair()``, and returns
     :func:`~repro.core.harness.best_outcome` of ``[gp, synth]``: GP's
     outcome unless synth scored strictly higher.
-
-    Snapshots carry the engine name, so a resumed job replays the synth
-    leg (warm) before it re-enters the GP leg it was interrupted in.
     """
     config = config or RepairConfig()
     with shared_backend(problem, config, backend) as backend:
-        legs = dict(
-            backend=backend, observers=observers, cancel=cancel,
-            checkpoint=checkpoint,
-        )
+        legs = dict(backend=backend, observers=observers, cancel=cancel)
         synth = synth_repair(problem, config, seeds, **legs)
         if synth.plausible or (cancel is not None and cancel()):
             return synth

@@ -10,7 +10,6 @@ from repro.obs.events import (
     CandidateEvaluated,
     CandidatePruned,
     CandidateTimedOut,
-    CheckpointSaved,
     ChunkRetried,
     FuzzProgramChecked,
     FuzzRunCompleted,
@@ -71,12 +70,9 @@ SAMPLES = [
         job_id="job-1-abcd1234", tenant="default", status="done",
         plausible=True, fitness=1.0, elapsed_seconds=2.5, cache_hit_rate=0.95,
     ),
-    CheckpointSaved(
-        engine="cirfix", seed=0, cursor=3, eval_sims=120, best_fitness=0.9,
-    ),
     JobRecovered(
         job_id="job-1-abcd1234", tenant="default", scenario="counter_reset",
-        attempts=2, had_checkpoint=True, cursor=3,
+        attempts=2,
     ),
     JobShed(
         tenant="default", scenario="counter_reset", queue_depth=4,
@@ -125,7 +121,7 @@ def test_registry_covers_all_types():
         "candidate_timed_out", "worker_crashed", "chunk_retried",
         "plausible_patch_found", "phase_completed", "trial_completed",
         "job_admitted", "job_started", "job_completed",
-        "checkpoint_saved", "job_recovered", "job_shed",
+        "job_recovered", "job_shed",
         "fuzz_program_checked", "fuzz_violation_found", "fuzz_run_completed",
         "mint_scenario_admitted", "mint_scenario_rejected",
         "mint_run_completed",

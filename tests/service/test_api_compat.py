@@ -56,12 +56,12 @@ class TestEngineRegistry:
         calls = {}
 
         def fake_engine(problem, config=None, seeds=(0,), backend=None,
-                        observers=None, cancel=None, checkpoint=None):
+                        observers=None, cancel=None):
             """Record the call and delegate to the real engine."""
             calls["seeds"] = seeds
             return get_engine("cirfix")(
                 problem, config, seeds, backend=backend,
-                observers=observers, cancel=cancel, checkpoint=checkpoint,
+                observers=observers, cancel=cancel,
             )
 
         register_engine("fake-for-test", fake_engine)

@@ -1,4 +1,4 @@
-"""Journal unit tests: lifecycle, atomicity, corruption, checkpoints."""
+"""Journal unit tests: lifecycle, atomicity, corruption."""
 
 import json
 
@@ -6,7 +6,6 @@ from repro.service import RepairRequest
 from repro.service.journal import (
     JOURNAL_SCHEMA,
     JobJournal,
-    JournalCheckpointSink,
     JournalRecord,
     TERMINAL_STATES,
 )
@@ -14,19 +13,6 @@ from repro.service.journal import (
 
 def request_dict(scenario: str = "counter_reset") -> dict:
     return RepairRequest(scenario=scenario, seeds=(0,)).to_dict()
-
-
-def snapshot(cursor: int = 2, eval_sims: int = 40, rng: str = "ab12") -> dict:
-    return {
-        "engine": "cirfix",
-        "seed": 0,
-        "cursor": cursor,
-        "label": "",
-        "eval_sims": eval_sims,
-        "fitness_evals": eval_sims + 8,
-        "best_fitness": 0.75,
-        "rng": rng,
-    }
 
 
 class TestLifecycleRecords:
@@ -116,56 +102,15 @@ class TestCorruptionTolerance:
                 json.loads(path.read_bytes())
 
 
-class TestCheckpoints:
-    def test_save_load_round_trip(self, tmp_path):
-        journal = JobJournal(tmp_path)
-        journal.save_checkpoint("job-1-aaaaaaaa", snapshot(cursor=5))
-        assert journal.load_checkpoint("job-1-aaaaaaaa") == snapshot(cursor=5)
-        assert journal.load_checkpoint("job-2-bbbbbbbb") is None
-        assert journal.info()["checkpoints_written"] == 1
-
-    def test_terminal_record_discards_checkpoint(self, tmp_path):
+class TestOlderLayouts:
+    def test_engine_state_directory_is_ignored_and_kept(self, tmp_path):
+        # Older builds also wrote one engine snapshot per job here.
+        legacy = tmp_path / "checkpoints" / "job-1-aaaaaaaa.json"
+        legacy.parent.mkdir()
+        legacy.write_text('{"schema": 1, "job_id": "job-1-aaaaaaaa", "state": {}}')
         journal = JobJournal(tmp_path)
         journal.record_admitted("job-1-aaaaaaaa", request_dict())
-        journal.save_checkpoint("job-1-aaaaaaaa", snapshot())
+        assert [r.job_id for r in journal.unfinished()] == ["job-1-aaaaaaaa"]
         journal.record_completed("job-1-aaaaaaaa", "done")
-        assert journal.load_checkpoint("job-1-aaaaaaaa") is None
-
-    def test_checkpoint_for_wrong_job_id_is_corrupt(self, tmp_path):
-        journal = JobJournal(tmp_path)
-        journal.save_checkpoint("job-1-aaaaaaaa", snapshot())
-        path = tmp_path / "checkpoints" / "job-2-bbbbbbbb.json"
-        (tmp_path / "checkpoints" / "job-1-aaaaaaaa.json").rename(path)
-        assert journal.load_checkpoint("job-2-bbbbbbbb") is None
-        assert journal.info()["corrupt_dropped"] == 1
-
-
-class TestCheckpointSink:
-    def test_verifies_matching_replay(self, tmp_path):
-        journal = JobJournal(tmp_path)
-        journal.save_checkpoint("job-1-aaaaaaaa", snapshot(cursor=2))
-        sink = JournalCheckpointSink(journal, "job-1-aaaaaaaa")
-        assert sink.load() == snapshot(cursor=2)
-        sink.save(snapshot(cursor=0, eval_sims=10, rng="zz"))  # pre-cursor
-        assert sink.verified is None
-        sink.save(snapshot(cursor=2))  # replay crosses the resume point
-        assert sink.verified is True
-        assert sink.resumed_from is None  # one-shot
-        sink.save(snapshot(cursor=3, eval_sims=60))  # new work; no re-check
-        assert sink.verified is True
-        assert sink.saves == 3
-
-    def test_flags_drifting_replay(self, tmp_path):
-        journal = JobJournal(tmp_path)
-        journal.save_checkpoint("job-1-aaaaaaaa", snapshot(cursor=2, rng="ab12"))
-        sink = JournalCheckpointSink(journal, "job-1-aaaaaaaa")
-        sink.load()
-        sink.save(snapshot(cursor=2, rng="ff99"))  # same cursor, drifted rng
-        assert sink.verified is False
-
-    def test_unprimed_sink_just_persists(self, tmp_path):
-        journal = JobJournal(tmp_path)
-        sink = JournalCheckpointSink(journal, "job-1-aaaaaaaa")
-        sink.save(snapshot(cursor=1))
-        assert sink.verified is None
-        assert journal.load_checkpoint("job-1-aaaaaaaa") == snapshot(cursor=1)
+        assert journal.unfinished() == []
+        assert legacy.exists()

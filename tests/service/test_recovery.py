@@ -2,10 +2,10 @@
 
 The recovery model under test (``docs/service.md``, "Operations"):
 
-1. engines checkpoint their deterministic cursor at every generation
-   boundary; recovery replays the search from the start with the
-   persistent eval cache warm, so the replay is bit-identical to an
-   uninterrupted run and reaches the pre-crash cursor at cache speed;
+1. a recovered job runs its request again from the start; the search is
+   deterministic and every pre-crash evaluation is in the persistent
+   eval cache, so the replay is bit-identical to an uninterrupted run
+   and reaches the crash point on cache hits;
 2. the daemon journals every admission/start/completion and, with
    ``recover=True``, re-admits unfinished journaled jobs on startup;
 3. admission sheds new work with a typed ``overloaded`` error once the
@@ -35,7 +35,7 @@ from repro.service import (
     ServiceUnavailableError,
 )
 from repro.service.daemon import _Broadcast
-from repro.service.journal import JobJournal, JournalCheckpointSink
+from repro.service.journal import JobJournal
 from repro.obs.bridge import AsyncEventBridge
 
 #: Tiny search: ~23 unique evaluations on counter_reset, a few seconds.
@@ -58,6 +58,39 @@ def tiny_request(cache_dir: str = "", backend: str = "serial", **kwargs):
     return RepairRequest(
         scenario="counter_reset", config=config, seeds=(0,), **kwargs
     )
+
+
+class CrashAfterRounds:
+    """Crash driver: ``cancel()`` fires once ``rounds`` search rounds closed.
+
+    The engines emit one ``generation_completed`` event per GP generation
+    and per synth template round, so counting them puts a crash at any
+    search boundary, in either leg of a race.  A cooperative cancel at a
+    round boundary leaves what a kill between rounds leaves: every
+    evaluation scored so far is in the persistent cache.
+    """
+
+    def __init__(self, rounds: int):
+        self.rounds = rounds
+        #: ``generation_completed`` events seen so far.
+        self.seen = 0
+        #: The engine whose round the crash followed: a synth trial emits
+        #: ``synth_template_enumerated``, a GP trial never does.
+        self.leg = ""
+        self._synth_trial = False
+
+    def on_event(self, event):
+        if event.type == "trial_started":
+            self._synth_trial = False
+        elif event.type == "synth_template_enumerated":
+            self._synth_trial = True
+        elif event.type == "generation_completed":
+            self.seen += 1
+            if self.seen == self.rounds:
+                self.leg = "synth" if self._synth_trial else "cirfix"
+
+    def cancel(self) -> bool:
+        return self.seen >= self.rounds
 
 
 def event_fingerprint(events):
@@ -104,90 +137,67 @@ class DaemonHarness:
 
 
 class TestEngineResume:
-    """Checkpoint + warm-cache replay is bit-identical to an unbroken run."""
+    """A crash at any search boundary, replayed from the start on the warm
+    cache, ends bit-identical to a run that never crashed."""
 
+    # counter_reset under TINY runs four GP rounds; a crash after the
+    # last one would cut nothing.
     @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_resume_is_bit_identical_and_warm(self, tmp_path, backend):
-        self.crash_and_resume(tmp_path, backend, crash_after=2)
+        self.crash_and_resume(tmp_path, backend, (1, 2, 3), "cirfix")
 
-    # On counter_reset under TINY the synth leg fails, so a race job
-    # saves five synth snapshots (one per template round) and then four
-    # GP ones.  Crash after the second synth snapshot, or after the
-    # second GP one.
+    # On counter_reset under TINY the synth leg fails after five template
+    # rounds, and the race escalates to four GP rounds.
     @pytest.mark.parametrize(
-        "crash_after, leg", [(2, "synth"), (7, "cirfix")],
+        "rounds, leg", [((1, 2, 3, 4, 5), "synth"), ((6, 7, 8), "cirfix")],
         ids=["synth-leg", "gp-leg"],
     )
-    def test_race_resumes_in_either_leg(self, tmp_path, crash_after, leg):
-        self.crash_and_resume(
-            tmp_path, "serial", crash_after, engine="race", leg=leg
-        )
+    def test_race_resumes_in_either_leg(self, tmp_path, rounds, leg):
+        self.crash_and_resume(tmp_path, "serial", rounds, leg, engine="race")
 
-    def crash_and_resume(self, tmp_path, backend, crash_after, leg="cirfix",
-                         **request):
-        """Crash a job after ``crash_after`` checkpoints, in engine
-        ``leg``, resume it, and check it against an uncrashed run."""
-        job_id = "job-1-deadbeef"
-
-        # Uninterrupted baseline (own cache + journal so it stays cold).
-        baseline_req = tiny_request(str(tmp_path / "cache-b"), backend, **request)
-        baseline_sink = JournalCheckpointSink(
-            JobJournal(tmp_path / "journal-b"), job_id
-        )
+    def crash_and_resume(self, tmp_path, backend, rounds, leg, **request):
+        """Crash a job after each of ``rounds`` search rounds, all in
+        engine ``leg``, resume it, and check it against an uncrashed run."""
+        # Uninterrupted baseline (own cache so it stays cold).
         baseline_obs = RecordingObserver()
         baseline = run_request(
-            baseline_req,
+            tiny_request(str(tmp_path / "cache-b"), backend, **request),
             observers=[baseline_obs],
-            checkpoint=baseline_sink.save,
         )
+        for crash_after in rounds:
+            crashed_req = tiny_request(
+                str(tmp_path / f"cache-{crash_after}"), backend, **request
+            )
+            driver = CrashAfterRounds(crash_after)
+            crash_store = open_eval_store(crashed_req.resolved_config())
+            run_request(crashed_req, observers=[driver], cancel=driver.cancel)
+            # The run stopped at the intended boundary, in the intended leg.
+            assert (driver.seen, driver.leg) == (crash_after, leg)
+            # Every pre-crash store miss wrote an entry the replay can hit.
+            pre_crash_misses = crash_store.misses
+            assert pre_crash_misses > 0
 
-        # "Crash" after the chosen checkpoint: cooperative cancel fires
-        # at a generation boundary, exactly like a kill landing between
-        # generations — the journal holds a genuine mid-search cursor
-        # and the persistent cache holds every pre-crash evaluation.
-        crashed_req = tiny_request(str(tmp_path / "cache-a"), backend, **request)
-        journal = JobJournal(tmp_path / "journal-a")
-        crash_sink = JournalCheckpointSink(journal, job_id)
-        crash_store = open_eval_store(crashed_req.resolved_config())
-        run_request(
-            crashed_req,
-            cancel=lambda: crash_sink.saves >= crash_after,
-            checkpoint=crash_sink.save,
-        )
-        assert journal.load_checkpoint(job_id)["engine"] == leg
-        # Every pre-crash store miss wrote an entry the replay can hit.
-        pre_crash_misses = crash_store.misses
-        assert pre_crash_misses > 0
+            # Resume: same cache, full budget, replayed from the start.
+            PersistentEvalCache.reset_shared()  # simulate a fresh process
+            resume_obs = RecordingObserver()
+            store = open_eval_store(crashed_req.resolved_config())
+            hits_before = store.hits
+            resumed = run_request(crashed_req, observers=[resume_obs])
 
-        # Resume: same cache, full budget, sink primed with the snapshot.
-        PersistentEvalCache.reset_shared()  # simulate a fresh process
-        resume_sink = JournalCheckpointSink(journal, job_id)
-        assert resume_sink.load() is not None
-        resume_obs = RecordingObserver()
-        store = open_eval_store(crashed_req.resolved_config())
-        hits_before = store.hits
-        resumed = run_request(
-            crashed_req,
-            observers=[resume_obs],
-            checkpoint=resume_sink.save,
-        )
-
-        # The replay crossed the journaled cursor bit-exactly.
-        assert resume_sink.verified is True
-        # Outcome parity with the never-crashed run (modulo wall clock).
-        reports = []
-        for outcome in (baseline, resumed):
-            data = json.loads(outcome_to_json(outcome, "counter_reset"))
-            data.pop("elapsed_seconds")
-            reports.append(data)
-        assert reports[0] == reports[1]
-        assert resumed.eval_sims == baseline.eval_sims
-        # Event-stream parity (checkpoint events included on both sides).
-        assert event_fingerprint(resume_obs.events) == event_fingerprint(
-            baseline_obs.events
-        )
-        # Recovery ran warm: every pre-crash evaluation was a disk hit.
-        assert store.hits - hits_before >= pre_crash_misses
+            # Outcome parity with the never-crashed run (modulo wall clock).
+            reports = []
+            for outcome in (baseline, resumed):
+                data = json.loads(outcome_to_json(outcome, "counter_reset"))
+                data.pop("elapsed_seconds")
+                reports.append(data)
+            assert reports[0] == reports[1], crash_after
+            assert resumed.eval_sims == baseline.eval_sims, crash_after
+            # Event-stream parity.
+            assert event_fingerprint(resume_obs.events) == event_fingerprint(
+                baseline_obs.events
+            ), crash_after
+            # Recovery ran warm: every pre-crash evaluation was a disk hit.
+            assert store.hits - hits_before >= pre_crash_misses, crash_after
 
 
 class TestDaemonRecovery:
@@ -201,12 +211,10 @@ class TestDaemonRecovery:
         journal = JobJournal(journal_dir)
 
         # Fabricate the instant a kill -9 landed: the job was journaled
-        # admitted + started and the engine had checkpointed one
-        # generation (a genuine snapshot from a cancelled partial run).
-        sink = JournalCheckpointSink(journal, job_id)
-        run_request(
-            request, cancel=lambda: sink.saves >= 2, checkpoint=sink.save
-        )
+        # admitted + started and had scored two generations into the
+        # cache (a genuine cancelled partial run).
+        driver = CrashAfterRounds(2)
+        run_request(request, observers=[driver], cancel=driver.cancel)
         journal.record_admitted(job_id, request.to_dict())
         journal.record_started(job_id)
         assert [r.job_id for r in journal.unfinished()] == [job_id]
@@ -233,12 +241,8 @@ class TestDaemonRecovery:
         assert len(recovered) == 1
         assert recovered[0].job_id == job_id
         assert recovered[0].attempts == 2
-        assert recovered[0].had_checkpoint is True
-        assert recovered[0].cursor >= 1
-
-        # The deterministic replay verified against the crash snapshot.
-        runtime = harness.daemon._runtimes[job_id]
-        assert runtime.checkpoint.verified is True
+        # The replay ran warm on the pre-crash evaluations.
+        assert response.cache["store_hits"] > 0
 
         # Outcome parity with a direct run of the same request.
         direct = run_request(request)
@@ -248,10 +252,13 @@ class TestDaemonRecovery:
             data.pop("elapsed_seconds")
         assert got == want
 
-        # Terminal record journaled; checkpoint discarded; nothing left.
+        # Terminal record journaled; nothing left.
         assert journal.get(job_id).state == "done"
-        assert journal.load_checkpoint(job_id) is None
         assert journal.unfinished() == []
+
+    def test_recover_without_a_journal_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="--journal-dir"):
+            RepairDaemon(str(tmp_path / "d.sock"), recover=True)
 
     def test_poison_and_garbage_records_fail_instead_of_looping(self, tmp_path):
         journal_dir = tmp_path / "journal"

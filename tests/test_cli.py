@@ -137,6 +137,24 @@ class TestRepairCommand:
             )
 
 
+class TestServeCommand:
+    def test_recover_without_journal_dir_exits_before_serving(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.service import RepairDaemon
+
+        def serve(daemon, ready=None):
+            raise AssertionError("the daemon started serving")
+
+        monkeypatch.setattr(RepairDaemon, "serve", serve)
+        socket_path = tmp_path / "d.sock"
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--socket", str(socket_path), "--recover"])
+        assert str(exc.value.code).startswith("error: ")
+        assert "--journal-dir" in str(exc.value.code)
+        assert not socket_path.exists()
+
+
 class TestSimulateCommand:
     def test_simulate_with_record(self, ff_files, capsys):
         code = main(
