@@ -90,6 +90,59 @@ if bad:
     sys.exit("evaluate_design_text() called outside core/backend.py; score through the backend")
 EOF
 
+echo "== the engine scores its own trees (each scored tree is the parse of its text) =="
+python - <<'EOF'
+import sys
+
+from repro.benchsuite import all_scenarios
+from repro.core.config import RepairConfig
+from repro.core.harness import EngineHarness, run_trials
+from repro.core.repair import CirFixEngine
+from repro.fuzz.oracles import check_candidate_roundtrip
+from repro.synth import SynthEngine
+
+# The serial backend compiles the tree the harness holds instead of
+# parsing the candidate's text, so every candidate must either parse
+# back from its text as that tree or be reported inexact by strict
+# codegen (and then be scored from its text).  Record each candidate
+# EngineHarness._applied makes, over all 32 Table-3 scenarios and both
+# engines at seed 0, and check it.
+seen = {}
+applied = EngineHarness._applied
+
+
+def recording(self, patch):
+    tree, text, exact = result = applied(self, patch)
+    if text is not None:
+        seen.setdefault(id(tree), (tree, text, exact))
+    return result
+
+
+EngineHarness._applied = recording
+budget = RepairConfig(
+    population_size=24, max_generations=3, max_fitness_evals=80,
+    minimize_budget=16, max_wall_seconds=1e6,
+)
+total = inexact = 0
+bad = []
+for scenario in all_scenarios():
+    for engine in (CirFixEngine, SynthEngine):
+        seen.clear()
+        run_trials(engine, scenario.problem(), scenario.suggested_config(budget), (0,))
+        for tree, text, exact in seen.values():
+            total += 1
+            inexact += not exact
+            bad += [
+                f"{scenario.scenario_id} {engine.__name__}: {violation.detail}"
+                for violation in check_candidate_roundtrip(tree, text, exact)
+            ]
+if bad:
+    print("\n".join(bad), file=sys.stderr)
+    sys.exit(f"{len(bad)} candidate(s) would score a tree that is not their text's program")
+print(f"engine trees ok: {total} candidates, {inexact} reported inexact "
+      "and scored from their text")
+EOF
+
 echo "== one way in (repro repair runs through run_request; simulators built in their homes only) =="
 python - <<'EOF'
 import ast

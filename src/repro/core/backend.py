@@ -3,15 +3,24 @@
 The paper reports that >90% of repair wall-clock goes to fitness
 evaluations (candidate simulations), and evaluations within a generation
 are independent.  This module factors the evaluation pipeline
-(parse → compile → simulate → fitness) out of the engine and puts an
-:class:`EvaluationBackend` interface in front of it:
+(parse, unless the tree is at hand → compile → simulate → fitness) out
+of the engine and puts an :class:`EvaluationBackend` interface in front
+of it:
 
 - :class:`SerialBackend` evaluates candidates inline in the engine's
-  process — the paper's original behaviour and the default;
+  process — the paper's original behaviour and the default.  A
+  candidate handed over with its tree (a :data:`Candidate` pair) is
+  compiled from that tree, with no parse;
 - :class:`ProcessPoolBackend` keeps a persistent pool of **supervised**
   worker processes: each worker parses the instrumented testbench and
-  loads the oracle **once** at initialisation, then scores candidate
-  design texts one task at a time.
+  loads the oracle **once** at initialisation, then parses and scores
+  candidate design texts one task at a time.
+
+A candidate's text is its identity everywhere: the caches key on it,
+and the pool ships only it.  The engine hands over a tree only when
+the parse of the text equals it (see
+:meth:`repro.core.harness.EngineHarness._applied`), so both backends
+simulate the same program.
 
 Every candidate the engine scores — batch members, the unpatched
 design, minimization subsets — goes through a backend, so the caches
@@ -191,6 +200,17 @@ def _quarantine_result(kind: str, attempts: int) -> CandidateResult:
     return CandidateResult(0.0, False, None, failure=EvalFailure(kind, attempts))
 
 
+#: One candidate for :meth:`EvaluationBackend.evaluate_batch`: its design
+#: text, or a ``(text, tree)`` pair whose tree equals the parse of the
+#: text, so that the serial backend can skip the parse.
+Candidate = str | tuple[str, ast.Source]
+
+
+def candidate_text(candidate: Candidate) -> str:
+    """The design text of one candidate."""
+    return candidate if isinstance(candidate, str) else candidate[0]
+
+
 # ----------------------------------------------------------------------
 # The evaluation pipeline (shared by every backend)
 # ----------------------------------------------------------------------
@@ -238,8 +258,12 @@ def evaluate_design_text(
     testbench: ast.Source,
     oracle: SimulationTrace,
     config: RepairConfig,
+    tree: ast.Source | None = None,
 ) -> CandidateResult:
     """Score one candidate design: parse → compile → simulate → fitness.
+
+    ``tree``, when given, must equal the parse of ``design_text``; the
+    candidate is then compiled from it and the parse is skipped.
 
     Never raises: a candidate that fails to parse or elaborate scores 0.0
     with ``compiled=False``; one that crashes at runtime — anywhere in
@@ -252,11 +276,12 @@ def evaluate_design_text(
     """
     started = time.perf_counter()
     try:
-        design = parse(design_text)
+        design = parse(design_text) if tree is None else tree
         # The compiled simulator never mutates the combined tree, so the
-        # testbench modules ride along uncloned and their compiled
-        # templates are shared across every candidate scored against
-        # this testbench.
+        # testbench modules, and design subtrees the engine shares
+        # between candidates, ride along uncloned; the testbench's
+        # compiled templates are shared across every candidate scored
+        # against this testbench.
         combined = ast.Source(list(design.modules) + list(testbench.modules))
         shared_cache, shared_ids = _testbench_compile_state(testbench)
         sim = CompiledSimulator(
@@ -565,13 +590,15 @@ class EvaluationBackend(Protocol):
 
     Implementations must preserve input order: ``evaluate_batch(texts)[i]``
     is the result for ``texts[i]``.  The engine relies on this (plus its
-    own child-index-ordered submission) for seed determinism.  Backends
-    are context managers (``with make_backend(...) as backend:``) whose
-    exit calls :meth:`close`.
+    own child-index-ordered submission) for seed determinism.  Each
+    element is a :data:`Candidate`; a backend may score a pair from its
+    tree, and must return what scoring the text returns.  Backends are
+    context managers (``with make_backend(...) as backend:``) whose exit
+    calls :meth:`close`.
     """
 
-    def evaluate_batch(self, design_texts: Sequence[str]) -> list[CandidateResult]:
-        """Evaluate every design text and return results in input order."""
+    def evaluate_batch(self, design_texts: Sequence[Candidate]) -> list[CandidateResult]:
+        """Evaluate every candidate and return results in input order."""
         ...  # pragma: no cover - protocol
 
     def take_incidents(self) -> list[SupervisionIncident]:
@@ -594,8 +621,9 @@ class EvaluationBackend(Protocol):
 class SerialBackend:
     """Evaluates candidates inline in the calling process.
 
-    This is the original CirFix behaviour and the default.  Its results
-    are the same compact results the pool returns.
+    This is the original CirFix behaviour and the default.  A candidate
+    that comes with its tree is compiled from the tree, unparsed.  Its
+    results are the same compact results the pool returns.
     """
 
     def __init__(
@@ -627,15 +655,18 @@ class SerialBackend:
             testbench_text=problem.testbench_text,
         )
 
-    def evaluate_batch(self, design_texts: Sequence[str]) -> list[CandidateResult]:
+    def evaluate_batch(self, design_texts: Sequence[Candidate]) -> list[CandidateResult]:
         """Evaluate the batch one candidate at a time, in order."""
         results: list[CandidateResult] = []
-        for text in design_texts:
+        for candidate in design_texts:
+            text, tree = (candidate, None) if isinstance(candidate, str) else candidate
             cached = self.cache.get(text)
             if cached is not None:
                 results.append(cached)
                 continue
-            result = evaluate_design_text(text, self.testbench, self.oracle, self.config)
+            result = evaluate_design_text(
+                text, self.testbench, self.oracle, self.config, tree
+            )
             self.cache.put(text, result)
             results.append(result)
         return results
@@ -967,8 +998,10 @@ class ProcessPoolBackend:
     # Batch evaluation under supervision
     # ------------------------------------------------------------------
 
-    def evaluate_batch(self, design_texts: Sequence[str]) -> list[CandidateResult]:
+    def evaluate_batch(self, design_texts: Sequence[Candidate]) -> list[CandidateResult]:
         """Fan the batch out over the pool; results come back in order.
+
+        Workers receive each candidate's text only, and parse it.
 
         Each candidate is dispatched as its own task (workers are
         load-balanced — a non-compiling mutant is ~100x cheaper than a
@@ -980,7 +1013,7 @@ class ProcessPoolBackend:
         """
         if self._workers is None:
             raise RuntimeError("ProcessPoolBackend used after close()")
-        texts = list(design_texts)
+        texts = [candidate_text(candidate) for candidate in design_texts]
         if not texts:
             return []
         results: list[CandidateResult | None] = [None] * len(texts)

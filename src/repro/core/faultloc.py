@@ -6,8 +6,8 @@ AST nodes:
 
 - **Impl-Data** — an assignment whose left-hand side names a mismatched
   identifier;
-- **Impl-Ctrl** — a conditional statement whose condition reads a
-  mismatched identifier.
+- **Impl-Ctrl** — a conditional statement with a mismatched identifier
+  anywhere in it, guard or body.
 
 Every implicated node and all of its children join the fault localization
 set; child identifiers not yet in the mismatch set are added (**Add-Child**)
@@ -46,30 +46,54 @@ _ASSIGNMENT_TYPES = (ast.BlockingAssign, ast.NonBlockingAssign, ast.ContinuousAs
 _CONDITIONAL_TYPES = (ast.If, ast.Case, ast.While, ast.Ternary, ast.For)
 
 
-# The name-level queries are shared with repro.lint and live in
-# repro.hdl.dataflow; this adapter applies the LHS query to an assignment.
-def _lhs_names(node: ast.Node) -> set[str]:
-    """Identifier names written by an assignment's LHS (through selects
-    and concatenations)."""
-    return lhs_names(node.lhs)  # type: ignore[attr-defined]
+class _TreeIndex:
+    """Algorithm 2's view of one tree, built in one pass over it.
 
-
-def _implicated(node: ast.Node, mismatch: set[str]) -> bool:
-    """The paper's ``implicated(node, mismatch)`` predicate.
-
-    Impl-Ctrl matches the paper's motivating-example walkthrough: "the
-    entire if-statement wrapping this assignment gets implicated" — i.e. a
-    conditional statement is implicated when *any* identifier in the whole
-    statement (guard or body) is in the mismatch set.
+    ``ids`` and ``names`` hold each node's id and identifier name (None
+    for a node that is no identifier) in preorder, so the nodes under a
+    node are one slice of them.  ``spans`` holds that slice for every
+    node that can be implicated (one with an id, and an assignment or a
+    conditional), and ``triggers`` maps a name to the spans it
+    implicates: an assignment's are the names its LHS writes (Impl-Data);
+    a conditional's are every identifier under it (Impl-Ctrl).  The
+    paper's walkthrough implicates "the entire if-statement wrapping this
+    assignment", so a conditional's body counts as well as its guard.
     """
-    if isinstance(node, _ASSIGNMENT_TYPES):
-        if _lhs_names(node) & mismatch:  # Impl-Data
-            return True
-    if isinstance(node, _CONDITIONAL_TYPES):
-        for sub in node.walk():
-            if isinstance(sub, ast.Identifier) and sub.name in mismatch:  # Impl-Ctrl
-                return True
-    return False
+
+    __slots__ = ("ids", "names", "spans", "triggers")
+
+    def __init__(self, design: ast.Node):
+        self.ids: list[int | None] = []
+        self.names: list[str | None] = []
+        self.spans: list[tuple[int, int]] = []
+        self.triggers: dict[str, list[int]] = {}
+        self._visit(design)
+
+    def _visit(self, node: ast.Node) -> None:
+        start = len(self.ids)
+        self.ids.append(node.node_id)
+        self.names.append(node.name if isinstance(node, ast.Identifier) else None)
+        for field in node._fields:
+            value = getattr(node, field)
+            if isinstance(value, ast.Node):
+                self._visit(value)
+            elif isinstance(value, list):
+                for item in value:
+                    if isinstance(item, ast.Node):
+                        self._visit(item)
+        if node.node_id is None:
+            return
+        if isinstance(node, _ASSIGNMENT_TYPES):
+            trigger = lhs_names(node.lhs)
+        elif isinstance(node, _CONDITIONAL_TYPES):
+            trigger = set(self.names[start:])
+            trigger.discard(None)
+        else:
+            return
+        span = len(self.spans)
+        self.spans.append((start, len(self.ids)))
+        for name in trigger:
+            self.triggers.setdefault(name, []).append(span)
 
 
 def localize_faults(
@@ -78,6 +102,14 @@ def localize_faults(
     max_iterations: int = 64,
 ) -> FaultLocalization:
     """Run Algorithm 2 on the design AST.
+
+    Each round adds the frontier (the names new to the mismatch set) to
+    the mismatch set, implicates every node that the frontier triggers,
+    and adds those nodes and all their children to the fault set; the
+    children's identifiers not yet in the mismatch set (Add-Child) are
+    the next frontier.  A node once implicated stays implicated and adds
+    nothing new later, so each node fires at most once: the rounds cost
+    one pass to index the tree plus the nodes they implicate.
 
     Args:
         design: The (possibly already-patched) design AST — typically the
@@ -91,23 +123,25 @@ def localize_faults(
     Returns:
         The fault localization set plus the saturated mismatch set.
     """
+    index = _TreeIndex(design)
     result = FaultLocalization(mismatch=set())
     frontier = set(initial_mismatch)
-    nodes = list(design.walk())
+    fired: set[int] = set()
     while frontier - result.mismatch and result.iterations < max_iterations:
         result.iterations += 1
         result.mismatch |= frontier
-        new_names: set[str] = set()
-        for node in nodes:
-            if node.node_id is None or not _implicated(node, result.mismatch):
-                continue
-            result.nodes.add(node.node_id)
-            for child in node.walk():
-                if child.node_id is not None:
-                    result.nodes.add(child.node_id)
-                if isinstance(child, ast.Identifier) and child.name not in result.mismatch:
-                    new_names.add(child.name)  # Add-Child
-        frontier = new_names
+        new_names = set()
+        for name in frontier:
+            for span in index.triggers.get(name, ()):
+                if span in fired:
+                    continue
+                fired.add(span)
+                start, end = index.spans[span]
+                result.nodes.update(index.ids[start:end])
+                new_names.update(index.names[start:end])
+        new_names.discard(None)
+        frontier = new_names - result.mismatch
+    result.nodes.discard(None)
     return result
 
 

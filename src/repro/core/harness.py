@@ -14,7 +14,10 @@ telemetry apply to every engine unchanged.
 
 The backend is the only place a candidate is scored: chunks of a
 round, the unpatched design, minimization subsets and single lookups
-alike.  The engine keeps the backend's
+alike.  The engine hands it each candidate's text together with the
+patched tree it already holds, so the serial backend scores the tree
+without parsing the text again; the text stays the candidate's
+identity.  The engine keeps the backend's
 :class:`~repro.core.backend.CandidateResult` as its own record.
 
 :func:`run_trials` is the one multi-seed trial loop: every runner and
@@ -35,7 +38,7 @@ import time as time_mod
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
-from ..hdl import ast, generate, max_node_id
+from ..hdl import InexactCodegen, ast, generate, max_node_id
 from ..instrument.trace import SimulationTrace
 # Unused here, but the end-to-end benchmark tracer
 # (benchmarks/e2e/tracer.py) wraps this name in this module.
@@ -57,7 +60,13 @@ from ..obs.events import (
     WorkerCrashed,
 )
 from ..obs.observer import ObserverSet, RepairObserver
-from .backend import CandidateResult, EvaluationBackend, make_backend
+from .backend import (
+    Candidate,
+    CandidateResult,
+    EvaluationBackend,
+    candidate_text,
+    make_backend,
+)
 # Unused here, but the end-to-end benchmark tracer
 # (benchmarks/e2e/tracer.py) wraps this name in this module.
 from .backend import evaluate_design_text  # noqa: F401
@@ -211,11 +220,13 @@ class EngineHarness:
         self.winner: Patch | None = None
         self.history: list[float] = []
         #: Per-phase wall-clock (repro.obs): ``evaluation`` is the time
-        #: inside candidate evaluation (codegen + parse + simulate +
-        #: fitness; the paper reports >90% of repair time goes there) and
-        #: ``parse`` its frontend sub-span; ``localization`` and
-        #: ``minimization`` exclude the evaluations they trigger, so the
-        #: three top-level phases partition the trial's accounted time.
+        #: inside candidate evaluation (compile + simulate + fitness, and
+        #: the parse of a candidate scored from its text; the paper
+        #: reports >90% of repair time goes there) and ``parse`` its
+        #: frontend sub-span (that parse, elaboration and compilation);
+        #: ``localization`` and ``minimization`` exclude the evaluations
+        #: they trigger, so the three top-level phases partition the
+        #: trial's accounted time.
         self.phase_seconds: dict[str, float] = {
             "parse": 0.0,
             "localization": 0.0,
@@ -263,55 +274,66 @@ class EngineHarness:
         """
         return self._applied(patch)[0]
 
-    def _applied(self, patch: Patch) -> tuple[ast.Source, str | None]:
-        """``patch`` applied to the design, and the tree's generated text
-        (None when codegen fails).
+    def _applied(self, patch: Patch) -> tuple[ast.Source, str | None, bool]:
+        """``patch`` applied to the design, the tree's generated text
+        (None when codegen fails), and whether the parse of that text
+        equals the tree.
 
-        The one place a candidate is applied and generated.  The pair is
-        memoised on the patch object, like ``_fitness``: a selected parent
-        is scored, mutated and localized from one application.
+        The one place a candidate is applied and generated.  The triple
+        is memoised on the patch object, like ``_fitness``: a selected
+        parent is scored, mutated and localized from one application.
+        Strict codegen reports the tree shapes it cannot print faithfully
+        (see :func:`~repro.hdl.codegen.generate`); such a tree still gets
+        its usual text, but only that text is scored.
         """
         design = self.problem.design
         memo = getattr(patch, "_applied", None)
         if memo is None or memo[0] is not design:
             tree = patch.apply(design, self.problem.design_max_id)
+            exact = True
             try:
-                text: str | None = generate(tree)
+                try:
+                    text: str | None = generate(tree, strict=True)
+                except InexactCodegen:
+                    exact = False
+                    text = generate(tree)
             except Exception:
                 text = None
-            memo = (design, tree, text)
+            memo = (design, tree, text, exact)
             patch._applied = memo  # type: ignore[attr-defined]
-        return memo[1], memo[2]
+        return memo[1], memo[2], memo[3]
 
     def evaluate(self, patch: Patch) -> CandidateResult:
-        """Codegen → parse → simulate → fitness, with memoisation.
+        """Score one patch (simulate → fitness), with memoisation.
 
-        A single candidate is scored as a one-text batch on the backend,
-        like a chunk member: it consults the backend's caches and, on the
-        pool, runs under supervision.  It emits no chunk events on any
-        backend.
+        A single candidate is scored as a one-candidate batch on the
+        backend, like a chunk member: it consults the backend's caches
+        and, on the pool, runs under supervision.  It emits no chunk
+        events on any backend.
         """
-        design_text, known = self._lookup(patch)
+        candidate, known = self._lookup(patch)
         if known is not None:
             return known
         backend = self._ensure_backend()
         started = time_mod.monotonic()
-        (result,) = backend.evaluate_batch([design_text])
+        (result,) = backend.evaluate_batch([candidate])
         self.phase_seconds["evaluation"] += time_mod.monotonic() - started
         self._note_incidents(None, backend)
-        return self._record(design_text, result)
+        return self._record(candidate_text(candidate), result)
 
-    def _lookup(self, patch: Patch) -> tuple[str, CandidateResult | None]:
+    def _lookup(self, patch: Patch) -> tuple[Candidate, CandidateResult | None]:
         """Start one evaluation: apply and codegen (once per patch object),
         memo lookup, lint gate.
 
-        Returns the candidate's design text and, when no simulation is
-        needed (codegen failed, memo hit, or gate prune), its result;
-        None means the text still has to be scored.
+        Returns the candidate for the backend — its design text, paired
+        with its tree when the parse of the text equals the tree — and,
+        when no simulation is needed (codegen failed, memo hit, or gate
+        prune), its result; None means the candidate still has to be
+        scored.
         """
         self.fitness_evals += 1
         try:
-            tree, design_text = self._applied(patch)
+            tree, design_text, exact = self._applied(patch)
         except Exception:
             design_text = None
         if design_text is None:
@@ -323,7 +345,7 @@ class EngineHarness:
             added = self._gate_added(tree)
             if added:
                 return design_text, self._prune(design_text, added)
-        return design_text, None
+        return ((design_text, tree) if exact else design_text), None
 
     def _record(self, design_text: str, result: CandidateResult) -> CandidateResult:
         """Finish one unique evaluation: counters, event, memo."""
@@ -413,7 +435,7 @@ class EngineHarness:
         """Score a whole generation's patches through the backend.
 
         Returns results aligned with ``patches``.  Unique uncached
-        design texts are submitted in first-occurrence (child-index) order
+        candidates are submitted in first-occurrence (child-index) order
         in near-equal chunks sized by :func:`adaptive_chunk_size` (with
         ``config.eval_chunk_size`` as the granularity floor); between chunks
         the engine checks the budget and whether a plausible candidate has
@@ -424,18 +446,18 @@ class EngineHarness:
         what makes outcomes bit-identical across backends.
         """
         results: list[CandidateResult | None] = [None] * len(patches)
-        pending: list[str] = []
+        pending: list[Candidate] = []
         indices_for_text: dict[str, list[int]] = {}
         for i, patch in enumerate(patches):
             # Gate prunes happen here, engine-side before chunking, so the
             # prune schedule (and its events) is backend-independent.
-            text, known = self._lookup(patch)
+            candidate, known = self._lookup(patch)
             if known is not None:
                 results[i] = known
                 continue
-            slots = indices_for_text.setdefault(text, [])
+            slots = indices_for_text.setdefault(candidate_text(candidate), [])
             if not slots:
-                pending.append(text)
+                pending.append(candidate)
             slots.append(i)
         backend = self._ensure_backend()
         chunk_size = adaptive_chunk_size(len(pending), self.config.eval_chunk_size)
@@ -463,7 +485,8 @@ class EngineHarness:
                     )
                 )
             self._note_incidents(chunk_id, backend)
-            for text, result in zip(chunk, chunk_results):
+            for candidate, result in zip(chunk, chunk_results):
+                text = candidate_text(candidate)
                 self._record(text, result)
                 for index in indices_for_text[text]:
                     results[index] = result
@@ -515,14 +538,18 @@ class EngineHarness:
     # Fault localization (paper Algorithm 2)
     # ------------------------------------------------------------------
 
-    def fault_localization(self, patch: Patch, variant: ast.Source) -> set[int]:
+    def fault_localization(
+        self, patch: Patch, variant: ast.Source
+    ) -> frozenset[int]:
         """Algorithm 2 seeded by this variant's own output mismatch.
 
         The mismatch set was recorded when the variant was evaluated, on
         whichever backend scored it, so an already-evaluated parent is
-        never simulated again.  The ``localization`` phase timer excludes
-        the candidate evaluations this triggers (those are ``evaluation``
-        time).
+        never simulated again.  The fault set depends only on the variant
+        and that mismatch, so it is memoised on the patch beside
+        ``_applied``: a parent selected again is not localized again.
+        The ``localization`` phase timer excludes the candidate
+        evaluations this triggers (those are ``evaluation`` time).
         """
         started = time_mod.monotonic()
         eval_before = self.phase_seconds["evaluation"]
@@ -533,14 +560,17 @@ class EngineHarness:
                 time_mod.monotonic() - started
             ) - (self.phase_seconds["evaluation"] - eval_before)
 
-    def _fault_localization(self, patch: Patch, variant: ast.Source) -> set[int]:
+    def _fault_localization(
+        self, patch: Patch, variant: ast.Source
+    ) -> frozenset[int]:
         mismatch = self.evaluate(patch).mismatch
-        if not mismatch:
-            return all_statement_ids(variant)
-        localized = localize_faults(variant, set(mismatch))
-        if not localized.nodes:
-            return all_statement_ids(variant)
-        return localized.nodes
+        memo = getattr(patch, "_faults", None)
+        if memo is not None and memo[0] is variant and memo[1] == mismatch:
+            return memo[2]
+        nodes = localize_faults(variant, set(mismatch)).nodes if mismatch else None
+        faults = frozenset(nodes or all_statement_ids(variant))
+        patch._faults = (variant, mismatch, faults)  # type: ignore[attr-defined]
+        return faults
 
     # ------------------------------------------------------------------
     # Trial scaffolding shared by every engine

@@ -11,10 +11,12 @@ Genetic-programming search over repair patches:
 3. stop when a candidate reaches fitness 1.0 (plausible repair) or
    resources run out; minimize the winning patch with delta debugging.
 
-Every candidate evaluation regenerates Verilog source from the patched AST,
-reparses the design, appends the pre-parsed testbench, compiles, and
-simulates — mirroring the original pipeline (PyVerilog codegen → VCS
+Every candidate evaluation regenerates Verilog source from the patched AST
+(the candidate's identity), appends the pre-parsed testbench, compiles,
+and simulates — mirroring the original pipeline (PyVerilog codegen → VCS
 simulation), with our own frontend and simulator standing in for both.
+The serial backend compiles the patched tree itself, which equals the
+parse of its text; pool workers parse the text.
 
 The engine runs **generate-then-evaluate-batch**: each generation's
 children are produced first (selection uses the previous generation's

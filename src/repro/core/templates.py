@@ -144,10 +144,7 @@ def _apply_numeric(name: str, tree: ast.Source, target: ast.Node, fresh_start: i
         width = target.width
         eff_width = width if width is not None else 32
         new_value = (target.aval + delta) & ((1 << eff_width) - 1)
-        if width is not None:
-            replacement = ast.Number(f"{width}'d{new_value}", width, new_value, 0)
-        else:
-            replacement = ast.Number(str(new_value), None, new_value, 0)
+        replacement = ast.Number.from_int(new_value, width)
         replacement.node_id = fresh_start
         return tree.replace(target.node_id or -1, replacement)
     if isinstance(target, ast.Identifier):
@@ -156,7 +153,7 @@ def _apply_numeric(name: str, tree: ast.Source, target: ast.Node, fresh_start: i
             # ``(a + 1) = rhs;`` which no longer parses — refuse (no-op).
             return False
         op = "+" if delta == 1 else "-"
-        wrapped = ast.BinaryOp(op, ast.Identifier(target.name), ast.Number("1", None, 1, 0))
+        wrapped = ast.BinaryOp(op, ast.Identifier(target.name), ast.Number.from_int(1))
         number_nodes(wrapped, fresh_start)
         return tree.replace(target.node_id or -1, wrapped)
     return False

@@ -103,7 +103,7 @@ def _widen(decl: ast.Decl, tree: ast.Source, fresh_start: int) -> bool:
         return False
     old_width = decl.msb.aval + 1
     new_msb_value = old_width * 2 - 1
-    new_msb = ast.Number(str(new_msb_value), None, new_msb_value, 0, signed=True)
+    new_msb = ast.Number.from_int(new_msb_value)
     new_msb.node_id = fresh_start
     decl.msb = new_msb
     return True
@@ -111,7 +111,7 @@ def _widen(decl: ast.Decl, tree: ast.Source, fresh_start: int) -> bool:
 
 def _zero_assignment(target: ast.Node, tree: ast.Source, fresh_start: int) -> bool:
     assert isinstance(target, (ast.BlockingAssign, ast.NonBlockingAssign))
-    zero = ast.Number("0", None, 0, 0, signed=True)
+    zero = ast.Number.from_int(0)
     duplicate = type(target)(target.lhs.clone(), zero, None)
     number_nodes(duplicate, fresh_start)
     return tree.insert_after(target.node_id or -1, duplicate)

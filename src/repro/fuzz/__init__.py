@@ -14,8 +14,9 @@ feeds a battery of differential/metamorphic oracles —
 - **backends**: ``SerialBackend`` and ``ProcessPoolBackend`` agree
   (:func:`check_backends`);
 - **templates**: every repair template applied to every legal target
-  re-parses, i.e. the mutation operators are closed over parseable
-  programs (:func:`check_templates`);
+  re-parses as the mutant's own tree, i.e. the mutation operators are
+  closed over parseable programs, and a mutant scores the same from its
+  tree as from its text (:func:`check_templates`);
 - **logic**: 4-state ops satisfy commutativity and x-pessimism
   monotonicity against exhaustive small-width tables
   (:func:`check_logic_properties`).

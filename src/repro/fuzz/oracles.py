@@ -26,9 +26,11 @@ the property holds.  The oracle battery (ISSUE 3):
     counters — for the same program (``docs/simulation.md``).
 ``templates``
     every repair template applied to every legal target yields source
-    that re-parses (operator closure); a strided subset of mutants is
-    also pushed through the full evaluation pipeline, which must not
-    raise.
+    that re-parses (operator closure) as the mutant's own tree, unless
+    strict codegen reports the tree inexact; a strided subset of mutants
+    is also pushed through the full evaluation pipeline, which must not
+    raise, once from the text and once from the tree, with equal
+    results.
 ``logic``
     4-state ops satisfy commutativity and x-pessimism monotonicity
     (:mod:`repro.fuzz.logic_props`; checked once per run, not per
@@ -37,13 +39,14 @@ the property holds.  The oracle battery (ISSUE 3):
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 from ..core.backend import ProcessPoolBackend, SerialBackend, evaluate_design_text
 from ..core.config import RepairConfig
 from ..core.templates import applicable_templates, apply_template
 from ..core.templates_ext import applicable_extended
-from ..hdl import ast, generate, max_node_id, parse, structural_diff
+from ..hdl import InexactCodegen, ast, generate, max_node_id, parse, structural_diff
 from ..instrument.trace import SimulationTrace
 from ..sim.compile import CompiledSimulator
 from ..sim.elaborate import ElaborationError
@@ -336,9 +339,12 @@ def check_templates(
 
     ``apply_template`` refusing a target (returning False) is fine — the
     patch conventions treat that as a no-op.  A mutant that *was*
-    produced must re-parse; a deterministic strided subset (at most
-    ``max_sim_mutants``) is also run through the never-raising
-    evaluation pipeline, with any escape counting as a violation.
+    produced must re-parse, as a tree structurally equal to the mutant
+    unless strict codegen reported the mutant inexact.  A deterministic
+    strided subset (at most ``max_sim_mutants``) is also run through the
+    never-raising evaluation pipeline, with any escape counting as a
+    violation; an exact mutant is scored from its text and from its tree,
+    and the two results must agree in every field but the timings.
     """
     violations: list[Violation] = []
     try:
@@ -347,7 +353,8 @@ def check_templates(
     except Exception as exc:
         return [Violation("templates", f"design parse failed: {exc}")]
     fresh = max_node_id(design) + 1000
-    mutants: list[tuple[int, str, str]] = []  # (target_id, template, text)
+    # (target_id, template, text, tree; None when codegen is inexact)
+    mutants: list[tuple[int, str, str, ast.Source | None]] = []
     for node in design.walk():
         if node.node_id is None:
             continue
@@ -367,8 +374,13 @@ def check_templates(
                 continue
             if not applied:
                 continue
+            exact = True
             try:
-                mutant_text = generate(clone)
+                try:
+                    mutant_text = generate(clone, strict=True)
+                except InexactCodegen:
+                    exact = False
+                    mutant_text = generate(clone)
             except Exception as exc:
                 violations.append(
                     Violation(
@@ -378,7 +390,7 @@ def check_templates(
                 )
                 continue
             try:
-                parse(mutant_text)
+                reparsed = parse(mutant_text)
             except Exception as exc:
                 violations.append(
                     Violation(
@@ -388,12 +400,28 @@ def check_templates(
                     )
                 )
                 continue
-            mutants.append((node.node_id, name, mutant_text))
+            diff = structural_diff(reparsed, clone) if exact else None
+            if diff is not None:
+                violations.append(
+                    Violation(
+                        "templates",
+                        f"{name} on node {node.node_id} "
+                        f"({type(node).__name__}) parses back as another "
+                        f"tree: {diff}",
+                    )
+                )
+                continue
+            mutants.append((node.node_id, name, mutant_text, clone if exact else None))
     if oracle is not None and tb_tree is not None and mutants and max_sim_mutants > 0:
         stride = max(1, len(mutants) // max_sim_mutants)
-        for target_id, name, mutant_text in mutants[::stride][:max_sim_mutants]:
+        for target_id, name, mutant_text, tree in mutants[::stride][:max_sim_mutants]:
             try:
-                evaluate_design_text(mutant_text, tb_tree, oracle, FUZZ_EVAL_CONFIG)
+                from_text = evaluate_design_text(
+                    mutant_text, tb_tree, oracle, FUZZ_EVAL_CONFIG
+                )
+                from_tree = from_text if tree is None else evaluate_design_text(
+                    mutant_text, tb_tree, oracle, FUZZ_EVAL_CONFIG, tree
+                )
             except Exception as exc:
                 violations.append(
                     Violation(
@@ -402,7 +430,51 @@ def check_templates(
                         f"raised {exc!r} (contract: never raises)",
                     )
                 )
+                continue
+            if _untimed(from_tree) != _untimed(from_text):
+                violations.append(
+                    Violation(
+                        "templates",
+                        f"{name} on node {target_id}: scored from its tree "
+                        f"{_untimed(from_tree)} != from its text "
+                        f"{_untimed(from_text)}",
+                    )
+                )
     return violations
+
+
+def check_candidate_roundtrip(
+    tree: ast.Source, text: str, exact: bool
+) -> list[Violation]:
+    """An engine candidate's tree is scored only when it is the program
+    its text is.
+
+    ``exact`` is what the repair harness decided for the candidate
+    (``EngineHarness._applied``).  When True the serial backend scores
+    ``tree`` instead of parsing ``text``, so ``text`` must parse, as a
+    tree equal to ``tree``.  When False strict codegen reported one of
+    the shapes it cannot print faithfully and only the text is scored;
+    then the text must indeed not parse back as ``tree``, or the report
+    was a false alarm.
+    """
+    try:
+        diff = structural_diff(parse(text), tree)
+    except Exception as exc:
+        if exact:
+            return [Violation("candidates", f"scored tree's text does not parse: {exc}")]
+        return []
+    if exact and diff is not None:
+        return [Violation("candidates", f"scored tree differs from its text's parse: {diff}")]
+    if not exact and diff is None:
+        return [Violation("candidates", "codegen reported an exact tree inexact")]
+    return []
+
+
+def _untimed(result):
+    """A ``CandidateResult`` with its wall-clock fields zeroed."""
+    return dataclasses.replace(
+        result, eval_seconds=0.0, parse_seconds=0.0, sim_seconds=0.0
+    )
 
 
 # ----------------------------------------------------------------------

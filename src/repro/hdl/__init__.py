@@ -11,7 +11,7 @@ CirFix artifact.  Typical usage::
 
 from . import ast
 from .ast import structural_diff, structurally_equal
-from .codegen import CodegenError, generate
+from .codegen import CodegenError, InexactCodegen, generate
 from .lexer import LexError, tokenize
 from .node_ids import clear_ids, max_node_id, number_nodes
 from .parser import ParseError, parse
@@ -31,4 +31,5 @@ __all__ = [
     "ParseError",
     "LexError",
     "CodegenError",
+    "InexactCodegen",
 ]

@@ -178,11 +178,15 @@ class Number(Expr):
 
     @staticmethod
     def from_int(value: int, width: int | None = None) -> "Number":
-        """Build a plain decimal literal node from a Python int."""
+        """Build a plain decimal literal node from a Python int.
+
+        Without a width the literal is unsized, and an unsized decimal
+        is signed, as the parser reads its text.
+        """
         if value < 0:
             raise ValueError("use an explicit width for negative constants")
         if width is None:
-            return Number(str(value), None, value, 0)
+            return Number(str(value), None, value, 0, signed=True)
         mask = (1 << width) - 1
         return Number(f"{width}'d{value & mask}", width, value & mask, 0)
 

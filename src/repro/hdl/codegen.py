@@ -20,9 +20,33 @@ class CodegenError(Exception):
     """Raised when an AST node cannot be rendered (malformed mutation)."""
 
 
-def generate(node: ast.Node) -> str:
-    """Render an AST (any node type) back to Verilog source text."""
-    return _Generator().render(node)
+class InexactCodegen(CodegenError):
+    """Raised by a strict :func:`generate` for a tree whose text parses
+    back as a different tree, or does not parse."""
+
+
+def generate(node: ast.Node, *, strict: bool = False) -> str:
+    """Render an AST (any node type) back to Verilog source text.
+
+    Some trees print as text that parses back as a different tree, or
+    does not parse:
+
+    - a ``for`` header whose init or step is not a delay-free blocking
+      assignment (the header prints every assignment as ``lhs = rhs``);
+    - an ``if`` with an ``else`` whose then-branch ends in an ``if``
+      without one, directly or through a loop, delay or event-control
+      body (the ``else`` binds to that inner ``if`` when re-parsed);
+    - an expression where the grammar takes only some: an assignment
+      target that is not a name or a concatenation under selects, a
+      select of an expression that does not print as a primary, a delay
+      that is not a name, a literal or parenthesized, and an empty
+      concatenation or sensitivity list;
+    - a missing statement, printed as the null statement ``;``.
+
+    With ``strict`` such a tree raises :class:`InexactCodegen`; without
+    it, it prints as any other tree.
+    """
+    return _Generator(strict).render(node)
 
 
 def _name(name: str) -> str:
@@ -34,7 +58,63 @@ def _name(name: str) -> str:
     return name
 
 
+#: Expressions that parse back as themselves under a bit- or part-select:
+#: primaries, and the expressions that print parenthesized.
+_SELECTABLE = (
+    ast.Identifier, ast.Number, ast.RealNumber, ast.Concat, ast.Index,
+    ast.PartSelect, ast.BinaryOp, ast.Ternary,
+)
+#: Expressions that parse back as themselves after ``#``.
+_DELAYS = (ast.Identifier, ast.Number, ast.RealNumber, ast.BinaryOp, ast.Ternary)
+
+#: Statements that print their body last.
+_BODY_LAST = (
+    ast.For, ast.While, ast.RepeatStmt, ast.Forever, ast.Wait,
+    ast.DelayStmt, ast.EventControl,
+)
+
+
+def _ends_in_open_if(stmt: ast.Stmt | None) -> bool:
+    """Whether ``stmt`` prints ending in an ``if`` without an ``else``."""
+    while True:
+        if isinstance(stmt, ast.If):
+            if stmt.else_stmt is None:
+                return True
+            stmt = stmt.else_stmt
+        elif isinstance(stmt, _BODY_LAST):
+            stmt = stmt.body
+        else:
+            return False
+
+
 class _Generator:
+    def __init__(self, strict: bool = False):
+        self.strict = strict
+
+    def exact_unless(self, inexact: bool, why: str) -> None:
+        """Raise :class:`InexactCodegen` for ``why`` when strict and ``inexact``."""
+        if self.strict and inexact:
+            raise InexactCodegen(why)
+
+    def lvalue(self, expr: ast.Expr) -> str:
+        text = self.expr(expr)
+        head = expr
+        while isinstance(head, (ast.Index, ast.PartSelect)):
+            head = head.target
+        self.exact_unless(
+            not isinstance(head, (ast.Identifier, ast.Concat, ast.Repeat_)),
+            "an assignment target is a name or a concatenation under selects",
+        )
+        return text
+
+    def delay(self, expr: ast.Expr) -> str:
+        text = self.expr(expr)
+        self.exact_unless(
+            not isinstance(expr, _DELAYS),
+            "a delay is a name, a literal or parenthesized",
+        )
+        return f"#{text}"
+
     def render(self, node: ast.Node) -> str:
         if isinstance(node, ast.Source):
             return "\n\n".join(self.module(m) for m in node.modules) + "\n"
@@ -72,8 +152,8 @@ class _Generator:
         if isinstance(item, ast.Decl):
             return pad + self.decl(item)
         if isinstance(item, ast.ContinuousAssign):
-            delay = f"#{self.expr(item.delay)} " if item.delay is not None else ""
-            return f"{pad}assign {delay}{self.expr(item.lhs)} = {self.expr(item.rhs)};"
+            delay = f"{self.delay(item.delay)} " if item.delay is not None else ""
+            return f"{pad}assign {delay}{self.lvalue(item.lhs)} = {self.expr(item.rhs)};"
         if isinstance(item, ast.Always):
             sens = f" {self.senslist(item.senslist)}" if item.senslist is not None else ""
             return f"{pad}always{sens}\n{self.stmt(item.body, level + 1)}"
@@ -136,6 +216,7 @@ class _Generator:
         return "\n".join(lines)
 
     def senslist(self, sens: ast.SensList) -> str:
+        self.exact_unless(not sens.items, "a sensitivity list is not empty")
         if len(sens.items) == 1 and sens.items[0].edge == "all":
             return "@(*)"
         rendered = []
@@ -153,6 +234,7 @@ class _Generator:
     def stmt(self, stmt: ast.Stmt | None, level: int) -> str:
         pad = _INDENT * level
         if stmt is None or isinstance(stmt, ast.NullStmt):
+            self.exact_unless(stmt is None, "a missing statement prints as ;")
             return pad + ";"
         if isinstance(stmt, ast.Block):
             name = f" : {_name(stmt.name)}" if stmt.name else ""
@@ -162,12 +244,16 @@ class _Generator:
             lines.append(f"{pad}end")
             return "\n".join(lines)
         if isinstance(stmt, ast.BlockingAssign):
-            delay = f"#{self.expr(stmt.delay)} " if stmt.delay is not None else ""
-            return f"{pad}{self.expr(stmt.lhs)} = {delay}{self.expr(stmt.rhs)};"
+            delay = f"{self.delay(stmt.delay)} " if stmt.delay is not None else ""
+            return f"{pad}{self.lvalue(stmt.lhs)} = {delay}{self.expr(stmt.rhs)};"
         if isinstance(stmt, ast.NonBlockingAssign):
-            delay = f"#{self.expr(stmt.delay)} " if stmt.delay is not None else ""
-            return f"{pad}{self.expr(stmt.lhs)} <= {delay}{self.expr(stmt.rhs)};"
+            delay = f"{self.delay(stmt.delay)} " if stmt.delay is not None else ""
+            return f"{pad}{self.lvalue(stmt.lhs)} <= {delay}{self.expr(stmt.rhs)};"
         if isinstance(stmt, ast.If):
+            self.exact_unless(
+                stmt.else_stmt is not None and _ends_in_open_if(stmt.then_stmt),
+                "this else would bind to an inner if",
+            )
             lines = [f"{pad}if ({self.expr(stmt.cond)})"]
             lines.append(self.stmt(stmt.then_stmt, level + 1))
             if stmt.else_stmt is not None:
@@ -201,8 +287,8 @@ class _Generator:
             return f"{pad}wait ({self.expr(stmt.cond)})\n" + self.stmt(stmt.body, level + 1)
         if isinstance(stmt, ast.DelayStmt):
             if isinstance(stmt.body, ast.NullStmt):
-                return f"{pad}#{self.expr(stmt.delay)};"
-            return f"{pad}#{self.expr(stmt.delay)}\n" + self.stmt(stmt.body, level + 1)
+                return f"{pad}{self.delay(stmt.delay)};"
+            return f"{pad}{self.delay(stmt.delay)}\n" + self.stmt(stmt.body, level + 1)
         if isinstance(stmt, ast.EventControl):
             if isinstance(stmt.body, ast.NullStmt):
                 return f"{pad}{self.senslist(stmt.senslist)};"
@@ -222,7 +308,12 @@ class _Generator:
         raise CodegenError(f"unknown statement {type(stmt).__name__}")
 
     def _inline_assign(self, stmt: ast.BlockingAssign) -> str:
-        return f"{self.expr(stmt.lhs)} = {self.expr(stmt.rhs)}"
+        text = f"{self.lvalue(stmt.lhs)} = {self.expr(stmt.rhs)}"
+        self.exact_unless(
+            type(stmt) is not ast.BlockingAssign or stmt.delay is not None,
+            "a for header prints a delay-free blocking assignment only",
+        )
+        return text
 
     # ------------------------------------------------------------------
     # Expressions
@@ -246,11 +337,17 @@ class _Generator:
                 f"(({self.expr(expr.cond)}) ? {self.expr(expr.true_expr)}"
                 f" : {self.expr(expr.false_expr)})"
             )
+        if isinstance(expr, (ast.Index, ast.PartSelect)):
+            self.exact_unless(
+                not isinstance(expr.target, _SELECTABLE),
+                "a select applies to a primary",
+            )
         if isinstance(expr, ast.Index):
             return f"{self.expr(expr.target)}[{self.expr(expr.index)}]"
         if isinstance(expr, ast.PartSelect):
             return f"{self.expr(expr.target)}[{self.expr(expr.msb)}:{self.expr(expr.lsb)}]"
         if isinstance(expr, ast.Concat):
+            self.exact_unless(not expr.parts, "a concatenation is not empty")
             return "{" + ", ".join(self.expr(p) for p in expr.parts) + "}"
         if isinstance(expr, ast.Repeat_):
             return "{" + self.expr(expr.count) + "{" + self.expr(expr.value) + "}}"

@@ -45,7 +45,7 @@ from ..hdl import ast
 from ..instrument.trace import output_mismatch  # noqa: F401
 from ..obs.events import SynthSolveCompleted, SynthTemplateEnumerated
 from ..obs.observer import RepairObserver
-from .solver import SolveContext, fault_scope_ids, mine_literals
+from .solver import SolveContext, mine_literals
 from .templates import TEMPLATES, Candidate
 
 logger = logging.getLogger("repro.synth")
@@ -80,19 +80,32 @@ class SynthEngine(EngineHarness):
     # Solve context
     # ------------------------------------------------------------------
 
-    def _solve_context(self, design: ast.Source, faults: "set[int]") -> SolveContext:
-        """Build the deterministic context templates solve against."""
+    def _solve_context(
+        self, design: ast.Source, faults: "frozenset[int]"
+    ) -> SolveContext:
+        """Build the deterministic context templates solve against.
+
+        Fault localization returns *statement* ids; template sites are
+        often expression nodes inside them, so every node under a fault
+        node joins the fault scope (sites inherit blame).
+        """
         mismatch = set(self.evaluate(Patch.empty()).mismatch or ())
         suspects: dict[str, None] = {name: None for name in sorted(mismatch)}
-        for fault_id in sorted(faults):
-            node = design.find(fault_id)
-            if node is None:
-                continue
-            for sub in node.walk():
+        # Each fault id's node, the first in preorder as find() picks it,
+        # looked up from one walk.
+        nodes: dict[int, ast.Node] = {}
+        for node in design.walk():
+            if node.node_id in faults:
+                nodes.setdefault(node.node_id, node)
+        scope: set[int] = set()
+        for fault_id in sorted(nodes):
+            for sub in nodes[fault_id].walk():
+                if sub.node_id is not None:
+                    scope.add(sub.node_id)
                 if isinstance(sub, ast.Identifier):
                     suspects.setdefault(sub.name)
         return SolveContext(
-            fault_scope=fault_scope_ids(design, faults),
+            fault_scope=frozenset(scope),
             mismatch=tuple(sorted(mismatch)),
             literal_pool=mine_literals(self.problem.oracle, mismatch),
             suspect_names=tuple(suspects),

@@ -76,24 +76,6 @@ class SolveContext:
         return node_id in self.fault_scope
 
 
-def fault_scope_ids(design: ast.Source, faults: "set[int]") -> frozenset[int]:
-    """Every node id under any fault-localized node (sites inherit blame).
-
-    Fault localization returns *statement* ids; template sites are often
-    expression nodes inside them, so blame is propagated down each
-    localized subtree.
-    """
-    scope: set[int] = set()
-    for fault_id in faults:
-        node = design.find(fault_id)
-        if node is None:
-            continue
-        for sub in node.walk():
-            if sub.node_id is not None:
-                scope.add(sub.node_id)
-    return frozenset(scope)
-
-
 def mine_literals(
     oracle: SimulationTrace, mismatch: "set[str] | frozenset[str]"
 ) -> tuple[tuple[int, int], ...]:
@@ -185,7 +167,6 @@ __all__ = [
     "MAX_MINED",
     "MAX_PER_SITE",
     "SolveContext",
-    "fault_scope_ids",
     "literal_domain",
     "mine_literals",
     "number_from_planes",

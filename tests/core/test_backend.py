@@ -28,7 +28,7 @@ from repro.core.oracle import ensure_instrumented, generate_oracle
 from repro.core.patch import Patch
 from repro.core.repair import repair
 from repro.fuzz.faults import plant_eval_chaos
-from repro.hdl import generate, parse
+from repro.hdl import generate, parse, structural_diff
 from repro.obs import RecordingObserver
 from repro.synth import race_repair, synth_repair
 
@@ -92,15 +92,17 @@ class TestSharedTestbench:
 class TestSharedDesign:
     def test_trials_leave_the_design_untouched(self):
         """Patched variants share subtrees with the design (``Patch.apply``
-        copies only the edited paths), so no engine's trial may leave a
-        mark on it: same text, same node ids."""
+        copies only the edited paths), and the serial backend simulates
+        those trees as they are, so no engine's trial may leave a mark on
+        the design: the same tree, node ids included."""
         problem = load_scenario("ff_cond").problem()
         design = problem.design
-        before = generate(design), [n.node_id for n in design.walk()]
+        before = design.clone()
         for runner in (repair, synth_repair, race_repair):
             runner(problem, TEST_CONFIG, (0,))
-            after = generate(design), [n.node_id for n in design.walk()]
-            assert after == before, runner.__name__
+            assert structural_diff(design, before, compare_ids=True) is None, (
+                runner.__name__
+            )
 
 
 class TestBatchParity:

@@ -1,7 +1,21 @@
-"""Fault localization tests (paper §3.1, Algorithm 2)."""
+"""Fault localization tests (paper §3.1, Algorithm 2).
 
+:func:`localize_faults` indexes the tree once and fires each node at
+most once; ``TestAgainstReference`` checks it against the round-by-round
+statement of the fixed point kept in ``reference_faultloc.py``.
+"""
+
+import random
+
+import pytest
+
+from repro.benchsuite import PROJECT_NAMES, load_project
 from repro.core.faultloc import all_statement_ids, localize_faults
+from repro.core.harness import EngineHarness
 from repro.hdl import ast, parse
+
+from ..obs.test_engine_telemetry import _run as run_gp_trial
+from . import reference_faultloc as reference
 
 COUNTER = """
 module counter(clk, reset, enable, counter_out, overflow_out);
@@ -159,3 +173,50 @@ class TestFallback:
         for node in tree.walk():
             if isinstance(node, ast.Identifier):
                 assert node.node_id not in ids
+
+
+def _mismatch_sets(tree, seed, subsets):
+    """Each output alone, all outputs together, and ``subsets`` seeded
+    random subsets of the design's identifiers."""
+    outputs = sorted(
+        {n.name for n in tree.walk() if isinstance(n, ast.Decl) and n.kind == "output"}
+    )
+    names = sorted({n.name for n in tree.walk() if isinstance(n, ast.Identifier)})
+    rng = random.Random(seed)
+    sets = [{name} for name in outputs] + [set(outputs)]
+    for _ in range(subsets):
+        sets.append(set(rng.sample(names, rng.randint(1, min(6, len(names))))))
+    return sets
+
+
+def _assert_matches_reference(tree, mismatch):
+    for cap in (1, 2, 64):
+        fast = localize_faults(tree, mismatch, cap)
+        slow = reference.localize_faults(tree, mismatch, cap)
+        assert (fast.nodes, fast.mismatch, fast.iterations) == (
+            slow.nodes, slow.mismatch, slow.iterations
+        ), (sorted(mismatch), cap)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("project", PROJECT_NAMES)
+    def test_project_design(self, project):
+        tree = parse(load_project(project).design_text)
+        for mismatch in _mismatch_sets(tree, project, subsets=12):
+            _assert_matches_reference(tree, mismatch)
+
+    def test_gp_candidate_trees(self, monkeypatch):
+        trees: dict[int, ast.Source] = {}
+        original = EngineHarness._applied
+
+        def recording(self, patch):
+            result = original(self, patch)
+            trees.setdefault(id(result[0]), result[0])
+            return result
+
+        monkeypatch.setattr(EngineHarness, "_applied", recording)
+        run_gp_trial()
+        assert len(trees) > 10
+        for index, tree in enumerate(trees.values()):
+            for mismatch in _mismatch_sets(tree, index, subsets=2):
+                _assert_matches_reference(tree, mismatch)

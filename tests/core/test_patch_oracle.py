@@ -9,7 +9,8 @@ applied to must come out unchanged.
 The repair harness applies each ``Patch`` object once and reuses the tree
 for scoring, the operators and localization; a spy on ``Patch.apply``
 checks that during a GP trial and a synth trial, and that the trials'
-outcomes and pinned event-type sequences stay as they were.
+outcomes and pinned event-type sequences stay as they were.  The serial
+backend scores those trees, so the GP trial parses no candidate.
 """
 
 import random
@@ -30,6 +31,7 @@ from ..obs.test_engine_telemetry import GOLDEN as GP_GOLDEN
 from ..obs.test_engine_telemetry import _run as run_gp_trial
 from ..synth.test_engine import FAULTY_STUCK, TEST_CONFIG, make_problem
 from ..synth.test_engine import GOLDEN as SYNTH_GOLDEN
+from .test_engine_roundtrip import ParseSpy
 
 TEMPLATES = ALL_TEMPLATES + EXTENDED_TEMPLATES
 
@@ -236,9 +238,12 @@ class ApplySpy:
 class TestOneApplicationPerPatch:
     def test_gp_trial(self, monkeypatch):
         spy = ApplySpy(monkeypatch)
+        # The serial backend scores the applied trees: no candidate parse.
+        parses = ParseSpy(monkeypatch)
         recorder = RecordingObserver()
         outcome = run_gp_trial(observers=[recorder])
         assert spy.calls and max(spy.calls.values()) == 1
+        assert parses.calls == 0
         # The trial's outcome, recorded before the memo existed.
         assert (
             outcome.plausible, outcome.fitness, outcome.generations,

@@ -1,7 +1,7 @@
 """Repair template tests (paper Table 1): all nine templates."""
 
 from repro.core.templates import ALL_TEMPLATES, TEMPLATES_BY_CATEGORY, applicable_templates, apply_template
-from repro.hdl import ast, generate, parse
+from repro.hdl import ast, generate, parse, structural_diff
 
 SRC = """
 module m;
@@ -174,6 +174,31 @@ class TestNumeric:
         t = parse("module m; reg r; initial r = 1'bx; endmodule")
         number = find(t, ast.Number)
         assert not apply_template("increment_by_one", t, number.node_id, 90_000)
+
+
+class TestLiteralsParseBack:
+    """A literal a template builds is the literal its text parses as: an
+    unsized decimal is signed (Verilog-2001), so the tree the engine
+    scores is the program its text is."""
+
+    def test_increment_identifier(self):
+        t = tree()
+        ident = find(t, ast.Identifier, lambda n: n.name == "en")
+        assert apply_template("increment_by_one", t, ident.node_id, 90_000)
+        assert structural_diff(parse(generate(t)), t) is None
+
+    def test_increment_unsized_literal(self):
+        t = parse("module m; reg [7:0] r; initial r = 7; endmodule")
+        number = find(t, ast.BlockingAssign).rhs
+        assert apply_template("increment_by_one", t, number.node_id, 90_000)
+        assert "r = 8;" in generate(t)
+        assert structural_diff(parse(generate(t)), t) is None
+
+    def test_from_int(self):
+        t = parse("module m; reg [7:0] r; initial r = 8'd0; endmodule")
+        assign = find(t, ast.BlockingAssign)
+        assign.rhs = ast.Number.from_int(3)
+        assert structural_diff(parse(generate(t)), t) is None
 
 
 class TestStaleness:

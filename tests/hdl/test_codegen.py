@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.hdl import ast, generate, parse
+from repro.hdl import InexactCodegen, ast, generate, parse, structural_diff
 from repro.benchsuite import all_projects
 
 
@@ -145,3 +145,102 @@ class TestEscapedNames:
         )
         assert "\\" not in text
         assert "$display" in text and "$time" in text
+
+
+LOOP = """
+module m(clk, q);
+  input clk;
+  output [3:0] q;
+  reg [3:0] q;
+  reg [3:0] v;
+  integer i;
+  always @(posedge clk)
+  begin
+    if (clk)
+      for (i = 0; i < 4; i = i + 1)
+        q[i] <= #1 v[i];
+    else
+      q <= {v[0], v[1]};
+  end
+endmodule
+"""
+
+
+def _first(tree, node_type):
+    return next(n for n in tree.walk() if isinstance(n, node_type))
+
+
+def _nonblocking_loop_init(t):
+    loop = _first(t, ast.For)
+    loop.init = ast.NonBlockingAssign(loop.init.lhs, loop.init.rhs)
+
+
+def _delayed_loop_step(t):
+    _first(t, ast.For).step.delay = ast.Number.from_int(1)
+
+
+def _else_binds_inward(t):
+    # The loop body becomes an if without an else: the outer else would
+    # bind to it.
+    loop = _first(t, ast.For)
+    loop.body = ast.If(ast.Identifier("clk"), loop.body)
+
+
+def _literal_target(t):
+    _first(t, ast.NonBlockingAssign).lhs.target = ast.Number.from_int(0)
+
+
+def _select_of_unary(t):
+    select = _first(t, ast.NonBlockingAssign).rhs
+    select.target = ast.UnaryOp("~", select.target)
+
+
+def _selected_delay(t):
+    assign = _first(t, ast.NonBlockingAssign)
+    assign.delay = ast.Index(ast.Identifier("v"), ast.Number.from_int(0))
+
+
+def _empty_concat(t):
+    _first(t, ast.Concat).parts.clear()
+
+
+def _missing_statement(t):
+    _first(t, ast.If).then_stmt = None
+
+
+def _empty_senslist(t):
+    _first(t, ast.SensList).items.clear()
+
+
+class TestStrict:
+    """Strict codegen reports every tree whose text parses back as a
+    different tree, or not at all, and prints the same text as plain
+    codegen."""
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            _nonblocking_loop_init, _delayed_loop_step, _else_binds_inward,
+            _literal_target, _select_of_unary, _selected_delay,
+            _empty_concat, _missing_statement, _empty_senslist,
+        ],
+    )
+    def test_inexact_shape_is_reported(self, edit):
+        tree = parse(LOOP)
+        edit(tree)
+        with pytest.raises(InexactCodegen):
+            generate(tree, strict=True)
+        text = generate(tree)
+        try:
+            reparsed = parse(text)
+        except Exception:
+            return
+        assert structural_diff(reparsed, tree) is not None
+
+    @pytest.mark.parametrize("project", all_projects(), ids=lambda p: p.name)
+    def test_parsed_designs_are_exact(self, project):
+        for source in (project.design_text, project.testbench_text):
+            tree = parse(source)
+            text = generate(tree, strict=True)
+            assert text == generate(tree)
+            assert structural_diff(parse(text), tree) is None
