@@ -208,6 +208,12 @@ if grep -rniI checkpoint src/ \
     exit 1
 fi
 
+echo "== the kernel keeps every event (counters, end time, output and trace bits) =="
+# tests/sim/golden/kernel_runs.json pins every run of a fixed corpus on
+# both engines; interp-vs-compiled parity cannot see a change to the
+# Signal/Process/Scheduler kernel both engines share.
+python -m pytest tests/sim/test_kernel_fixture.py -q
+
 echo "== unit / integration / property tests =="
 python -m pytest tests/ -q
 
