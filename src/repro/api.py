@@ -41,7 +41,7 @@ removed in 2.0; passing them positionally raises :class:`TypeError`.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .core.backend import SerialBackend
 from .core.config import RepairConfig
@@ -54,6 +54,9 @@ from .instrument.trace import SimulationTrace
 from .obs.observer import RepairObserver
 from .service.jobs import RepairRequest
 from .sim.simulator import SimResult, Simulator
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .benchsuite import Scenario
 
 __all__ = [
     "build_problem",
@@ -72,6 +75,15 @@ def _as_source(design: "ast.Source | str") -> ast.Source:
     return parse(design) if isinstance(design, str) else design
 
 
+#: Benchmark scenario id → its :class:`~repro.benchsuite.Scenario`,
+#: loaded once per process (at most the 32 Table-3 ids).  Every job on
+#: an id then shares one :class:`RepairProblem` (never mutated): its
+#: trees are parsed and its testbench instrumented once, and the
+#: evaluation backend's compiled testbench templates, keyed by the
+#: testbench tree, are reused from job to job.
+_BENCHMARK_SCENARIOS: dict[str, "Scenario"] = {}
+
+
 def _as_problem(
     scenario: "str | object",
     config: RepairConfig,
@@ -88,7 +100,10 @@ def _as_problem(
     from .benchsuite import Scenario, load_scenario
 
     if isinstance(scenario, str):
-        scenario = load_scenario(scenario)
+        scenario_id = scenario
+        scenario = _BENCHMARK_SCENARIOS.get(scenario_id)
+        if scenario is None:
+            scenario = _BENCHMARK_SCENARIOS[scenario_id] = load_scenario(scenario_id)
     if not isinstance(scenario, Scenario):
         raise TypeError(
             "scenario must be a scenario id, a Scenario, or a RepairProblem "

@@ -61,11 +61,8 @@ def _mutate_insert(
     parent: Patch, variant_tree: ast.Source, fault_ids: set[int], rng: random.Random
 ) -> Patch:
     sources = fixloc.insertion_sources(variant_tree)
-    anchors = [
-        node
-        for node in fixloc.insertion_anchors(variant_tree)
-        if node.node_id in fault_ids
-    ] or fixloc.insertion_anchors(variant_tree)
+    all_anchors = fixloc.insertion_anchors(variant_tree)
+    anchors = [node for node in all_anchors if node.node_id in fault_ids] or all_anchors
     if not sources or not anchors:
         return parent
     source = rng.choice(sources)

@@ -40,6 +40,7 @@ testbench half of every simulation is compiled once per worker process.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable
 
 from ..hdl import ast
@@ -58,7 +59,7 @@ from .processes import (
     initial_process,
 )
 from .runtime import Instance, Memory, NamedEvent, Signal
-from .simulator import Simulator
+from .simulator import Simulator, TraceRecord, _record_label
 
 #: Shared 1-bit constants (values are immutable, sharing is safe).
 _V_TRUE = Value(1, 1)
@@ -258,10 +259,10 @@ def _compile_unary(expr: ast.UnaryOp, sc: _Scope, ctx: int | None) -> Callable:
     if op == "!":
 
         def fn(S):
-            state = truthiness(ofn(S))
-            if state == "x":
-                return _V_X
-            return _V_FALSE if state == "true" else _V_TRUE
+            operand = ofn(S)
+            if operand.aval & ~operand.bval:
+                return _V_FALSE
+            return _V_X if operand.bval else _V_TRUE
 
         return fn
     if op == "~":
@@ -278,20 +279,49 @@ def _compile_unary(expr: ast.UnaryOp, sc: _Scope, ctx: int | None) -> Callable:
     return _raiser(f"unknown unary operator {op!r}")
 
 
-_ARITH_OPS = frozenset({"+", "-", "*", "/", "%", "**"})
+def _div(lv: int, rv: int) -> int | None:
+    if rv == 0:
+        return None
+    quotient = abs(lv) // abs(rv)
+    return -quotient if (lv < 0) != (rv < 0) else quotient
+
+
+def _mod(lv: int, rv: int) -> int | None:
+    if rv == 0:
+        return None
+    remainder = abs(lv) % abs(rv)
+    return -remainder if lv < 0 else remainder
+
+
+def _pow(lv: int, rv: int) -> int | None:
+    return None if rv < 0 or rv > 64 else lv**rv
+
+
+#: Arithmetic operators as integer combinators; the last three return
+#: None for an all-x result (x/0, x%0, a negative or huge exponent).
+_ARITH_FNS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": _div,
+    "%": _mod,
+    "**": _pow,
+}
 _BITWISE_OPS = frozenset({"&", "|", "^", "^~", "~^"})
 _COMPARE_FNS = {
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 _SHIFT_OPS = frozenset({"<<", ">>", "<<<", ">>>"})
 
 
 def _compile_binary(expr: ast.BinaryOp, sc: _Scope, ctx: int | None) -> Callable:
+    """Each operator gets its own closure, chosen here, so an evaluation
+    never tests the operator string."""
     op = expr.op
     if op in ("&&", "||"):
         lfn = _compile_expr(expr.left, sc, None)
@@ -315,12 +345,37 @@ def _compile_binary(expr: ast.BinaryOp, sc: _Scope, ctx: int | None) -> Callable
 
         return fn
 
+    ctx0 = ctx or 0
     if op in _SHIFT_OPS:
         lfn = _compile_expr(expr.left, sc, ctx)
         rfn = _compile_expr(expr.right, sc, None)
-        ctx0 = ctx or 0
+        return _shift(op, lfn, rfn, ctx0)
 
-        def fn(S, _op=op):
+    operand_ctx = ctx if op in _ARITH_FNS or op in _BITWISE_OPS else None
+    lfn = _compile_expr(expr.left, sc, operand_ctx)
+    rfn = _compile_expr(expr.right, sc, operand_ctx)
+
+    if op in ("===", "!=="):
+        want = op == "==="
+
+        def fn(S):
+            return _V_TRUE if lfn(S).same_state(rfn(S)) is want else _V_FALSE
+
+        return fn
+    if op in _COMPARE_FNS:
+        return _compare(_COMPARE_FNS[op], lfn, rfn)
+    if op in _BITWISE_OPS:
+        return _bitwise_op(op, lfn, rfn, ctx0)
+    if op in _ARITH_FNS:
+        return _arith(_ARITH_FNS[op], lfn, rfn, ctx0)
+    return _raiser(f"unknown binary operator {op!r}")
+
+
+def _shift(op: str, lfn: Callable, rfn: Callable, ctx0: int) -> Callable:
+    """``<<``/``<<<``, ``>>`` and ``>>>`` (arithmetic only when signed)."""
+    if op in ("<<", "<<<"):
+
+        def fn(S):
             left = lfn(S)
             width = left.width if left.width >= ctx0 else ctx0
             left = left.resized(width)
@@ -330,90 +385,96 @@ def _compile_binary(expr: ast.BinaryOp, sc: _Scope, ctx: int | None) -> Callable
             shift = amount.to_int()
             if shift < 0 or shift > 1 << 16:
                 return Value.unknown(width)
-            if _op in ("<<", "<<<"):
-                return Value(width, left.aval << shift, left.bval << shift, left.signed)
-            if _op == ">>" or not left.signed:
-                return Value(width, left.aval >> shift, left.bval >> shift, left.signed)
-            if left.bval:
-                return Value.unknown(width)
-            return Value.from_int(left.to_signed_int() >> shift, width, True)
+            return Value(width, left.aval << shift, left.bval << shift, left.signed)
 
         return fn
+    arithmetic = op == ">>>"
 
-    operand_ctx = ctx if op in _ARITH_OPS or op in _BITWISE_OPS else None
-    lfn = _compile_expr(expr.left, sc, operand_ctx)
-    rfn = _compile_expr(expr.right, sc, operand_ctx)
+    def fn(S):
+        left = lfn(S)
+        width = left.width if left.width >= ctx0 else ctx0
+        left = left.resized(width)
+        amount = rfn(S)
+        if amount.bval:
+            return Value.unknown(width)
+        shift = amount.to_int()
+        if shift < 0 or shift > 1 << 16:
+            return Value.unknown(width)
+        if not (arithmetic and left.signed):
+            return Value(width, left.aval >> shift, left.bval >> shift, left.signed)
+        if left.bval:
+            return Value.unknown(width)
+        return Value.from_int(left.to_signed_int() >> shift, width, True)
 
-    if op in ("===", "!=="):
-        want = op == "==="
-        return lambda S: Value(1, int(lfn(S).same_state(rfn(S)) is want))
+    return fn
 
-    if op in _COMPARE_FNS:
-        cmp = _COMPARE_FNS[op]
 
-        def fn(S):
-            left = lfn(S)
-            right = rfn(S)
-            if left.bval or right.bval:
-                return _V_X
-            if left.signed and right.signed:
-                return Value(1, int(cmp(left.to_signed_int(), right.to_signed_int())))
-            return Value(1, int(cmp(left.aval, right.aval)))
+def _compare(cmp: Callable, lfn: Callable, rfn: Callable) -> Callable:
+    """A relational/equality operator: the interned 1-bit constants."""
 
-        return fn
+    def fn(S):
+        left = lfn(S)
+        right = rfn(S)
+        if left.bval or right.bval:
+            return _V_X
+        if left.signed and right.signed:
+            return _V_TRUE if cmp(left.to_signed_int(), right.to_signed_int()) else _V_FALSE
+        return _V_TRUE if cmp(left.aval, right.aval) else _V_FALSE
 
-    ctx0 = ctx or 0
-    if op in _BITWISE_OPS:
+    return fn
 
-        def fn(S, _op=op):
-            left = lfn(S)
-            right = rfn(S)
-            width = max(left.width, right.width, ctx0)
-            return _bitwise(_op, left.resized(width), right.resized(width), width)
 
-        return fn
+def _bitwise_op(op: str, lfn: Callable, rfn: Callable, ctx0: int) -> Callable:
+    """A bitwise operator; fully defined operands skip the x/z planes."""
+    if op == "&":
+        defined = operator.and_
+    elif op == "|":
+        defined = operator.or_
+    elif op == "^":
+        defined = operator.xor
+    else:  # ^~, ~^
 
-    if op in _ARITH_OPS:
+        def defined(a: int, b: int) -> int:
+            return ~(a ^ b)
 
-        def fn(S, _op=op):
-            left = lfn(S)
-            right = rfn(S)
-            width = max(left.width, right.width, ctx0)
-            signed = left.signed and right.signed
-            left = left.resized(width)
-            right = right.resized(width)
-            if left.bval or right.bval:
-                return Value.unknown(width)
-            lv = left.to_signed_int() if signed else left.aval
-            rv = right.to_signed_int() if signed else right.aval
-            if _op == "+":
-                return Value.from_int(lv + rv, width, signed)
-            if _op == "-":
-                return Value.from_int(lv - rv, width, signed)
-            if _op == "*":
-                return Value.from_int(lv * rv, width, signed)
-            if _op == "/":
-                if rv == 0:
-                    return Value.unknown(width)
-                quotient = abs(lv) // abs(rv)
-                if (lv < 0) != (rv < 0):
-                    quotient = -quotient
-                return Value.from_int(quotient, width, signed)
-            if _op == "%":
-                if rv == 0:
-                    return Value.unknown(width)
-                remainder = abs(lv) % abs(rv)
-                if lv < 0:
-                    remainder = -remainder
-                return Value.from_int(remainder, width, signed)
-            # **
-            if rv < 0 or rv > 64:
-                return Value.unknown(width)
-            return Value.from_int(lv**rv, width, signed)
+    def fn(S):
+        left = lfn(S)
+        right = rfn(S)
+        width = left.width if left.width >= right.width else right.width
+        if width < ctx0:
+            width = ctx0
+        left = left.resized(width)
+        right = right.resized(width)
+        if left.bval or right.bval:
+            return _bitwise(op, left, right, width)
+        return Value(width, defined(left.aval, right.aval))
 
-        return fn
+    return fn
 
-    return _raiser(f"unknown binary operator {op!r}")
+
+def _arith(combine: Callable, lfn: Callable, rfn: Callable, ctx0: int) -> Callable:
+    """One arithmetic operator; ``combine`` returns None for all-x."""
+
+    def fn(S):
+        left = lfn(S)
+        right = rfn(S)
+        width = left.width if left.width >= right.width else right.width
+        if width < ctx0:
+            width = ctx0
+        signed = left.signed and right.signed
+        left = left.resized(width)
+        right = right.resized(width)
+        if left.bval or right.bval:
+            return Value.unknown(width)
+        if signed:
+            result = combine(left.to_signed_int(), right.to_signed_int())
+        else:
+            result = combine(left.aval, right.aval)
+        if result is None:
+            return Value.unknown(width)
+        return Value.from_int(result, width, signed)
+
+    return fn
 
 
 def _compile_ternary(expr: ast.Ternary, sc: _Scope, ctx: int | None) -> Callable:
@@ -422,10 +483,10 @@ def _compile_ternary(expr: ast.Ternary, sc: _Scope, ctx: int | None) -> Callable
     ffn = _compile_expr(expr.false_expr, sc, ctx)
 
     def fn(S):
-        cond = truthiness(cfn(S))
-        if cond == "true":
+        cond = cfn(S)
+        if cond.aval & ~cond.bval:
             return tfn(S)
-        if cond == "false":
+        if not cond.bval:
             return ffn(S)
         true_val = tfn(S)
         false_val = ffn(S)
@@ -915,14 +976,19 @@ def _compile_nonblocking(stmt: ast.NonBlockingAssign, sc: _Scope) -> _CStmt:
         raise _Uncompilable("dynamic lvalue")
     rfn = _compile_expr(stmt.rhs, sc, lv.width)
     make_nba = lv.make_nba
-    tickfn = _compile_delay_expr(stmt.delay, sc) if stmt.delay is not None else None
+    if stmt.delay is None:
+
+        def run(S):
+            S[0].consume_step()
+            S[0].scheduler.schedule_nba(make_nba(S, rfn(S)))
+
+        return (True, run)
+    tickfn = _compile_delay_expr(stmt.delay, sc)
 
     def run(S):
         S[0].consume_step()
-        value = rfn(S)
-        callback = make_nba(S, value)
-        ticks = tickfn(S) if tickfn is not None else 0
-        S[0].scheduler.schedule_at(ticks, callback, region="nba")
+        callback = make_nba(S, rfn(S))
+        S[0].scheduler.schedule_at(tickfn(S), callback, region="nba")
 
     return (True, run)
 
@@ -937,7 +1003,8 @@ def _compile_if(stmt: ast.If, sc: _Scope) -> _CStmt:
 
         def run(S):
             S[0].consume_step()
-            if truthiness(cfn(S)) == "true":
+            cond = cfn(S)
+            if cond.aval & ~cond.bval:  # truthiness(cond) == "true"
                 if then_run is not None:
                     then_run(S)
             elif else_run is not None:
@@ -947,7 +1014,8 @@ def _compile_if(stmt: ast.If, sc: _Scope) -> _CStmt:
 
     def gen(S):
         S[0].consume_step()
-        branch = then_c if truthiness(cfn(S)) == "true" else else_c
+        cond = cfn(S)
+        branch = then_c if cond.aval & ~cond.bval else else_c
         if branch is None:
             return
         sync, f = branch
@@ -1274,12 +1342,42 @@ def _compile_event_trigger(stmt: ast.EventTrigger, sc: _Scope) -> _CStmt:
 
 
 def _compile_systask(stmt: ast.SysTaskCall, sc: _Scope) -> _CStmt:
+    if stmt.name == "$cirfix_record":
+        return _compile_record(stmt, sc)
+
     # exec_systask is a generator that never actually yields; draining it
     # preserves exceptions ($finish → FinishRequest) and ordering.
     def run(S, _s=stmt):
         S[0].consume_step()
         for _ in S[0].exec_systask(_s, S[1]):
             pass  # pragma: no cover - exec_systask never yields
+
+    return (True, run)
+
+
+def _compile_record(stmt: ast.SysTaskCall, sc: _Scope) -> _CStmt:
+    """``$cirfix_record(...)``: sample at the end of this slot, reading
+    each argument through a compiled closure.  Mirrors
+    ``Simulator._schedule_record``, which stays the reference."""
+    columns = tuple(
+        (_record_label(arg), _compile_expr(arg, sc, None)) for arg in stmt.args
+    )
+
+    def run(S):
+        sim = S[0]
+        sim.consume_step()
+        sample_time = sim.scheduler.time
+
+        def record() -> None:
+            values: dict[str, Value] = {}
+            for label, fn in columns:
+                try:
+                    values[label] = fn(S)
+                except EvalError:
+                    values[label] = Value.unknown(1)
+            sim.trace.append(TraceRecord(sample_time, values))
+
+        sim.scheduler.schedule_postponed_once(record)
 
     return (True, run)
 
@@ -1430,7 +1528,10 @@ class CompiledContAssign:
             if ticks > 0:
                 sim.scheduler.schedule_at(ticks, lambda: self._apply(value))
                 return
-        self._apply(value)
+        try:
+            self._assign(self._S_lhs, value)
+        except (EvalError, ValueError, OverflowError) as exc:
+            sim.note_error(f"continuous assign target: {exc}")
 
     def _apply(self, value: Value) -> None:
         try:

@@ -191,9 +191,14 @@ class Value:
     # ------------------------------------------------------------------
 
     def resized(self, width: int, signed: bool | None = None) -> "Value":
-        """Zero/sign/x-extend or truncate to ``width``."""
+        """Zero/sign/x-extend or truncate to ``width``.
+
+        A value that already has the width and signedness is returned
+        itself (values are immutable, so sharing is safe)."""
         signed_out = self.signed if signed is None else signed
         if width == self.width:
+            if signed_out == self.signed:
+                return self
             return Value(width, self.aval, self.bval, signed_out)
         if width < self.width:
             return Value(width, self.aval, self.bval, signed_out)

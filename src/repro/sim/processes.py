@@ -555,10 +555,11 @@ def resolve_senslist(
 class Process:
     """Wraps a statement generator and drives it through the scheduler."""
 
-    __slots__ = ("sim", "gen", "name", "_pending", "done")
+    __slots__ = ("sim", "scheduler", "gen", "name", "_pending", "done")
 
     def __init__(self, sim: "Simulator", gen: StmtGen, name: str):
         self.sim = sim
+        self.scheduler = sim.scheduler
         self.gen = gen
         self.name = name
         self._pending: list[tuple[object, Callable[[], None]]] = []
@@ -566,11 +567,11 @@ class Process:
 
     def start(self) -> None:
         """Schedule the first resumption at the current time."""
-        self.sim.scheduler.schedule_active(self.resume)
+        self.scheduler.schedule_active(self.resume)
 
     def resume(self) -> None:
         """Advance the generator to its next suspension and register it."""
-        if self.done or self.sim.scheduler.finished:
+        if self.done or self.scheduler.finished:
             return
         try:
             suspend = next(self.gen)
@@ -579,7 +580,7 @@ class Process:
             return
         except FinishRequest:
             self.done = True
-            self.sim.scheduler.finish()
+            self.scheduler.finish()
             return
         except DisableEscape:
             # Disabling an enclosing block that is not on this stack simply
@@ -596,14 +597,24 @@ class Process:
             return
         if isinstance(suspend, DelaySuspend):
             if suspend.ticks == 0:
-                self.sim.scheduler.schedule_inactive(self.resume)
+                self.scheduler.schedule_inactive(self.resume)
             else:
-                self.sim.scheduler.schedule_at(suspend.ticks, self.resume)
+                self.scheduler.schedule_at(suspend.ticks, self.resume)
             return
-        # Event suspension: register a one-shot waiter on every item; the
+        items = suspend.items
+        if len(items) == 1:
+            # One waitable: firing a waiter removes it, so the process
+            # can wait on its own resume, with nothing to deregister.
+            waitable, edge = items[0]
+            if isinstance(waitable, NamedEvent):
+                waitable.add_waiter(self.resume)
+            else:
+                waitable.add_waiter(edge, self.resume)  # type: ignore[union-attr]
+            return
+        # Several waitables: register a one-shot waker on every item; the
         # first to fire deregisters the rest.
         wake = self._make_waker()
-        for waitable, edge in suspend.items:
+        for waitable, edge in items:
             if isinstance(waitable, NamedEvent):
                 waitable.add_waiter(wake)
             else:

@@ -16,21 +16,34 @@ from .logic import Value
 if TYPE_CHECKING:  # pragma: no cover
     from .simulator import Simulator
 
-#: Edge classification table: (old_lsb, new_lsb) -> set of edges produced.
-#: Per IEEE 1364: posedge is 0->1, 0->x/z, x/z->1; negedge is the dual.
-def _edges(old: str, new: str) -> tuple[str, ...]:
-    if old == new:
-        return ()
-    if old == "0":
-        return ("posedge",) if new == "1" else ("posedge",)
-    if old == "1":
-        return ("negedge",)
-    # old is x/z
-    if new == "1":
-        return ("posedge",)
-    if new == "0":
-        return ("negedge",)
-    return ()
+
+def _edge_table() -> tuple[frozenset[str], ...]:
+    """Edges a change of the LSB fires, indexed by its two planes.
+
+    The index is ``old_a << 3 | old_b << 2 | new_a << 1 | new_b`` over the
+    LSB's (aval, bval) bits.  Per IEEE 1364, posedge is 0->1, 0->x/z and
+    x/z->1; negedge is the dual.  Every change also fires ``level``
+    waiters, even one that leaves the LSB alone.
+    """
+    chars = {(0, 0): "0", (1, 0): "1", (0, 1): "z", (1, 1): "x"}
+    table = []
+    for index in range(16):
+        old = chars[(index >> 3) & 1, (index >> 2) & 1]
+        new = chars[(index >> 1) & 1, index & 1]
+        if old == new:
+            edge = None
+        elif old == "0" or (old in "xz" and new == "1"):
+            edge = "posedge"
+        elif old == "1" or new == "0":
+            edge = "negedge"
+        else:  # x <-> z
+            edge = None
+        table.append(frozenset({"level", edge} - {None}))
+    return tuple(table)
+
+
+#: LSB planes → the edges a value change fires (see :func:`_edge_table`).
+EDGES = _edge_table()
 
 
 class Signal:
@@ -78,24 +91,30 @@ class Signal:
         self._subscribers.append(callback)
 
     def set_value(self, new: Value, sim: "Simulator") -> None:
-        """Update the value, firing edge waiters and subscribers on change."""
-        new = new.resized(self.width, self.signed)
+        """Update the value, firing edge waiters and subscribers on change.
+
+        Fired waiters, then subscribers, go straight onto the scheduler's
+        active queue in registration order."""
+        if new.width != self.width or new.signed != self.signed:
+            new = new.resized(self.width, self.signed)
         old = self.value
         if old.aval == new.aval and old.bval == new.bval:
             return
         self.value = new
-        edges = set(_edges(old.bit(0), new.bit(0)))
-        edges.add("level")
+        active = sim.scheduler.active
         if self._waiters:
-            fired = [cb for edge, cb in self._waiters if edge in edges]
-            if fired:
-                self._waiters = [
-                    (edge, cb) for edge, cb in self._waiters if edge not in edges
-                ]
-                for cb in fired:
-                    sim.scheduler.schedule_active(cb)
-        for cb in self._subscribers:
-            sim.scheduler.schedule_active(cb)
+            edges = EDGES[
+                (old.aval & 1) << 3 | (old.bval & 1) << 2 | (new.aval & 1) << 1 | (new.bval & 1)
+            ]
+            kept = []
+            for waiter in self._waiters:
+                if waiter[0] in edges:
+                    active.append(waiter[1])
+                else:
+                    kept.append(waiter)
+            self._waiters = kept
+        if self._subscribers:
+            active.extend(self._subscribers)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Signal({self.name}={self.value.to_bit_string()})"
@@ -156,18 +175,26 @@ class Memory:
         """Write a word, notifying subscribers and level waiters on change."""
         if index < self.lo or index > self.hi:
             return
-        new = value.resized(self.word_width, self.signed)
-        old = self.read(index)
+        new = value
+        if new.width != self.word_width or new.signed != self.signed:
+            new = new.resized(self.word_width, self.signed)
+        old = self.words.get(index)
+        if old is None:
+            old = Value.unknown(self.word_width)
         if old.aval == new.aval and old.bval == new.bval:
             return
         self.words[index] = new
-        for cb in self._subscribers:
-            sim.scheduler.schedule_active(cb)
+        active = sim.scheduler.active
+        if self._subscribers:
+            active.extend(self._subscribers)
         if self._waiters:
-            fired = [cb for edge, cb in self._waiters if edge == "level"]
-            self._waiters = [(e, cb) for e, cb in self._waiters if e != "level"]
-            for cb in fired:
-                sim.scheduler.schedule_active(cb)
+            kept = []
+            for waiter in self._waiters:
+                if waiter[0] == "level":
+                    active.append(waiter[1])
+                else:
+                    kept.append(waiter)
+            self._waiters = kept
 
     def add_waiter(self, edge: str, callback: Callable[[], None]) -> None:
         """Register a one-shot waiter (level sensitivity)."""

@@ -32,7 +32,9 @@ class Scheduler:
 
     def __init__(self) -> None:
         self.time = 0
-        self._active: deque[Callable[[], None]] = deque()
+        #: The current slot's active region.  Signals and memories append
+        #: the callbacks a change wakes to it directly.
+        self.active: deque[Callable[[], None]] = deque()
         self._inactive: deque[Callable[[], None]] = deque()
         self._nba: deque[Callable[[], None]] = deque()
         self._postponed: list[Callable[[], None]] = []
@@ -52,7 +54,7 @@ class Scheduler:
 
     def schedule_active(self, fn: Callable[[], None]) -> None:
         """Run ``fn`` in the current slot's active region."""
-        self._active.append(fn)
+        self.active.append(fn)
 
     def schedule_inactive(self, fn: Callable[[], None]) -> None:
         """Run ``fn`` after the active region drains (``#0`` semantics)."""
@@ -97,18 +99,19 @@ class Scheduler:
 
     def _exhaust_slot(self) -> None:
         """Run active/inactive/nba regions until the slot is quiet."""
+        active, inactive, nba = self.active, self._inactive, self._nba
         while not self.finished:
-            if self._active:
+            if active:
                 self.events_executed += 1
-                self._active.popleft()()
-            elif self._inactive:
-                self._active.extend(self._inactive)
-                self._inactive.clear()
-            elif self._nba:
+                active.popleft()()
+            elif inactive:
+                active.extend(inactive)
+                inactive.clear()
+            elif nba:
                 # NBA updates execute as a batch; they may enqueue new
                 # active events (processes sensitive to the updated nets).
-                batch = list(self._nba)
-                self._nba.clear()
+                batch = list(nba)
+                nba.clear()
                 self.events_executed += len(batch)
                 for fn in batch:
                     fn()
@@ -138,7 +141,7 @@ class Scheduler:
             while self._future and self._future[0][0] == next_time:
                 _, _, region, fn = heapq.heappop(self._future)
                 if region == "active":
-                    self._active.append(fn)
+                    self.active.append(fn)
                 elif region == "inactive":
                     self._inactive.append(fn)
                 else:
@@ -149,7 +152,7 @@ class Scheduler:
     def pending_events(self) -> int:
         """Total events still queued (useful for tests and debugging)."""
         return (
-            len(self._active)
+            len(self.active)
             + len(self._inactive)
             + len(self._nba)
             + len(self._future)

@@ -1,7 +1,14 @@
 """Fix localization rule tests (paper §3.6)."""
 
+import importlib
+
+import pytest
+
+from repro.benchsuite import all_projects
 from repro.core import fixloc
 from repro.hdl import ast, parse
+
+from . import reference_fixloc as reference
 
 SRC = """
 module m;
@@ -43,6 +50,44 @@ class TestInsertionRules:
         # The lone statement is the Always body (scalar field), not a list
         # member: no insertion anchor exists.
         assert fixloc.insertion_anchors(t) == []
+
+
+def _same_nodes(actual, expected):
+    return len(actual) == len(expected) and all(a is e for a, e in zip(actual, expected))
+
+
+class TestInsertionAnchorsReference:
+    """The one-pass anchors equal the per-statement reference's, node for
+    node and in order."""
+
+    @pytest.mark.parametrize("project", all_projects(), ids=lambda p: p.name)
+    def test_project_designs(self, project):
+        design = parse(project.design_text)
+        expected = reference.insertion_anchors(design)
+        assert expected
+        assert _same_nodes(fixloc.insertion_anchors(design), expected)
+
+    def test_variant_trees_of_golden_gp_trial(self, monkeypatch):
+        # The seed-0 dec_numeric trial whose event types are pinned in
+        # tests/obs/golden: record every variant tree it mutates.
+        from tests.obs.test_engine_telemetry import _run
+
+        # The module, not the ``repro.core.repair`` function it exports.
+        repair = importlib.import_module("repro.core.repair")
+        variants = []
+        real_mutate = repair.mutate
+
+        def recording_mutate(parent, variant_tree, *args, **kwargs):
+            variants.append(variant_tree)
+            return real_mutate(parent, variant_tree, *args, **kwargs)
+
+        monkeypatch.setattr(repair, "mutate", recording_mutate)
+        _run()
+        assert variants
+        for variant in {id(v): v for v in variants}.values():
+            assert _same_nodes(
+                fixloc.insertion_anchors(variant), reference.insertion_anchors(variant)
+            )
 
 
 class TestReplacementRules:

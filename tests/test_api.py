@@ -2,10 +2,22 @@
 build_problem).  The heavyweight repair path is covered by
 test_public_api.py and tests/obs/."""
 
+import importlib
+import json
+
 import pytest
 
-from repro.api import build_problem, localize, repair_scenario, simulate
+from repro.api import (
+    build_problem,
+    localize,
+    materialize_request,
+    repair_scenario,
+    run_request,
+    simulate,
+)
 from repro.core.repair import RepairProblem
+from repro.core.serialize import outcome_to_json
+from repro.service import RepairRequest
 
 DESIGN = """
 module counter(clk, rst, out);
@@ -107,6 +119,48 @@ class TestLocalize:
     def test_bad_type_rejected(self):
         with pytest.raises(TypeError, match="scenario"):
             repair_scenario(42)
+
+
+class TestScenarioProblems:
+    def test_jobs_on_one_id_share_one_problem(self, monkeypatch):
+        """The second job on a benchmark id reuses the first one's
+        problem: the same testbench tree, no testbench template compiled
+        again, and the same outcome."""
+        compiler = importlib.import_module("repro.sim.compile")
+        compiled: list = []
+        for name in ("_compile_always", "_compile_initial"):
+            real = getattr(compiler, name)
+
+            def recording(item, scope, real=real):
+                compiled.append(item)
+                return real(item, scope)
+
+            monkeypatch.setattr(compiler, name, recording)
+        request = RepairRequest(
+            scenario="counter_reset",
+            seeds=(0,),
+            config={
+                "population_size": 8, "max_generations": 1,
+                "max_fitness_evals": 12, "minimize_budget": 4,
+                "max_wall_seconds": 1e6,
+            },
+        )
+
+        def report(outcome):
+            payload = json.loads(outcome_to_json(outcome, "counter_reset"))
+            payload.pop("elapsed_seconds")
+            return payload
+
+        first_problem = materialize_request(request)[0]
+        first = report(run_request(request))
+        compiled.clear()
+        second_problem = materialize_request(request)[0]
+        second = report(run_request(request))
+        assert second_problem is first_problem
+        testbench_items = {id(node) for node in first_problem.testbench.walk()}
+        assert compiled, "the second job compiled no candidate at all"
+        assert not [item for item in compiled if id(item) in testbench_items]
+        assert second == first
 
 
 class TestBuildProblem:
