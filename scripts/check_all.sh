@@ -143,6 +143,42 @@ print(f"engine trees ok: {total} candidates, {inexact} reported inexact "
       "and scored from their text")
 EOF
 
+echo "== each edit costs its path (index-driven operators and edit-sized apply equal the walks) =="
+python - <<'EOF'
+import sys
+
+from repro.benchsuite import all_scenarios
+from repro.core.config import RepairConfig
+from repro.core.harness import run_trials
+from repro.core.repair import CirFixEngine
+from repro.synth import SynthEngine
+from tests.core.edit_path_checks import EditPathChecks
+
+# The GP operators and Algorithm 2 answer from each parent's variant
+# index, and Patch.apply takes paths from an index and applies a child's
+# new edits to its parent's tree.  Over all 32 Table-3 scenarios and both
+# engines at seed 0, every operator child must equal the walking
+# reference operators' child (tests/core/reference_operators.py) from the
+# same RNG state, every fault set the reference fixed point's, every
+# incremental application the full application and every application
+# the clone-then-edit one (ids included), and every applied tree must
+# carry each node id once.
+budget = RepairConfig(
+    population_size=24, max_generations=3, max_fitness_evals=80,
+    minimize_budget=16, max_wall_seconds=1e6,
+)
+with EditPathChecks() as checks:
+    for scenario in all_scenarios():
+        for engine in (CirFixEngine, SynthEngine):
+            run_trials(engine, scenario.problem(), scenario.suggested_config(budget), (0,))
+if checks.failures:
+    print("\n".join(checks.failures[:20]), file=sys.stderr)
+    sys.exit(f"{len(checks.failures)} operator child(ren) or application(s) differ")
+if not checks.counts["incremental"]:
+    sys.exit("no incremental application was checked")
+print("edit paths ok: " + ", ".join(f"{k}={v}" for k, v in sorted(checks.counts.items())))
+EOF
+
 echo "== one way in (repro repair runs through run_request; simulators built in their homes only) =="
 python - <<'EOF'
 import ast

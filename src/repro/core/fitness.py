@@ -46,15 +46,6 @@ class FitnessBreakdown:
         return self.fitness >= 1.0
 
 
-def _bit_score(expected: str, actual: str, phi: float) -> tuple[float, float]:
-    """Return (sum contribution, total contribution) for one bit pair."""
-    if expected in "01" and actual in "01":
-        return (1.0, 1.0) if expected == actual else (-1.0, 1.0)
-    if expected == actual:  # (x,x) or (z,z)
-        return phi, phi
-    return -phi, phi
-
-
 def evaluate_fitness(
     simulated: SimulationTrace,
     expected: SimulationTrace,
@@ -66,36 +57,50 @@ def evaluate_fitness(
     pairs count (§3.2 footnote — the developer may provide expected values
     only at certain intervals).  A (time, var) pair the candidate failed to
     produce at all is scored as an all-x observation.
+
+    Each (time, var) pair is scored a whole value at a time from the two
+    planes of its bits (``aval``, ``bval``: 0=(0,0), 1=(1,0), z=(0,1),
+    x=(1,1)): a mask of the bit positions both sides know, a mask of the
+    positions where both planes agree, and ``int.bit_count`` over them
+    count the four kinds of bit pair in the table above.  The sums are
+    formed from those counts, so an integer ``phi`` gives the same floats
+    as adding the scores bit by bit.
     """
     simulated_by_time: dict[int, dict[str, Value]] = {
         time: values for time, values in simulated.rows
     }
-    raw_sum = 0.0
-    total = 0.0
-    matches = mismatches = xz_positions = 0
+    known_equal = known_unequal = unknown_equal = unknown_unequal = 0
     for time, expected_values in expected.rows:
         actual_values = simulated_by_time.get(time)
         for var, exp in expected_values.items():
+            width = exp.width
+            mask = (1 << width) - 1
             if actual_values is not None and var in actual_values:
-                act = actual_values[var].resized(exp.width)
+                act = actual_values[var].resized(width)
+                act_a, act_b = act.aval, act.bval
             else:
-                act = Value.unknown(exp.width)
-            for bit in range(exp.width):
-                expected_bit = exp.bit(bit)
-                actual_bit = act.bit(bit)
-                score, weight = _bit_score(expected_bit, actual_bit, phi)
-                raw_sum += score
-                total += weight
-                if expected_bit in "xz" or actual_bit in "xz":
-                    xz_positions += 1
-                if score > 0:
-                    matches += 1
-                else:
-                    mismatches += 1
+                act_a = act_b = mask  # all x
+            known = mask & ~(exp.bval | act_b)
+            equal = mask & ~((exp.aval ^ act_a) | (exp.bval ^ act_b))
+            both_known = known.bit_count()
+            matched = (known & equal).bit_count()
+            # Equal planes with an x/z bit: (x,x) or (z,z).
+            equal_unknown = (equal & ~known).bit_count()
+            known_equal += matched
+            known_unequal += both_known - matched
+            unknown_equal += equal_unknown
+            unknown_unequal += width - both_known - equal_unknown
+    unknown = unknown_equal + unknown_unequal
+    raw_sum = float(known_equal - known_unequal) + phi * (unknown_equal - unknown_unequal)
+    total = float(known_equal + known_unequal) + phi * unknown
+    matches = known_equal + (unknown_equal if phi > 0 else 0) + (
+        unknown_unequal if -phi > 0 else 0
+    )
+    mismatches = known_equal + known_unequal + unknown - matches
     if total <= 0:
-        return FitnessBreakdown(0.0, raw_sum, total, matches, mismatches, xz_positions)
+        return FitnessBreakdown(0.0, raw_sum, total, matches, mismatches, unknown)
     fitness = max(0.0, raw_sum) / total
-    return FitnessBreakdown(fitness, raw_sum, total, matches, mismatches, xz_positions)
+    return FitnessBreakdown(fitness, raw_sum, total, matches, mismatches, unknown)
 
 
 def fitness_score(

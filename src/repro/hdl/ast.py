@@ -51,10 +51,25 @@ class Node:
                         yield item
 
     def walk(self) -> Iterator["Node"]:
-        """Yield this node and all descendants in preorder."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        """Yield this node and all descendants in preorder.
+
+        Iterative: a node's children are read after the node is yielded
+        and pushed in reverse, so the order is the recursive preorder's
+        without a generator frame per level of nesting."""
+        stack: list[Node] = [self]
+        pop, push = stack.pop, stack.extend
+        while stack:
+            node = pop()
+            yield node
+            children = []
+            for name in node._fields:
+                value = getattr(node, name)
+                if isinstance(value, Node):
+                    children.append(value)
+                elif isinstance(value, list):
+                    children.extend([item for item in value if isinstance(item, Node)])
+            children.reverse()
+            push(children)
 
     def find(self, node_id: int) -> "Node | None":
         """Return the descendant (or self) with the given id, if any."""
@@ -62,6 +77,15 @@ class Node:
             if node.node_id == node_id:
                 return node
         return None
+
+    def copy(self) -> "Node":
+        """Shallow copy: a node of the same type with the same attribute
+        values, list attributes copied so the copy's slots can change
+        without touching this node's."""
+        new = object.__new__(type(self))
+        for key, value in self.__dict__.items():
+            new.__dict__[key] = value.copy() if isinstance(value, list) else value
+        return new
 
     def clone(self) -> "Node":
         """Deep-copy this subtree, preserving node ids.
@@ -121,15 +145,6 @@ class Node:
                             value.insert(i + 1, new_node)
                             return True
         return False
-
-    def parent_map(self) -> dict[int, "Node"]:
-        """Map each descendant's node_id to its parent node."""
-        parents: dict[int, Node] = {}
-        for node in self.walk():
-            for child in node.children():
-                if child.node_id is not None:
-                    parents[child.node_id] = node
-        return parents
 
     # ------------------------------------------------------------------
     # Equality / debugging

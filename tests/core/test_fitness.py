@@ -1,11 +1,16 @@
 """Fitness function tests (paper §3.2), including property-based bounds."""
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.benchsuite import load_scenario
+from repro.benchsuite.scenario import simulate_design_text
 from repro.core.fitness import evaluate_fitness, fitness_score
 from repro.instrument.trace import SimulationTrace
 from repro.sim.logic import Value
+
+from . import reference_fitness as reference
 
 
 def trace(rows):
@@ -142,3 +147,52 @@ class TestProperties:
         b = evaluate_fitness(actual, oracle)
         assert b.matches + b.mismatches == sum(len(exp) for exp, _ in pairs)
         assert abs(b.raw_sum) <= b.total
+
+
+class TestPopcountMatchesPerBit:
+    """The popcount scorer equals the per-bit scorer of
+    ``reference_fitness.py`` field for field at every phi the repository
+    uses (integer weights keep the float sums exact)."""
+
+    PHIS = (0.0, 1.0, 2.0, 3.0)
+    values = st.text(alphabet="01xz", min_size=1, max_size=70)
+
+    @given(
+        st.lists(st.tuples(values, values | st.none()), min_size=1, max_size=8),
+        st.sampled_from(PHIS),
+        st.booleans(),
+    )
+    def test_random_traces(self, pairs, phi, drop_last_row):
+        oracle = trace([(i, {"a": exp, "b": exp[::-1]}) for i, (exp, _) in enumerate(pairs)])
+        rows = [
+            (i, {"a": Value.from_string(act)} if act is not None else {})
+            for i, (_, act) in enumerate(pairs)
+        ]
+        actual = SimulationTrace(rows[:-1] if drop_last_row else rows)
+        assert evaluate_fitness(actual, oracle, phi) == reference.evaluate_fitness(
+            actual, oracle, phi
+        )
+
+    def test_signed_values_extend_as_the_reference(self):
+        oracle = trace([(0, {"a": "10101010"}), (5, {"a": "xxxx1111"})])
+        actual = SimulationTrace([
+            (0, {"a": Value.from_int(-3, 4).resized(4, signed=True)}),
+            (5, {"a": Value.from_string("x01")}),
+        ])
+        for phi in self.PHIS:
+            assert evaluate_fitness(actual, oracle, phi) == reference.evaluate_fitness(
+                actual, oracle, phi
+            )
+
+    @pytest.mark.parametrize("scenario_id", ["counter_reset", "fsm_next_sens", "i2c_ack"])
+    def test_scenario_traces(self, scenario_id):
+        scenario = load_scenario(scenario_id)
+        oracle = scenario.oracle()
+        faulty = simulate_design_text(
+            scenario.faulty_design_text, scenario.instrumented_testbench()
+        )
+        for candidate in (faulty, oracle, SimulationTrace()):
+            for phi in self.PHIS:
+                assert evaluate_fitness(candidate, oracle, phi) == (
+                    reference.evaluate_fitness(candidate, oracle, phi)
+                )

@@ -2,9 +2,10 @@
 
 ``Patch.apply`` copies only the path from the root to each edited node's
 parent and shares every other subtree with the design.  Its result must
-equal, ids included, what the clone-then-edit apply below (the one it
-replaced, kept here only as the reference) builds, and the design it was
-applied to must come out unchanged.
+equal, ids included, what the clone-then-edit apply it replaced (kept
+only as the reference, with the in-place templates, in
+``reference_apply.py``) builds, and the design it was applied to must
+come out unchanged.
 
 The repair harness applies each ``Patch`` object once and reuses the tree
 for scoring, the operators and localization; a spy on ``Patch.apply``
@@ -21,9 +22,9 @@ from repro.benchsuite import PROJECT_NAMES, load_project
 from repro.core import operators
 from repro.core.faultloc import all_statement_ids
 from repro.core.patch import Edit, Patch
-from repro.core.templates import ALL_TEMPLATES, apply_template
+from repro.core.templates import ALL_TEMPLATES
 from repro.core.templates_ext import EXTENDED_TEMPLATES
-from repro.hdl import ast, generate, max_node_id, number_nodes, parse, structural_diff
+from repro.hdl import ast, generate, max_node_id, parse, structural_diff
 from repro.obs import RecordingObserver
 from repro.synth import synth_repair
 
@@ -31,40 +32,10 @@ from ..obs.test_engine_telemetry import GOLDEN as GP_GOLDEN
 from ..obs.test_engine_telemetry import _run as run_gp_trial
 from ..synth.test_engine import FAULTY_STUCK, TEST_CONFIG, make_problem
 from ..synth.test_engine import GOLDEN as SYNTH_GOLDEN
+from .reference_apply import reference_apply
 from .test_engine_roundtrip import ParseSpy
 
 TEMPLATES = ALL_TEMPLATES + EXTENDED_TEMPLATES
-
-
-def reference_apply(patch, base):
-    """The clone-then-edit apply: clone the whole design, then edit it."""
-    tree = base.clone()
-    base_max = max_node_id(base)
-    for position, edit in enumerate(patch.edits):
-        fresh_start = base_max + (position + 1) * 10_000
-        target = tree.find(edit.target_id)
-        if target is None:
-            continue
-        if edit.kind == "delete":
-            if isinstance(target, ast.Stmt):
-                tree.replace(edit.target_id, ast.NullStmt())
-            else:
-                tree.replace(edit.target_id, None)
-        elif edit.kind in ("replace", "insert_after"):
-            if edit.payload is None:
-                continue
-            payload = edit.payload.clone()
-            number_nodes(payload, fresh_start)
-            if edit.kind == "replace":
-                tree.replace(edit.target_id, payload)
-            else:
-                tree.insert_after(edit.target_id, payload)
-        elif edit.kind == "template":
-            if edit.template is not None:
-                apply_template(edit.template, tree, edit.target_id, fresh_start)
-        else:
-            raise ValueError(f"unknown edit kind {edit.kind!r}")
-    return tree
 
 
 def fingerprint(tree):

@@ -123,11 +123,15 @@ class TestCloneAndParents:
                 assert [n.line for n in c.walk()] == [n.line for n in original.walk()]
                 assert not _mutable_parts(c) & _mutable_parts(original)
 
-    def test_parent_map(self):
+    def test_copy_is_shallow_with_its_own_lists(self):
         t = tree()
-        parents = t.parent_map()
-        if_stmt = next(n for n in t.walk() if isinstance(n, ast.If))
-        assert isinstance(parents[if_stmt.node_id], ast.Block)
+        block = next(n for n in t.walk() if isinstance(n, ast.Block))
+        c = block.copy()
+        assert type(c) is ast.Block and c.node_id == block.node_id
+        assert c.stmts == block.stmts and c.stmts is not block.stmts
+        assert all(a is b for a, b in zip(c.stmts, block.stmts))
+        c.stmts.append(ast.NullStmt())
+        assert len(c.stmts) == len(block.stmts) + 1
 
     def test_module_lookup_helpers(self):
         t = tree()
