@@ -9,7 +9,7 @@ the complete system plus every substrate the paper depends on:
 - :mod:`repro.sim` — event-driven 4-state simulator (the VCS stand-in);
 - :mod:`repro.instrument` — testbench instrumentation and traces;
 - :mod:`repro.core` — the CirFix repair engine itself;
-- :mod:`repro.lint` — static analysis and the pre-simulation candidate gate;
+- :mod:`repro.lint` — static analysis of design sources;
 - :mod:`repro.obs` — run telemetry: structured tracing and metrics;
 - :mod:`repro.api` — the stable high-level facade;
 - :mod:`repro.cache` — the persistent sharded evaluation store;

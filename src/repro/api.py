@@ -304,7 +304,7 @@ def lint(design: "ast.Source | str", rules: "str | None" = None):
     Returns:
         The :class:`~repro.lint.LintReport`; ``report.ok`` is True when
         there are no findings, and ``report.profile()`` gives per-rule
-        counts (the currency of the repair engine's candidate gate).
+        counts.
     """
     from .lint import lint_tree, resolve_rules
 

@@ -582,15 +582,6 @@ def main(argv: list[str] | None = None) -> int:
         help="per-worker address-space cap in MiB (RLIMIT_AS; 0 = no cap)",
     )
     p_repair.add_argument(
-        "--lint-gate", dest="lint_gate", action="store_true", default=None,
-        help="reject candidates that add lint violations before simulating them",
-    )
-    p_repair.add_argument(
-        "--lint-gate-rules", dest="lint_gate_rules", metavar="SPEC",
-        help="comma-separated rule codes/slugs the gate compares "
-        "(default: multi-driver,inferred-latch,comb-loop; 'all' for every rule)",
-    )
-    p_repair.add_argument(
         "--cache-dir", dest="cache_dir", metavar="DIR",
         help="persistent sharded evaluation cache directory (shared across "
         "runs and with the service daemon; empty = memory-only)",

@@ -96,7 +96,6 @@ from ..cache import PersistentEvalCache
 from ..hdl import ParseError, ast, generate, parse
 from ..hdl.lexer import LexError
 from ..instrument.trace import SimulationTrace, output_mismatch
-from ..lint.rules import resolve_rules
 from ..sim.compile import CompiledSimulator
 from ..sim.elaborate import ElaborationError
 # Unused here, but the end-to-end benchmark tracer
@@ -163,14 +162,13 @@ class CandidateResult:
     ``mismatch`` is the seed of fault localization (Algorithm 2): the
     output wires that ever differ from the oracle, sorted.  It is None
     when the candidate did not simulate and score (it did not compile,
-    crashed in simulation, was pruned by the lint gate, or was
-    quarantined), so results stay small across the pool's pipes and in
-    the disk cache, and no parent is ever simulated twice.  The trailing
-    stats fields are the telemetry payload (repro.obs): measured where
-    the evaluation actually ran, so pool workers batch them back with the
-    chunk results instead of emitting events across the process
-    boundary.  ``failure`` is set only for candidates the supervised pool
-    quarantined.
+    crashed in simulation, or was quarantined), so results stay small
+    across the pool's pipes and in the disk cache, and no parent is ever
+    simulated twice.  The trailing stats fields are the telemetry payload
+    (repro.obs): measured where the evaluation actually ran, so pool
+    workers batch them back with the chunk results instead of emitting
+    events across the process boundary.  ``failure`` is set only for
+    candidates the supervised pool quarantined.
     """
 
     fitness: float
@@ -367,10 +365,7 @@ def eval_context_digest(
       simulation into a truncated one);
     - the ``eval_deadline_seconds`` **bucket** (minutes granularity, 0 =
       off) and ``worker_mem_mb`` — a tighter deadline or memory sandbox
-      can contain-fail a candidate that a looser one completes;
-    - the **lint-gate ruleset** (resolved to canonical rule codes; empty
-      when the gate is off) — gate configuration is search-schedule
-      state, included so a gated corpus is auditable separately.
+      can contain-fail a candidate that a looser one completes.
 
     Deliberately excluded: GP schedule knobs (population, generations,
     thresholds, seeds, chunk size, worker count) — they decide *which*
@@ -385,11 +380,6 @@ def eval_context_digest(
         "max_sim_steps": config.max_sim_steps,
         "deadline_bucket": 0 if deadline <= 0 else math.ceil(deadline / 60.0),
         "worker_mem_mb": config.worker_mem_mb,
-        "lint_gate": (
-            [rule.code for rule in resolve_rules(config.lint_gate_rules)]
-            if config.lint_gate
-            else []
-        ),
     }
     blob = json.dumps(context, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -22,8 +22,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
-from ..lint.rules import DEFAULT_GATE_RULES, resolve_rules
-
 #: Valid values of :attr:`RepairConfig.backend` (canonical home; also
 #: re-exported by :mod:`repro.core.backend` for compatibility).
 BACKEND_NAMES = ("auto", "serial", "process")
@@ -80,15 +78,6 @@ class RepairConfig:
     #: this bounds how much work a found repair can strand; it is part of
     #: the deterministic schedule and must not depend on worker count.
     eval_chunk_size: int = 16
-    #: Reject candidates whose lint profile adds violations over the
-    #: buggy baseline *before* simulating them (see ``docs/lint.md``).
-    #: Off by default: with the gate off, outcomes are bit-identical to
-    #: the ungated engine.
-    lint_gate: bool = False
-    #: Comma-separated rule codes/slugs the gate compares (``"all"`` for
-    #: the full catalog).  The default is the structurally-doomed trio —
-    #: multi-driver, inferred-latch, comb-loop.
-    lint_gate_rules: str = DEFAULT_GATE_RULES
     #: Per-candidate wall-clock deadline (seconds) enforced by the
     #: supervised process pool; 0 disables it.  The default is a generous
     #: multiple of any realistic simulation budget, so the deterministic
@@ -173,10 +162,6 @@ class RepairConfig:
             )
         if self.eval_chunk_size < 1:
             fail(f"eval_chunk_size must be >= 1 (got {self.eval_chunk_size})")
-        try:
-            resolve_rules(self.lint_gate_rules)
-        except ValueError as exc:
-            fail(f"bad lint_gate_rules: {exc}")
         if self.eval_deadline_seconds < 0:
             fail(
                 "eval_deadline_seconds must be >= 0 "

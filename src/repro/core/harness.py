@@ -5,12 +5,11 @@ engine (:mod:`repro.synth.engine`) differ only in how they *propose*
 candidate patches.  Everything else — the trial skeleton (scoring the
 unpatched design, folding each scored round into the best and winning
 patch, minimizing the winner), candidate evaluation with memoisation,
-the lint gate, scoring through an
-:class:`~repro.core.backend.EvaluationBackend`, fault localization from
-each candidate's recorded output mismatch, delta-debugging minimization,
-phase accounting, and the final :class:`RepairOutcome` assembly — lives
-here in :class:`EngineHarness`, so caching, supervision, gating, and
-telemetry apply to every engine unchanged.
+scoring through an :class:`~repro.core.backend.EvaluationBackend`, fault
+localization from each candidate's recorded output mismatch,
+delta-debugging minimization, phase accounting, and the final
+:class:`RepairOutcome` assembly — lives here in :class:`EngineHarness`,
+so caching, supervision, and telemetry apply to every engine unchanged.
 
 The backend is the only place a candidate is scored: chunks of a
 round, the unpatched design, minimization subsets and single lookups
@@ -43,13 +42,13 @@ from ..instrument.trace import SimulationTrace
 # Unused here, but the end-to-end benchmark tracer
 # (benchmarks/e2e/tracer.py) wraps this name in this module.
 from ..instrument.trace import output_mismatch  # noqa: F401
-from ..lint.engine import lint_tree, new_violations
-from ..lint.rules import resolve_rules
+# Unused here, but the end-to-end benchmark tracer
+# (benchmarks/e2e/tracer.py) wraps this name in this module.
+from ..lint.engine import lint_tree  # noqa: F401
 from ..obs.events import (
     BackendChunkCompleted,
     BackendChunkDispatched,
     CandidateEvaluated,
-    CandidatePruned,
     CandidateTimedOut,
     ChunkRetried,
     GenerationCompleted,
@@ -95,9 +94,6 @@ class RepairOutcome:
     #: Unique candidate evaluations — the deterministic budget counter,
     #: identical across backends.
     eval_sims: int = 0
-    #: Unique candidates the lint gate rejected before simulation
-    #: (0 when ``config.lint_gate`` is off).
-    pruned: int = 0
     #: Candidates the supervised pool quarantined after exhausting their
     #: retries (0 on healthy runs and on the serial backend).
     quarantined: int = 0
@@ -248,21 +244,6 @@ class EngineHarness:
         }
         #: Monotonic id for backend chunk events.
         self._chunk_counter = 0
-        #: Lint gate (docs/lint.md): with ``config.lint_gate`` on, a
-        #: candidate whose lint profile adds findings under these rules
-        #: over the buggy baseline is rejected before simulation.  The
-        #: empty tuple (gate off) keeps every gate branch dead, so
-        #: outcomes are bit-identical to the ungated engine.
-        self._gate_rules = (
-            resolve_rules(self.config.lint_gate_rules)
-            if self.config.lint_gate
-            else ()
-        )
-        self._gate_rules_spec = ",".join(rule.code for rule in self._gate_rules)
-        self._gate_baseline: dict[str, int] | None = None
-        #: Unique candidates the gate rejected / per-rule breakdown.
-        self.candidates_pruned = 0
-        self.pruned_by_rule: dict[str, int] = {}
         #: Candidates the supervised pool quarantined (see
         #: ``docs/repair_engine.md``, "Fault tolerance").
         self.candidates_quarantined = 0
@@ -346,13 +327,12 @@ class EngineHarness:
 
     def _lookup(self, patch: Patch) -> tuple[Candidate, CandidateResult | None]:
         """Start one evaluation: apply and codegen (once per patch object),
-        memo lookup, lint gate.
+        then memo lookup.
 
         Returns the candidate for the backend — its design text, paired
         with its tree when the parse of the text equals the tree — and,
-        when no simulation is needed (codegen failed, memo hit, or gate
-        prune), its result; None means the candidate still has to be
-        scored.
+        when no simulation is needed (codegen failed or memo hit), its
+        result; None means the candidate still has to be scored.
         """
         self.fitness_evals += 1
         try:
@@ -364,10 +344,6 @@ class EngineHarness:
         cached = self._cache.get(design_text)
         if cached is not None:
             return design_text, cached
-        if self._gate_rules:
-            added = self._gate_added(tree)
-            if added:
-                return design_text, self._prune(design_text, added)
         return ((design_text, tree) if exact else design_text), None
 
     def _record(self, design_text: str, result: CandidateResult) -> CandidateResult:
@@ -386,51 +362,6 @@ class EngineHarness:
                     sim_steps=result.sim_steps,
                 )
             )
-        self._cache[design_text] = result
-        return result
-
-    # ------------------------------------------------------------------
-    # Lint gate (docs/lint.md)
-    # ------------------------------------------------------------------
-
-    def _gate_baseline_profile(self) -> dict[str, int]:
-        """Gated-rule lint profile of the buggy design (computed once)."""
-        if self._gate_baseline is None:
-            self._gate_baseline = lint_tree(
-                self.problem.design, self._gate_rules
-            ).profile()
-        return self._gate_baseline
-
-    def _gate_added(self, tree: ast.Source) -> dict[str, int]:
-        """Gated violations ``tree`` adds over the baseline (empty = pass).
-
-        Lint failures never block evaluation: a candidate the analyser
-        cannot process goes to the simulator like any other, so the gate
-        can only ever skip work, not change which designs are reachable.
-        """
-        try:
-            profile = lint_tree(tree, self._gate_rules).profile()
-        except Exception:
-            return {}
-        return new_violations(profile, self._gate_baseline_profile())
-
-    def _prune(self, design_text: str, added: dict[str, int]) -> CandidateResult:
-        """Reject one unique candidate before simulation.
-
-        The pruned result (fitness 0, no mismatch) is cached like any
-        other, so duplicates of a pruned design are ordinary cache hits;
-        ``eval_sims`` never ticks — pruning is free simulation budget.
-        """
-        self.candidates_pruned += 1
-        for code in added:
-            self.pruned_by_rule[code] = self.pruned_by_rule.get(code, 0) + 1
-        if self.events:
-            self.events.emit(
-                CandidatePruned(
-                    new_violations=dict(added), rules=self._gate_rules_spec
-                )
-            )
-        result = CandidateResult(0.0, False, None)
         self._cache[design_text] = result
         return result
 
@@ -472,8 +403,6 @@ class EngineHarness:
         pending: list[Candidate] = []
         indices_for_text: dict[str, list[int]] = {}
         for i, patch in enumerate(patches):
-            # Gate prunes happen here, engine-side before chunking, so the
-            # prune schedule (and its events) is backend-independent.
             candidate, known = self._lookup(patch)
             if known is not None:
                 results[i] = known
@@ -773,7 +702,6 @@ class EngineHarness:
             best_fitness_history=self.history,
             seed=self.seed,
             eval_sims=self.eval_sims,
-            pruned=self.candidates_pruned,
             quarantined=self.candidates_quarantined,
         )
         if self.events:
@@ -793,7 +721,6 @@ class EngineHarness:
                     simulations=outcome.simulations,
                     edits=len(outcome.patch),
                     elapsed_seconds=outcome.elapsed_seconds,
-                    pruned=outcome.pruned,
                     quarantined=outcome.quarantined,
                 )
             )

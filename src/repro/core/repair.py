@@ -27,8 +27,8 @@ Work is assigned in child-index order so outcomes are seed-deterministic
 regardless of backend (see ``docs/repair_engine.md``).
 
 The engine-neutral machinery (the trial skeleton and the multi-seed
-trial loop, candidate evaluation, lint gate, batched backend scoring,
-localization, minimization, outcome assembly) lives in
+trial loop, candidate evaluation, batched backend scoring, localization,
+minimization, outcome assembly) lives in
 :mod:`repro.core.harness`; this module holds only how GP proposes each
 generation.  ``RepairOutcome``, ``RepairProblem``, and
 ``adaptive_chunk_size`` are re-exported here for compatibility.

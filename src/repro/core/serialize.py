@@ -120,7 +120,6 @@ def outcome_to_json(outcome: RepairOutcome, scenario_id: str = "") -> str:
             "generations": outcome.generations,
             "fitness_evals": outcome.fitness_evals,
             "eval_sims": outcome.eval_sims,
-            "pruned": outcome.pruned,
             "quarantined": outcome.quarantined,
             "simulations": outcome.simulations,
             "elapsed_seconds": round(outcome.elapsed_seconds, 3),

@@ -46,29 +46,6 @@ def run_minted_grading(
     )
 
 
-def render_minted_grading(report: GradeReport) -> str:
-    """Render the per-mutator grading rates as a text table."""
-    body = [
-        [
-            mutator,
-            str(total),
-            f"{plausible}/{total}",
-            f"{correct}/{total}",
-            f"{truth}/{total}",
-        ]
-        for mutator, (total, plausible, correct, truth) in report.by_mutator().items()
-    ]
-    table = format_table(
-        ["Mutator", "Scenarios", "Plausible", "Correct", "Ground-truth"], body
-    )
-    n = len(report.results)
-    return table + (
-        f"\noverall ({report.engine}): plausible {report.plausible}/{n}"
-        f"  correct {report.correct}/{n}"
-        f"  ground-truth match {report.ground_truth_matches}/{n}"
-    )
-
-
 def run_minted_comparison(
     *,
     seed: int = MINTED_SEED,

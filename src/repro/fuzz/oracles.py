@@ -9,8 +9,7 @@ the property holds.  The oracle battery (ISSUE 3):
     preorder node numbering.
 ``lint``
     static analysis (:mod:`repro.lint`) never raises on a parseable
-    program and renders byte-identical reports across runs — the
-    contract the repair engine's candidate gate depends on.
+    program and renders byte-identical reports across runs.
 ``determinism``
     simulating the same program twice is bit-identical (time, $finish,
     output lines, recorded trace CSV), and the program scores fitness
@@ -485,11 +484,9 @@ def _untimed(result):
 def check_lint(text: str) -> list[Violation]:
     """Lint never raises on a parseable program, and is byte-stable.
 
-    The candidate gate runs lint on arbitrary GP mutants, so the
-    analyser must hold two contracts on anything that parses: ``check``
-    must not escape with an exception, and two runs over the same source
-    must render byte-identical reports (text and JSON) — the property
-    that makes gate decisions reproducible and backend-independent.
+    The analyser must hold two contracts on anything that parses:
+    ``check`` must not escape with an exception, and two runs over the
+    same source must render byte-identical reports (text and JSON).
     """
     from ..lint import lint_text
 

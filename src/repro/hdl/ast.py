@@ -701,13 +701,6 @@ class ModuleDef(Node):
         """All declaration items in this module, in source order."""
         return [item for item in self.items if isinstance(item, Decl)]
 
-    def find_decl(self, name: str) -> Decl | None:
-        """The declaration of ``name``, or None."""
-        for decl in self.decls():
-            if decl.name == name:
-                return decl
-        return None
-
 
 class Source(Node):
     """A parsed source file: an ordered list of module definitions."""

@@ -23,10 +23,6 @@ class CellDiff:
     expected: str
     actual: str
 
-    @property
-    def involves_xz(self) -> bool:
-        return any(c in "xz" for c in self.expected + self.actual)
-
 
 @dataclass
 class TraceDiff:
@@ -39,10 +35,6 @@ class TraceDiff:
     @property
     def mismatched_vars(self) -> set[str]:
         return {d.var for d in self.diffs}
-
-    @property
-    def first_divergence(self) -> CellDiff | None:
-        return self.diffs[0] if self.diffs else None
 
     @property
     def is_match(self) -> bool:

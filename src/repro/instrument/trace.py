@@ -51,10 +51,6 @@ class SimulationTrace:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def total_bits(self) -> int:
-        """Total recorded bit positions (used for normalisation checks)."""
-        return sum(v.width for _, values in self.rows for v in values.values())
-
     # ------------------------------------------------------------------
     # Oracle degradation (RQ4)
     # ------------------------------------------------------------------

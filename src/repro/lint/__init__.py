@@ -6,14 +6,9 @@ eight-rule catalog: multiple drivers, blocking/non-blocking mixes,
 incomplete sensitivity lists, inferred latches, combinational loops,
 undeclared and unused identifiers, and width truncation.
 
-Two consumers:
-
-- ``repro lint file.v`` / :func:`repro.api.lint` — CI-style static
-  checking of design sources;
-- the repair engine's opt-in candidate gate
-  (``RepairConfig.lint_gate``) — candidates whose lint profile adds
-  violations over the buggy baseline are rejected before simulation
-  (see ``docs/lint.md``).
+Consumers: ``repro lint file.v`` / :func:`repro.api.lint` — CI-style
+static checking of design sources — and the fuzz harness's ``lint``
+oracle (see ``docs/lint.md``).
 
 Usage::
 
@@ -27,9 +22,9 @@ Usage::
 from __future__ import annotations
 
 from .diagnostics import SEVERITIES, Diagnostic, LintRule
-from .engine import LintReport, lint_module, lint_text, lint_tree, new_violations
+from .engine import LintReport, lint_module, lint_text, lint_tree
 from .model import ModuleModel, ProcessInfo, build_module_model, classify_always
-from .rules import DEFAULT_GATE_RULES, RULES, RULES_BY_KEY, resolve_rules
+from .rules import RULES, RULES_BY_KEY, resolve_rules
 
 __all__ = [
     "Diagnostic",
@@ -38,12 +33,10 @@ __all__ = [
     "SEVERITIES",
     "RULES",
     "RULES_BY_KEY",
-    "DEFAULT_GATE_RULES",
     "resolve_rules",
     "lint_module",
     "lint_text",
     "lint_tree",
-    "new_violations",
     "ModuleModel",
     "ProcessInfo",
     "build_module_model",

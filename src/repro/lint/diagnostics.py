@@ -8,8 +8,8 @@ so a report sorts deterministically and renders byte-stably.
 
 A :class:`LintRule` inspects one module's :class:`~repro.lint.model.ModuleModel`
 and yields diagnostics.  Rules must be pure functions of the model: no
-randomness, no wall-clock, no mutation — that is what makes lint profiles
-usable inside the repair engine's deterministic candidate gate.
+randomness, no wall-clock, no mutation — so the same source always
+yields the same report.
 """
 
 from __future__ import annotations

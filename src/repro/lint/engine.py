@@ -3,15 +3,12 @@
 :func:`lint_tree` is the core entry point (AST in, :class:`LintReport`
 out); :func:`lint_text` parses first and is what ``repro lint`` and the
 :func:`repro.api.lint` facade call.  A report's :meth:`LintReport.profile`
-— rule code → finding count — is the unit the repair engine's candidate
-gate compares: a candidate is pruned when any gated rule's count exceeds
-the buggy baseline's (:func:`new_violations`).
+is its rule code → finding count summary.
 
 Determinism: diagnostics are sorted (module, line, code, message) and
 every rule is a pure function of the AST, so the same source text always
 yields the same report — byte-for-byte in both renderings.  This is
-fuzz-checked (``repro fuzz``'s ``lint`` oracle) and is what lets the
-gate stay backend-independent.
+fuzz-checked (``repro fuzz``'s ``lint`` oracle).
 """
 
 from __future__ import annotations
@@ -48,7 +45,7 @@ class LintReport:
         return sum(1 for d in self.diagnostics if d.severity == "warning")
 
     def profile(self) -> dict[str, int]:
-        """Rule code → finding count (the candidate gate's currency)."""
+        """Rule code → finding count."""
         counts: dict[str, int] = {}
         for diagnostic in self.diagnostics:
             counts[diagnostic.code] = counts.get(diagnostic.code, 0) + 1
@@ -112,19 +109,3 @@ def lint_text(text: str, rules: Sequence[LintRule] | None = None) -> LintReport:
     no lint answer (the CLI maps this to exit code 2).
     """
     return lint_tree(parse(text), rules)
-
-
-def new_violations(
-    candidate: dict[str, int], baseline: dict[str, int]
-) -> dict[str, int]:
-    """Per-code findings the candidate has *beyond* the baseline.
-
-    The gate's comparison: only codes whose count increased appear, with
-    the increase as the value.  Fixing violations (counts going down)
-    never penalises a candidate.
-    """
-    return {
-        code: count - baseline.get(code, 0)
-        for code, count in sorted(candidate.items())
-        if count > baseline.get(code, 0)
-    }

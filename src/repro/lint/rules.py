@@ -2,19 +2,16 @@
 
 Every rule is a small stateless class satisfying the
 :class:`~repro.lint.diagnostics.LintRule` protocol; the registry at the
-bottom (:data:`RULES`, :func:`resolve_rules`) is what the engine, the CLI
-and the candidate gate select from.  Codes are stable: they never change
-meaning and are never reused, so golden snapshots and gate configurations
-survive rule additions.
+bottom (:data:`RULES`, :func:`resolve_rules`) is what the engine and the
+CLI select from.  Codes are stable: they never change meaning and are
+never reused, so golden snapshots and rule specs survive rule additions.
 
-Severities encode how a finding relates to the repair search:
+Severities encode how a finding relates to the design:
 
 - ``error`` rules (multi-driver, comb-loop) describe structurally doomed
-  designs — no simulation can make them behave; they form the default
-  candidate-gate set together with inferred-latch;
+  designs — no simulation can make them behave;
 - ``warning``/``info`` rules describe style and likely-bug patterns that
-  a *correct* design may legitimately contain, so they report but do not
-  gate by default (a repair is allowed to look like the golden design).
+  a *correct* design may legitimately contain.
 """
 
 from __future__ import annotations
@@ -232,8 +229,7 @@ class InferredLatchRule:
 
     The classic incomplete-``if``/``case`` pattern: synthesis infers a
     level-sensitive latch to hold the stale value.  One diagnostic per
-    latched name, so the candidate gate sees each newly latched signal as
-    a new violation.
+    latched name, so a report's profile counts each latched signal.
     """
 
     code = "L004"
@@ -645,11 +641,6 @@ RULES_BY_KEY: dict[str, LintRule] = {}
 for _rule in RULES:
     RULES_BY_KEY[_rule.code] = _rule
     RULES_BY_KEY[_rule.name] = _rule
-
-#: The candidate gate's default rule set: the structurally-doomed trio.
-#: Style rules (L002/L003/L006/L007/L008) stay report-only by default so
-#: the gate can never reject a repair for resembling the golden design.
-DEFAULT_GATE_RULES = "multi-driver,inferred-latch,comb-loop"
 
 
 def resolve_rules(spec: str | None) -> tuple[LintRule, ...]:

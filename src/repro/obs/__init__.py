@@ -26,7 +26,6 @@ from .events import (
     BackendChunkCompleted,
     BackendChunkDispatched,
     CandidateEvaluated,
-    CandidatePruned,
     CandidateTimedOut,
     ChunkRetried,
     FuzzProgramChecked,
@@ -61,7 +60,6 @@ __all__ = [
     "TrialStarted",
     "TrialCompleted",
     "CandidateEvaluated",
-    "CandidatePruned",
     "CandidateTimedOut",
     "WorkerCrashed",
     "ChunkRetried",

@@ -84,23 +84,6 @@ class CandidateEvaluated(RepairEvent):
 
 
 @dataclass(frozen=True)
-class CandidatePruned(RepairEvent):
-    """The lint gate rejected a candidate before simulation.
-
-    Emitted once per unique design text the gate rejects (duplicates of
-    a pruned candidate hit the evaluation cache, like any other repeat).
-    ``new_violations`` maps each gated rule code to how many findings the
-    candidate added over the buggy baseline; ``rules`` is the canonical
-    comma-joined code list the gate compared.  Pruned candidates consume
-    no simulation budget, so they never tick ``eval_sims``.
-    """
-
-    type: ClassVar[str] = "candidate_pruned"
-    new_violations: dict[str, int]
-    rules: str
-
-
-@dataclass(frozen=True)
 class GenerationCompleted(RepairEvent):
     """A generation's population is fully scored.
 
@@ -235,8 +218,6 @@ class TrialCompleted(RepairEvent):
     simulations: int
     edits: int
     elapsed_seconds: float
-    #: Unique candidates the lint gate rejected (0 when the gate is off).
-    pruned: int = 0
     #: Candidates the supervised pool quarantined (0 on healthy runs).
     quarantined: int = 0
 
@@ -488,7 +469,6 @@ EVENT_TYPES: dict[str, type[RepairEvent]] = {
     for cls in (
         TrialStarted,
         CandidateEvaluated,
-        CandidatePruned,
         GenerationCompleted,
         BackendChunkDispatched,
         BackendChunkCompleted,

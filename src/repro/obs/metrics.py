@@ -22,7 +22,6 @@ from .events import (
     BackendChunkCompleted,
     BackendChunkDispatched,
     CandidateEvaluated,
-    CandidatePruned,
     CandidateTimedOut,
     ChunkRetried,
     GenerationCompleted,
@@ -89,11 +88,6 @@ class MetricsObserver:
     elapsed_seconds: float = 0.0
     # -- candidates -----------------------------------------------------
     candidates: int = 0
-    #: Unique candidates the lint gate rejected before simulation.
-    candidates_pruned: int = 0
-    #: Gated rule code → pruned-candidate count (a candidate adding
-    #: violations under two rules counts once under each).
-    pruned_by_rule: dict[str, int] = field(default_factory=dict)
     compile_failures: int = 0
     sim_events: int = 0
     sim_steps: int = 0
@@ -141,10 +135,6 @@ class MetricsObserver:
             self.sim_events += event.sim_events
             self.sim_steps += event.sim_steps
             self.eval_seconds.add(event.wall_seconds)
-        elif isinstance(event, CandidatePruned):
-            self.candidates_pruned += 1
-            for code in event.new_violations:
-                self.pruned_by_rule[code] = self.pruned_by_rule.get(code, 0) + 1
         elif isinstance(event, GenerationCompleted):
             self.generation_stats.append(event)
             self.operator_stats = dict(event.operator_stats)
@@ -245,8 +235,6 @@ class MetricsObserver:
             },
             "candidates": {
                 "evaluated": self.candidates,
-                "pruned": self.candidates_pruned,
-                "pruned_by_rule": dict(sorted(self.pruned_by_rule.items())),
                 "compile_failures": self.compile_failures,
                 "sim_events": self.sim_events,
                 "sim_steps": self.sim_steps,

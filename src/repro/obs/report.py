@@ -59,20 +59,6 @@ def render_report(events: list[RepairEvent], source: str = "run.jsonl") -> str:
             ["Metric", "Value"],
             [
                 ["unique evaluations (eval_sims)", str(metrics.candidates)],
-                # Lint-gate rows appear only on gated runs, so reports
-                # (and their golden files) from ungated traces are
-                # unchanged.
-                *(
-                    [["pruned by lint gate", str(metrics.candidates_pruned)]]
-                    if metrics.candidates_pruned
-                    else []
-                ),
-                *(
-                    [[f"pruned under {code}", str(count)]
-                     for code, count in sorted(metrics.pruned_by_rule.items())]
-                    if metrics.candidates_pruned
-                    else []
-                ),
                 # Supervision rows appear only when the fault-tolerance
                 # machinery actually fired, so healthy-run reports are
                 # unchanged.

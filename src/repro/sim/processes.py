@@ -501,20 +501,21 @@ def collect_read_names(node: ast.Node) -> set[str]:
 
     Approximates "read" as every identifier appearing anywhere except as the
     direct target name of an assignment (index expressions still count).
+    One walk records both; targets are filtered out after it, so an
+    identifier object reached twice is skipped at every occurrence.
     """
-    names: set[str] = set()
     skip_ids: set[int] = set()
+    identifiers: list[ast.Identifier] = []
     for sub in node.walk():
-        if isinstance(sub, (ast.BlockingAssign, ast.NonBlockingAssign)):
+        if isinstance(sub, ast.Identifier):
+            identifiers.append(sub)
+        elif isinstance(sub, (ast.BlockingAssign, ast.NonBlockingAssign)):
             target = sub.lhs
             while isinstance(target, (ast.Index, ast.PartSelect)):
                 target = target.target
             if isinstance(target, ast.Identifier):
                 skip_ids.add(id(target))
-    for sub in node.walk():
-        if isinstance(sub, ast.Identifier) and id(sub) not in skip_ids:
-            names.add(sub.name)
-    return names
+    return {sub.name for sub in identifiers if id(sub) not in skip_ids}
 
 
 def _level_items(expr: ast.Expr, env: Env) -> list[tuple[object, str]]:

@@ -147,13 +147,3 @@ class Scheduler:
                 else:
                     self._nba.append(fn)
         return self.time
-
-    @property
-    def pending_events(self) -> int:
-        """Total events still queued (useful for tests and debugging)."""
-        return (
-            len(self.active)
-            + len(self._inactive)
-            + len(self._nba)
-            + len(self._future)
-        )

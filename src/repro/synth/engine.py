@@ -6,7 +6,7 @@ over the fault-localized region of the design, expands each template's
 free choices into small deterministic domains against the instrumented
 testbench trace (:mod:`repro.synth.solver`), and scores the surviving
 instantiations through the shared harness — so the evaluation cache,
-lint gate, supervision, and telemetry apply exactly as they do for GP.
+supervision, and telemetry apply exactly as they do for GP.
 
 Contract (same as every engine behind the registry):
 

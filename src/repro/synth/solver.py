@@ -4,8 +4,8 @@ rtl-repair hands each template's free constants to an SMT solver; here
 the same role is played by deterministic enumeration — "solving" a
 template means building the small domain its free choice ranges over and
 letting the harness score the surviving instantiations through the
-:class:`~repro.core.backend.EvaluationBackend` (so caching, the lint
-gate, supervision, and telemetry all apply unchanged).
+:class:`~repro.core.backend.EvaluationBackend` (so caching,
+supervision, and telemetry all apply unchanged).
 
 Two pieces of the testbench trace feed the domains:
 

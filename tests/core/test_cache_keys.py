@@ -54,20 +54,14 @@ class TestOutcomeRelevantKnobs:
             {"max_sim_time": 123},
             {"max_sim_steps": 999},
             {"worker_mem_mb": 256},
-            {"lint_gate": True},
-            # Deadline buckets: 0 (off) vs a 1-minute bucket.
+            # Deadline buckets: 0 (off) and a 1-minute bucket vs the
+            # default 10-minute bucket.
+            {"eval_deadline_seconds": 0.0},
             {"eval_deadline_seconds": 30.0, "backend": "process"},
         ],
     )
     def test_change_splits_the_digest(self, scenario, base_digest, overrides):
         assert digest_with(scenario, **overrides) != base_digest
-
-    def test_gated_ruleset_change_splits_the_digest(self, scenario):
-        gated = digest_with(scenario, lint_gate=True)
-        narrowed = digest_with(
-            scenario, lint_gate=True, lint_gate_rules="multi-driver"
-        )
-        assert gated != narrowed
 
     def test_deadline_buckets_quantize_to_minutes(self, scenario):
         # Same 1-minute bucket → same digest (restarts with slightly
@@ -114,10 +108,6 @@ class TestScheduleKnobsExcluded:
     def test_schedule_change_keeps_the_digest(self, scenario, base_digest, overrides):
         assert digest_with(scenario, **overrides) == base_digest
 
-    def test_ungated_ruleset_is_irrelevant(self, scenario, base_digest):
-        # With the gate off, the rule list cannot affect any score.
-        assert digest_with(scenario, lint_gate_rules="all") == base_digest
-
     def test_never_aliases_across_any_relevant_change(self, scenario):
         """The headline property: pairwise-distinct digests across a
         sweep of outcome-relevant contexts (no hash collisions/aliasing
@@ -126,8 +116,6 @@ class TestScheduleKnobsExcluded:
             {},
             {"phi": 3.0},
             {"max_sim_time": 123},
-            {"lint_gate": True},
-            {"lint_gate": True, "lint_gate_rules": "multi-driver"},
             {"eval_deadline_seconds": 30.0},
             {"eval_deadline_seconds": 120.0},
             {"worker_mem_mb": 256},

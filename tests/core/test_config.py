@@ -112,8 +112,10 @@ class TestFromMapping:
         assert config.max_fitness_evals is None
 
     def test_unknown_key_fails_fast_naming_the_key(self):
-        with pytest.raises(ConfigError, match="poplation_size"):
-            RepairConfig.from_mapping({"poplation_size": "300"})
+        # A typo, and the keys of the removed lint gate.
+        for key in ("poplation_size", "lint_gate", "lint_gate_rules"):
+            with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+                RepairConfig.from_mapping({key: "1"})
         # The message also lists valid keys.
         with pytest.raises(ConfigError, match="population_size"):
             RepairConfig.from_mapping({"poplation_size": "300"})
@@ -174,9 +176,14 @@ class TestFromFile:
             RepairConfig.from_file(path)
 
     def test_unknown_key_names_file_and_section(self, tmp_path):
-        path = self._write(tmp_path, "[gp]\npoplation_size = 8\n")
-        with pytest.raises(ConfigError, match=r"repair\.conf \[gp\].*poplation_size"):
-            RepairConfig.from_file(path)
+        for line in ("poplation_size = 8", "lint_gate = true",
+                     "lint_gate_rules = multi-driver"):
+            key = line.split(" = ")[0]
+            path = self._write(tmp_path, f"[gp]\n{line}\n")
+            with pytest.raises(
+                ConfigError, match=rf"repair\.conf \[gp\]: unknown config key '{key}'"
+            ):
+                RepairConfig.from_file(path)
 
     def test_unreadable_file_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):

@@ -84,7 +84,7 @@ class TestRq4Renderer:
 class TestMintedRenderer:
     def test_table_and_overall_line(self):
         from repro.mint.grading import GradedScenario, GradeReport
-        from repro.experiments.minted import render_minted_grading
+        from repro.experiments.minted import render_minted_comparison
 
         def graded(sid, mutator, plausible, truth):
             return GradedScenario(
@@ -112,7 +112,7 @@ class TestMintedRenderer:
                 graded("c", "stuck_constant", False, False),
             ],
         )
-        text = render_minted_grading(report)
+        text = render_minted_comparison({"cirfix": report})
         assert "negate_condition" in text
         assert "2/2" in text  # both negate scenarios plausible
         assert "overall (cirfix): plausible 2/3" in text

@@ -1,6 +1,6 @@
 """Trace diffing tests."""
 
-from repro.instrument.diff import diff_traces, render_diff
+from repro.instrument.diff import CellDiff, diff_traces, render_diff
 from repro.instrument.trace import SimulationTrace
 from repro.sim.logic import Value
 
@@ -23,7 +23,7 @@ class TestDiffTraces:
         oracle = trace([(0, {"a": "10"}), (10, {"a": "01"})])
         actual = trace([(0, {"a": "10"}), (10, {"a": "11"})])
         diff = diff_traces(oracle, actual)
-        first = diff.first_divergence
+        (first,) = diff.diffs
         assert first.time == 10
         assert first.var == "a"
         assert (first.expected, first.actual) == ("01", "11")
@@ -32,7 +32,7 @@ class TestDiffTraces:
         oracle = trace([(0, {"a": "0"})])
         actual = trace([(0, {"a": "x"})])
         diff = diff_traces(oracle, actual)
-        assert diff.diffs[0].involves_xz
+        assert diff.diffs == [CellDiff(0, "a", "0", "x")]
 
     def test_missing_row_reported(self):
         oracle = trace([(0, {"a": "1"}), (5, {"a": "1"})])

@@ -31,10 +31,6 @@ class TestBasics:
         assert trace.get(1, "a") is None
         assert trace.get(0, "b") is None
 
-    def test_total_bits(self):
-        trace = make_trace([(0, {"a": "1010", "b": "1"}), (1, {"a": "0000"})])
-        assert trace.total_bits() == 9
-
 
 class TestCsv:
     def test_roundtrip(self):

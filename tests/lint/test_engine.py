@@ -6,14 +6,12 @@ import pytest
 
 from repro.hdl import ParseError, parse
 from repro.lint import (
-    DEFAULT_GATE_RULES,
     RULES,
     RULES_BY_KEY,
     Diagnostic,
     LintRule,
     lint_text,
     lint_tree,
-    new_violations,
     resolve_rules,
 )
 
@@ -102,20 +100,6 @@ def test_resolve_rules_specs():
     assert [r.code for r in resolve_rules("comb-loop,L001,L005")] == ["L001", "L005"]
     with pytest.raises(ValueError, match="unknown lint rule 'L999'"):
         resolve_rules("L999")
-
-
-def test_default_gate_rules_are_structural():
-    codes = sorted(r.code for r in resolve_rules(DEFAULT_GATE_RULES))
-    assert codes == ["L001", "L004", "L005"]
-
-
-def test_new_violations_only_counts_increases():
-    baseline = {"L001": 1, "L004": 2}
-    assert new_violations({"L001": 1, "L004": 2}, baseline) == {}
-    assert new_violations({"L001": 2, "L004": 1}, baseline) == {"L001": 1}
-    assert new_violations({"L005": 3}, baseline) == {"L005": 3}
-    # Fixing violations never penalises.
-    assert new_violations({}, baseline) == {}
 
 
 def test_rule_selection_restricts_findings():

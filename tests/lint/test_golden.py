@@ -17,8 +17,7 @@ from repro.lint import lint_text
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "benchsuite_profiles.json"
 
-#: Designs expected to lint clean under the default gate rules — the
-#: engine's "don't prune the baseline" precondition for gated repair.
+#: Designs expected to lint clean.
 CLEAN_PROJECTS = sorted(set(PROJECT_NAMES) - {"sha3"})
 
 

@@ -8,7 +8,6 @@ from repro.obs.events import (
     EVENT_TYPES,
     WALL_TIME_FIELDS,
     CandidateEvaluated,
-    CandidatePruned,
     CandidateTimedOut,
     ChunkRetried,
     FuzzProgramChecked,
@@ -42,7 +41,6 @@ SAMPLES = [
     CandidateEvaluated(
         fitness=0.5, compiled=True, wall_seconds=0.01, sim_events=120, sim_steps=80,
     ),
-    CandidatePruned(new_violations={"L001": 1}, rules="L001,L004,L005"),
     GenerationCompleted(
         generation=1, population=16, best_fitness=0.9, fitness_min=0.1,
         fitness_mean=0.4, fitness_max=0.9, eval_sims=30,
@@ -115,8 +113,7 @@ def test_round_trip(event):
 
 def test_registry_covers_all_types():
     assert set(EVENT_TYPES) == {
-        "trial_started", "candidate_evaluated", "candidate_pruned",
-        "generation_completed",
+        "trial_started", "candidate_evaluated", "generation_completed",
         "backend_chunk_dispatched", "backend_chunk_completed",
         "candidate_timed_out", "worker_crashed", "chunk_retried",
         "plausible_patch_found", "phase_completed", "trial_completed",

@@ -12,7 +12,7 @@ from repro.obs.events import (
     TrialCompleted,
     TrialStarted,
 )
-from repro.obs.jsonl import JsonlTraceObserver
+from repro.obs.jsonl import JsonlTraceObserver, read_events
 from repro.obs.report import render_report, report_text, summary_dict
 
 
@@ -125,13 +125,21 @@ def test_skipped_records_key_absent_when_clean(tmp_path):
     assert "unknown event types skipped" not in report_text(path)
 
 
-def test_pruned_rows_render_only_on_gated_traces():
-    from repro.obs.events import CandidatePruned
-
-    base = render_report(_stream())
-    assert "pruned by lint gate" not in base
-    events = _stream()
-    events.insert(3, CandidatePruned(new_violations={"L004": 1}, rules="L001,L004,L005"))
-    gated = render_report(events)
-    assert "pruned by lint gate" in gated
-    assert "pruned under L004" in gated
+def test_stored_lint_gate_records_are_skipped(tmp_path):
+    """A trace of a run with the removed lint gate still renders: its
+    ``candidate_pruned`` records are skipped and counted, and the strict
+    reader rejects them."""
+    path = _write_trace(
+        tmp_path / "gated.jsonl",
+        _stream(),
+        extra_lines=[
+            '{"type": "candidate_pruned", "new_violations": {"L004": 1},'
+            ' "rules": "L001,L004,L005"}',
+        ],
+    )
+    text = report_text(path)
+    assert "(1 record of unknown event types skipped)" in text
+    assert "pruned" not in text
+    assert summary_dict(path)["skipped_records"] == 1
+    with pytest.raises(ValueError, match="candidate_pruned"):
+        read_events(path)

@@ -268,16 +268,24 @@ class TestDaemonRecovery:
             "job-1-aaaaaaaa", request.to_dict(), attempts=4
         )  # crossed MAX_RECOVERY_ATTEMPTS
         journal.record_admitted("job-2-bbbbbbbb", {"schema_version": 99})
+        # A request journaled before the lint gate was removed.
+        gated = tiny_request(tenant="gated").to_dict()
+        gated["config"]["lint_gate"] = True
+        journal.record_admitted("job-3-cccccccc", gated)
         with DaemonHarness(
             tmp_path, "d", journal_dir=journal_dir, recover=True
         ) as client:
-            assert client.jobs() == []  # neither job was re-admitted
+            assert client.jobs() == []  # no job was re-admitted
         poisoned = journal.get("job-1-aaaaaaaa")
         assert poisoned.state == "failed"
         assert "poison" in poisoned.error
         garbage = journal.get("job-2-bbbbbbbb")
         assert garbage.state == "failed"
         assert "unrecoverable" in garbage.error
+        removed_key = journal.get("job-3-cccccccc")
+        assert removed_key.state == "failed"
+        assert "unrecoverable" in removed_key.error
+        assert "unknown config key 'lint_gate'" in removed_key.error
 
     def test_graceful_drain_leaves_no_unfinished_records(self, tmp_path):
         journal_dir = tmp_path / "journal"

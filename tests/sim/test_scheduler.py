@@ -106,9 +106,3 @@ class TestTime:
         sched = Scheduler()
         with pytest.raises(SchedulerError):
             sched.schedule_at(1, lambda: None, region="bogus")
-
-    def test_pending_events_counter(self):
-        sched = Scheduler()
-        sched.schedule_at(5, lambda: None)
-        sched.schedule_active(lambda: None)
-        assert sched.pending_events == 2

@@ -281,32 +281,22 @@ class TestLintCommand:
 
 
 class TestRepairLintGateFlags:
-    def test_gate_flag_accepted(self, ff_files, capsys):
-        code = main(
-            [
-                "repair",
-                str(ff_files / "faulty.v"),
-                str(ff_files / "tb.v"),
-                "--golden",
-                str(ff_files / "golden.v"),
-                "--population",
-                "120",
-                "--budget",
-                "60",
-                "--seeds",
-                "0",
-                "--lint-gate",
-                "--output",
-                str(ff_files / "out3.v"),
-            ]
-        )
-        assert code == 0
-        assert "PLAUSIBLE" in capsys.readouterr().out
+    """The lint gate is gone: argparse rejects its flags before any run."""
 
-    def test_bad_gate_rules_usage_error(self, ff_files):
-        with pytest.raises(SystemExit):
+    def _repair(self, ff_files, *flags):
+        with pytest.raises(SystemExit) as exc:
             main(
                 ["repair", str(ff_files / "faulty.v"), str(ff_files / "tb.v"),
-                 "--golden", str(ff_files / "golden.v"),
-                 "--lint-gate", "--lint-gate-rules", "L999"]
+                 "--golden", str(ff_files / "golden.v"), *flags,
+                 "--output", str(ff_files / "gated.v")]
             )
+        assert exc.value.code == 2
+        assert not (ff_files / "gated.v").exists()
+
+    def test_gate_flag_rejected(self, ff_files, capsys):
+        self._repair(ff_files, "--lint-gate")
+        assert "unrecognized arguments: --lint-gate" in capsys.readouterr().err
+
+    def test_gate_rules_flag_rejected(self, ff_files, capsys):
+        self._repair(ff_files, "--lint-gate-rules", "multi-driver")
+        assert "unrecognized arguments: --lint-gate-rules" in capsys.readouterr().err
