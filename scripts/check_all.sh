@@ -18,19 +18,27 @@ if grep -rnE --include='*.py' "(TrialStarted|PlausiblePatchFound|make_backend)\(
     exit 1
 fi
 
-echo "== one application per patch (core/harness.py applies and generates in _applied only) =="
+echo "== one application per patch (harness applies and generates in _applied; backend applies shipped edits only) =="
 python - <<'EOF'
 import ast
 import sys
 
-PATH = "src/repro/core/harness.py"
 # EngineHarness._applied is the memo every candidate's tree and text come
 # from.  The only other codegen is the testbench text a RepairProblem
-# precomputes: the testbench is never patched.
+# precomputes (and a serial backend regenerates when not handed it): the
+# testbench is never patched.  A pool worker makes an exact candidate's
+# tree by applying its shipped edit list, in _apply_edits; no other
+# backend code applies a patch.
 ALLOWED = {
-    ("EngineHarness._applied", "apply"),
-    ("EngineHarness._applied", "generate"),
-    ("RepairProblem.__init__", "generate(testbench)"),
+    "src/repro/core/harness.py": {
+        ("EngineHarness._applied", "apply"),
+        ("EngineHarness._applied", "generate"),
+        ("RepairProblem.__init__", "generate(testbench)"),
+    },
+    "src/repro/core/backend.py": {
+        ("_apply_edits", "apply"),
+        ("SerialBackend.__init__", "generate(testbench)"),
+    },
 }
 
 
@@ -51,13 +59,17 @@ def calls(node, scope):
 
 
 bad = [
-    f"{PATH}:{line}: {call} in {scope or 'module scope'}"
-    for line, scope, call in calls(ast.parse(open(PATH).read(), PATH), "")
-    if (scope, call) not in ALLOWED
+    f"{path}:{line}: {call} in {scope or 'module scope'}"
+    for path, allowed in ALLOWED.items()
+    for line, scope, call in calls(ast.parse(open(path).read(), path), "")
+    if (scope, call) not in allowed
 ]
 if bad:
     print("\n".join(bad), file=sys.stderr)
-    sys.exit("a patch is applied or generated outside EngineHarness._applied")
+    sys.exit(
+        "a patch is applied or generated outside EngineHarness._applied, "
+        "or a backend applies anything but a shipped edit list"
+    )
 EOF
 
 echo "== one scoring path (engines score candidates through the backend only) =="
@@ -168,8 +180,10 @@ from tests.core.edit_path_checks import EditPathChecks
 # reference operators' child (tests/core/reference_operators.py) from the
 # same RNG state, every fault set the reference fixed point's, every
 # incremental application the full application and every application
-# the clone-then-edit one (ids included), and every applied tree must
-# carry each node id once.
+# the clone-then-edit one (ids included), every applied tree must
+# carry each node id once, and every exact candidate's edit list, shipped
+# through pickle and applied from the design's index as a pool worker
+# applies it, must give the engine's tree (ids included).
 budget = RepairConfig(
     population_size=24, max_generations=3, max_fitness_evals=80,
     minimize_budget=16, max_wall_seconds=1e6,
@@ -180,9 +194,11 @@ with EditPathChecks() as checks:
             run_trials(engine, scenario.problem(), scenario.suggested_config(budget), (0,))
 if checks.failures:
     print("\n".join(checks.failures[:20]), file=sys.stderr)
-    sys.exit(f"{len(checks.failures)} operator child(ren) or application(s) differ")
+    sys.exit(f"{len(checks.failures)} operator child(ren), application(s) or candidate(s) differ")
 if not checks.counts["incremental"]:
     sys.exit("no incremental application was checked")
+if not checks.counts["exact"]:
+    sys.exit("no exact candidate's shipped edit list was checked")
 print("edit paths ok: " + ", ".join(f"{k}={v}" for k, v in sorted(checks.counts.items())))
 EOF
 

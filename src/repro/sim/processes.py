@@ -622,6 +622,12 @@ class Process:
                 waitable.add_waiter(edge, wake)  # type: ignore[union-attr]
             self._pending.append((waitable, wake))
 
+    def close(self) -> None:
+        """Close the generator and drop the pending wakers (see
+        :meth:`Simulator.close`)."""
+        self.gen.close()
+        self._pending.clear()
+
     def _make_waker(self) -> Callable[[], None]:
         fired = False
 

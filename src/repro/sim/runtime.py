@@ -90,6 +90,11 @@ class Signal:
         """Register a persistent change subscriber."""
         self._subscribers.append(callback)
 
+    def close(self) -> None:
+        """Drop every waiter and subscriber (see :meth:`Simulator.close`)."""
+        self._waiters = []
+        self._subscribers = []
+
     def set_value(self, new: Value, sim: "Simulator") -> None:
         """Update the value, firing edge waiters and subscribers on change.
 
@@ -136,6 +141,10 @@ class NamedEvent:
     def remove_waiter(self, callback: Callable[[], None]) -> None:
         """Drop a previously registered waiter."""
         self._waiters = [cb for cb in self._waiters if cb is not callback]
+
+    def close(self) -> None:
+        """Drop every waiter (see :meth:`Simulator.close`)."""
+        self._waiters = []
 
     def trigger(self, sim: "Simulator") -> None:
         """Wake every current waiter (-> event)."""
@@ -208,6 +217,11 @@ class Memory:
         """Register a persistent change subscriber."""
         self._subscribers.append(callback)
 
+    def close(self) -> None:
+        """Drop every waiter and subscriber (see :meth:`Simulator.close`)."""
+        self._waiters = []
+        self._subscribers = []
+
 
 class Instance:
     """An elaborated module instance (one node of the design hierarchy)."""
@@ -244,6 +258,16 @@ class Instance:
         if name in self.params:
             return self.params[name]
         return None
+
+    def close(self) -> None:
+        """Close this subtree's signals, memories and events, and drop the
+        links to its children (see :meth:`Simulator.close`)."""
+        for table in (self.signals, self.memories, self.events):
+            for waitable in table.values():
+                waitable.close()
+        for child in self.children.values():
+            child.close()
+        self.children = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Instance({self.path}: {self.module.name})"

@@ -93,6 +93,14 @@ class Scheduler:
         """Terminate the simulation at the end of the current event."""
         self.finished = True
 
+    def close(self) -> None:
+        """Drop every queued callback (see :meth:`Simulator.close`)."""
+        for queue in (
+            self.active, self._inactive, self._nba, self._postponed,
+            self._postponed_once, self._future,
+        ):
+            queue.clear()
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------

@@ -173,6 +173,25 @@ class Simulator:
             slots_advanced=self.scheduler.slots_advanced,
         )
 
+    def close(self) -> None:
+        """Break the reference cycles a built simulator holds.
+
+        Processes and their wakers, signal waiters and subscribers,
+        continuous-assign drivers, monitors, the scheduler's queues and
+        the instance tree's parent/child links all lead back here, so
+        without this a simulator is freed only by the cyclic garbage
+        collector.  Closing leaves the lists a returned
+        :class:`SimResult` shares (output, trace, errors) intact; the
+        simulator cannot run again.
+        """
+        for process in self.processes:
+            process.close()
+        self.processes.clear()
+        self.cont_assigns.clear()
+        self.monitors.clear()
+        self.scheduler.close()
+        self.top.close()
+
     @property
     def steps_used(self) -> int:
         """Statements executed so far (readable even after a crash)."""

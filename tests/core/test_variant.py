@@ -162,12 +162,14 @@ class TestTrials:
         assert checks.failures == []
         assert checks.counts["mutate"] and checks.counts["apply_fix_pattern"]
         assert checks.counts["incremental"] > 0
+        assert checks.counts["exact"] > 0
 
     def test_synth_trial(self):
         with EditPathChecks() as checks:
             synth_repair(make_problem(FAULTY_STUCK, "tff"), TEST_CONFIG)
         assert checks.failures == []
         assert checks.counts["applications"] > 0
+        assert checks.counts["exact"] > 0
 
     def test_crossover_prefix_is_a_whole_parent(self):
         design = parse(load_project("counter").design_text)

@@ -104,6 +104,32 @@ def event_fingerprint(events):
     return out
 
 
+class JoinGate:
+    """Daemon observer that opens once a submission joins a live job.
+
+    :meth:`hold` wraps ``RepairDaemon._run_job`` so that a job waits on
+    its job thread until the gate opens.  Only the wait blocks; the
+    observer itself runs on the event-loop thread and just sets the gate.
+    """
+
+    def __init__(self, timeout: float = 120.0):
+        self.joined = threading.Event()
+        self.timeout = timeout
+
+    def on_event(self, event):
+        if event.type == "job_admitted" and event.joined:
+            self.joined.set()
+
+    def hold(self, daemon: RepairDaemon) -> None:
+        run_job = daemon._run_job
+
+        def held(job, runtime):
+            self.joined.wait(self.timeout)
+            return run_job(job, runtime)
+
+        daemon._run_job = held
+
+
 class DaemonHarness:
     """Run one daemon on a background event-loop thread."""
 
@@ -221,18 +247,23 @@ class TestDaemonRecovery:
 
         PersistentEvalCache.reset_shared()  # new daemon process
         lifecycle = RecordingObserver()
+        # The recovered job waits on its job thread until our resubmission
+        # has joined it, so the join never races the job's completion.
+        gate = JoinGate()
         harness = DaemonHarness(
             tmp_path,
             "d",
             base_config=RepairConfig(),
             journal_dir=journal_dir,
             recover=True,
-            observers=[lifecycle],
+            observers=[lifecycle, gate],
         )
+        gate.hold(harness.daemon)
         with harness as client:
             # The client re-attaches by resubmitting: dedup joins the
             # recovered in-flight job instead of duplicating it.
             status, response = client.submit(request)
+        assert gate.joined.is_set()
         assert status.job_id == job_id
         assert status.submissions >= 2  # recovery + our resubmission
         assert response.status == "done"
