@@ -422,6 +422,13 @@ print(f"chaos smoke ok: repaired with {outcome.quarantined} quarantined "
       f"({metrics.quarantined_by_kind})")
 EOF
 
+echo "== no worker outlives its interpreter (exit, SIGKILL while parked, SIGKILL mid-batch) =="
+# Pool workers park in a process-wide idle set when their pool closes.
+# Child interpreters park two workers, then exit normally, are SIGKILLed
+# with the workers parked, or are SIGKILLed mid-batch; every worker PID
+# each child recorded must be gone within a bounded wait.
+python -m tests.core.worker_exit_checks
+
 echo "== service smoke (daemon, warm resubmit, parity with direct repair) =="
 python -m repro serve --socket "$SMOKE_DIR/repro.sock" \
     --cache-dir "$SMOKE_DIR/evalcache" 2> "$SMOKE_DIR/serve.log" &

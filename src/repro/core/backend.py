@@ -10,13 +10,13 @@ are independent.  This module factors the evaluation pipeline
   process — the paper's original behaviour and the default.  An exact
   candidate (a :data:`Candidate` triple) is compiled from the tree the
   engine holds;
-- :class:`ProcessPoolBackend` keeps a persistent pool of **supervised**
-  worker processes: each worker parses the instrumented testbench,
-  loads the oracle and indexes the problem's design **once** at
-  initialisation, then scores candidates one task at a time.  An exact
-  candidate ships as its patch's edit list (§3's "sequence of AST edits
-  parameterized by unique node numbers"), which the worker applies to
-  its index of the design.
+- :class:`ProcessPoolBackend` scores candidates on **supervised**
+  worker processes, one task at a time.  A worker holds one problem at
+  a time (the parsed instrumented testbench, the oracle, the evaluation
+  config and an index of the design) and keeps it from task to task.
+  An exact candidate ships as its patch's edit list (§3's "sequence of
+  AST edits parameterized by unique node numbers"), which the worker
+  applies to its index of the design.
 
 So both backends run one pipeline: score a tree, and parse only the
 text of a candidate that is not exact.  A candidate is exact when
@@ -71,6 +71,29 @@ into ``repro.obs`` events.  With no faults and deadlines unhit the
 supervised pool returns bit-identical results in bit-identical order to
 the old blocking ``pool.map`` — and emits nothing new.
 
+Warm workers
+------------
+
+Worker processes outlive the pool that borrowed them.  The module keeps
+one process-wide set of idle workers, split by sandbox
+(``worker_mem_mb``).  A new pool borrows idle workers first and forks
+only the shortfall; :meth:`ProcessPoolBackend.close` parks each worker
+that is alive and idle, and discards one that died, was killed, or
+still has a task in flight.  A borrowing pool hands a worker its
+problem with the first task, unless the worker already holds it, so
+consecutive jobs, even on other problems, start on warm workers and no
+job pays for a fork or a shutdown.  What belongs to one job stays on
+its backend: the memory tier of :class:`EvalCache`, the incidents, the
+chaos dispatch ordinals and the deadlines.  So no result crosses jobs;
+only processes and their parsed inputs do, as the per-testbench compile
+state does in a serial process.
+
+The number of live workers is bounded by the peak number borrowed at
+once.  Parked workers are shut down at interpreter exit.  A forked
+process drops the idle set it inherits and closes the parent ends of
+every worker pipe, so each worker also exits on its own, through pipe
+EOF, when its parent is killed.
+
 Chaos testing
 -------------
 
@@ -83,6 +106,7 @@ exercised by deliberately planted degenerate mutants — see
 
 from __future__ import annotations
 
+import atexit
 import functools
 import hashlib
 import json
@@ -91,7 +115,9 @@ import math
 import multiprocessing
 import multiprocessing.connection
 import os
+import pickle
 import sys
+import threading
 import time
 from collections import OrderedDict, deque
 from pathlib import Path
@@ -835,27 +861,29 @@ _CLOSE_GRACE_SECONDS = 2.0
 _REAP_TIMEOUT_SECONDS = 2.0
 
 
-def _sandbox_worker(config: RepairConfig) -> None:
-    """Apply per-worker resource limits (worker-side, at init).
+def _sandbox_worker(mem_mb: int) -> None:
+    """Apply per-worker resource limits (worker-side, at start).
 
-    Bounds the recursion limit, and with ``config.worker_mem_mb > 0``
-    caps the worker's address-space *growth* via ``RLIMIT_AS`` so a
-    memory-ballooning mutant raises ``MemoryError`` inside the worker
-    (reported as a contained ``oom`` failure) instead of taking down the
-    host.  The cap is relative — current address space at worker init
-    plus ``worker_mem_mb`` of headroom — because a forked worker inherits
-    the parent's full image: an absolute cap smaller than that image
-    would make ordinary allocations fail, with the effective budget
-    depending on how much memory the *parent* happened to be using.
+    Bounds the recursion limit, and with ``mem_mb > 0`` (the pool's
+    ``config.worker_mem_mb``) caps the worker's address-space *growth*
+    via ``RLIMIT_AS`` so a memory-ballooning mutant raises
+    ``MemoryError`` inside the worker (reported as a contained ``oom``
+    failure) instead of taking down the host.  The cap is relative —
+    current address space at worker start plus ``mem_mb`` of headroom —
+    because a forked worker inherits the parent's full image: an
+    absolute cap smaller than that image would make ordinary allocations
+    fail, with the effective budget depending on how much memory the
+    *parent* happened to be using.  The cap stays with the worker for
+    its life, so only pools with the same ``worker_mem_mb`` share it.
     Best-effort: platforms without ``resource`` (or ``/proc/self/statm``)
     skip or approximate the cap.
     """
     sys.setrecursionlimit(min(sys.getrecursionlimit(), _WORKER_RECURSION_LIMIT))
-    if config.worker_mem_mb > 0:
+    if mem_mb > 0:
         try:
             import resource
 
-            limit = _current_address_space() + (int(config.worker_mem_mb) << 20)
+            limit = _current_address_space() + (int(mem_mb) << 20)
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
         except (ImportError, ValueError, OSError):  # pragma: no cover - platform
             logger.warning("worker_mem_mb set but RLIMIT_AS unavailable; skipping")
@@ -870,29 +898,40 @@ def _current_address_space() -> int:
         return 0
 
 
+#: What a worker is handed to serve one problem: ``(testbench_text,
+#: oracle, config, design)``, with ``design`` None for a pool that ships
+#: every candidate as text.
+Problem = tuple[str, SimulationTrace, RepairConfig, ast.Source | None]
+
+
 def _worker_main(
     conn: multiprocessing.connection.Connection,
-    testbench_text: str,
-    oracle: SimulationTrace,
-    config: RepairConfig,
-    design: ast.Source | None,
+    mem_mb: int,
+    problem: Problem,
 ) -> None:
     """Supervised worker loop: recv one task, evaluate, send one result.
 
-    The worker indexes the problem's ``design`` once; a task that ships
-    an edit list is scored from the edits applied to that index, any
-    other from its parsed text.
+    The worker starts holding ``problem`` and keeps the problem it holds
+    from task to task, across the pools that borrow it.  Holding a
+    problem means the parsed testbench, the oracle, the config and an
+    index of the design; a task that ships an edit list is scored from
+    the edits applied to that index, any other from its parsed text.
+    Parsed testbenches are kept by text (LRU, ``_TB_STATE_CAP``), so a
+    worker that comes back to a testbench keeps its compile state.
 
-    Messages in: ``None`` (shutdown) or ``(design_text, edits,
-    chaos_kind)``, with ``edits`` None for a candidate shipped as text.
-    Messages out: ``("ok", CandidateResult)`` or ``("fail", kind)`` for
-    failures contained inside the worker (``oom`` for ``MemoryError``,
-    ``crash`` for anything else that escapes the pipeline's guards,
-    such as an edit list that does not apply).
+    Messages in: ``None`` (shutdown) or ``(problem, design_text, edits,
+    chaos_kind)``, with ``problem`` None to score against the held
+    problem or else the pickled :data:`Problem` to hold from now on, and
+    ``edits`` None for a candidate shipped as text.  Messages out:
+    ``("ok", CandidateResult)`` or ``("fail", kind)`` for failures
+    contained inside the worker (``oom`` for ``MemoryError``, ``crash``
+    for anything else that escapes the pipeline's guards, such as an
+    edit list that does not apply or a problem that does not load).
+    A worker whose load failed holds no problem until the next one.
     """
-    _sandbox_worker(config)
-    testbench = parse(testbench_text)
-    index = VariantIndex(design) if design is not None else None
+    _sandbox_worker(mem_mb)
+    testbenches: OrderedDict[str, ast.Source] = OrderedDict()
+    held = _load_problem(problem, testbenches)
     while True:
         try:
             task = conn.recv()
@@ -900,10 +939,16 @@ def _worker_main(
             break
         if task is None:
             break
-        text, edits, chaos = task
+        shipped, text, edits, chaos = task
         try:
+            if shipped is not None:
+                held = None
+                held = _load_problem(pickle.loads(shipped), testbenches)
             if chaos is not None:
                 _trigger_chaos(chaos)
+            if held is None:
+                raise RuntimeError("the worker holds no problem")
+            testbench, oracle, config, index = held
             tree = None
             if edits is not None:
                 tree = functools.partial(_apply_edits, edits, index)
@@ -913,6 +958,21 @@ def _worker_main(
             _report_failure(conn, "oom")
         except Exception:
             _report_failure(conn, "crash")
+
+
+def _load_problem(
+    problem: Problem, testbenches: OrderedDict[str, ast.Source]
+) -> tuple[ast.Source, SimulationTrace, RepairConfig, VariantIndex | None]:
+    """Worker-side: what the worker holds to serve ``problem``."""
+    testbench_text, oracle, config, design = problem
+    testbench = testbenches.pop(testbench_text, None)
+    if testbench is None:
+        testbench = parse(testbench_text)
+    testbenches[testbench_text] = testbench
+    while len(testbenches) > _TB_STATE_CAP:
+        testbenches.popitem(last=False)
+    index = VariantIndex(design) if design is not None else None
+    return testbench, oracle, config, index
 
 
 def _apply_edits(edits: list[Edit], index: VariantIndex) -> ast.Source:
@@ -948,19 +1008,38 @@ class _Task:
 
 
 class _Worker:
-    """One supervised worker process plus its duplex task pipe."""
+    """One supervised worker process plus its duplex task pipe.
 
-    __slots__ = ("conn", "process", "task", "deadline")
+    Forked holding ``problem``; the parent end of its pipe is recorded
+    in ``_PARENT_ENDS`` until the worker is reaped, so every process
+    forked later closes its copy (see :func:`_forget_parent_workers`).
+    """
 
-    def __init__(self, ctx: multiprocessing.context.BaseContext, init_args: tuple):
+    __slots__ = ("conn", "process", "mem_mb", "problem", "task", "deadline")
+
+    def __init__(
+        self, ctx: multiprocessing.context.BaseContext, mem_mb: int, problem: Problem
+    ):
         self.conn, child_conn = ctx.Pipe()
+        # Recorded before the fork, so the worker closes its own copy of
+        # our end too: then it sees EOF once we are gone.
+        _PARENT_ENDS.add(self.conn)
         self.process = ctx.Process(
-            target=_worker_main, args=(child_conn, *init_args), daemon=True
+            target=_worker_main, args=(child_conn, mem_mb, problem), daemon=True
         )
-        self.process.start()
-        # Close the child's end in the parent so a dead worker surfaces
-        # as EOF on our end of the pipe.
-        child_conn.close()
+        try:
+            self.process.start()
+        except BaseException:
+            _close_parent_end(self)
+            raise
+        finally:
+            # Close the child's end in the parent so a dead worker
+            # surfaces as EOF on our end of the pipe.
+            child_conn.close()
+        #: The sandbox (``worker_mem_mb``) the worker was started under.
+        self.mem_mb = mem_mb
+        #: The :data:`Problem` the worker holds (what it was last handed).
+        self.problem: Problem | None = problem
         #: The in-flight :class:`_Task`, or None when idle.
         self.task: _Task | None = None
         #: Monotonic deadline for the in-flight task (None = no deadline).
@@ -978,21 +1057,98 @@ def _mp_context() -> multiprocessing.context.BaseContext:
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
+# ----------------------------------------------------------------------
+# The idle set: warm workers shared by every pool in the process
+# ----------------------------------------------------------------------
+
+#: Parked workers by sandbox (``worker_mem_mb``): alive, idle, and free
+#: for the next pool to borrow.  Daemon job threads borrow concurrently,
+#: so every access holds ``_IDLE_LOCK``.
+_IDLE: dict[int, list[_Worker]] = {}
+_IDLE_LOCK = threading.Lock()
+
+#: The parent end of every live worker's pipe.  A worker exits on EOF
+#: there only when no process but its parent holds that end open.
+_PARENT_ENDS: set[multiprocessing.connection.Connection] = set()
+
+
+def _borrow(mem_mb: int, count: int) -> list[_Worker]:
+    """Take up to ``count`` live parked workers sandboxed at ``mem_mb``.
+
+    The caller forks the shortfall, so as many parked workers of other
+    sandboxes are shut down first: the number of live workers stays
+    bounded by the peak number borrowed at once.
+    """
+    borrowed: list[_Worker] = []
+    dropped: list[_Worker] = []
+    with _IDLE_LOCK:
+        own = _IDLE.get(mem_mb, [])
+        while own and len(borrowed) < count:
+            worker = own.pop()
+            (borrowed if worker.process.is_alive() else dropped).append(worker)
+        shortfall = count - len(borrowed)
+        for sandbox, others in _IDLE.items():
+            while sandbox != mem_mb and others and shortfall > 0:
+                dropped.append(others.pop())
+                shortfall -= 1
+    _shut_down(dropped)
+    return borrowed
+
+
+def _park(worker: _Worker) -> None:
+    """Return a healthy idle worker to the idle set."""
+    with _IDLE_LOCK:
+        _IDLE.setdefault(worker.mem_mb, []).append(worker)
+
+
+def _close_idle_workers() -> None:
+    """Shut down every parked worker (registered to run at interpreter
+    exit; tests call it to start from no warm workers)."""
+    with _IDLE_LOCK:
+        workers = [worker for parked in _IDLE.values() for worker in parked]
+        _IDLE.clear()
+    _shut_down(workers)
+
+
+def _forget_parent_workers() -> None:
+    """In a forked child: the parent's workers are not ours.
+
+    Drop the inherited idle set, take a fresh lock (another thread may
+    have held the old one at the fork), and close the inherited parent
+    ends of every worker pipe, so that each worker sees EOF when its
+    parent dies, not when the last of its siblings does.
+    """
+    global _IDLE_LOCK
+    _IDLE_LOCK = threading.Lock()
+    _IDLE.clear()
+    for conn in _PARENT_ENDS:
+        conn.close()
+    _PARENT_ENDS.clear()
+
+
+atexit.register(_close_idle_workers)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_parent_workers)
+
+
 class ProcessPoolBackend:
     """A supervised pool of worker processes scoring candidates in parallel.
 
-    Workers parse the instrumented testbench, load the oracle and, given
-    the problem's design, index it once at initialisation.  A task ships
-    an exact candidate's edit list, which the worker applies to its
-    index, or else the candidate's text, which it parses; each result
-    ships only ``(fitness, compiled, mismatch)`` plus telemetry.  A pool
-    built with a design serves only runs on that design (an engine given
-    it for another raises ``ValueError``); one built without a design
-    ships every candidate's text, and serves any design scored against
-    its testbench and oracle.  The pool persists across generations
-    (and across seeds, when shared via :func:`repro.core.repair.repair`),
-    so the per-candidate overhead is one pickle round-trip, not a
-    process spawn.
+    The pool borrows warm workers from the process-wide idle set and
+    forks only the shortfall (module docstring, "Warm workers").  Each
+    worker holds the pool's problem — the parsed instrumented testbench,
+    the oracle, the evaluation config and, given the problem's design,
+    an index of it — handed over with its first task unless it already
+    holds it.  A task ships an exact candidate's edit list, which the
+    worker applies to its index, or else the candidate's text, which it
+    parses; each result ships only ``(fitness, compiled, mismatch)``
+    plus telemetry.  A pool built with a design serves only runs on that
+    design (an engine given it for another raises ``ValueError``); one
+    built without a design ships every candidate's text, and serves any
+    design scored against its testbench and oracle.  The pool persists
+    across generations (and across seeds, when shared via
+    :func:`repro.core.repair.repair`), and its workers persist across
+    pools, so neither a candidate nor a job pays for a process spawn.
 
     Unlike a blocking ``pool.map``, dispatch is per task under a
     supervisor: deadlines, crash detection, respawn, bounded retries,
@@ -1019,7 +1175,10 @@ class ProcessPoolBackend:
         #: candidate ships as text).  A pool with a design serves only
         #: runs on that design (see :class:`~repro.core.harness.EngineHarness`).
         self.design = design
-        self._init_args = (testbench_text, oracle, config, design)
+        self._problem: Problem = (testbench_text, oracle, config, design)
+        #: ``self._problem`` pickled for workers that hold another one
+        #: (made on first use).
+        self._shipped_problem: bytes | None = None
         store = open_eval_store(config)
         context = (
             eval_context_digest(testbench_text, oracle, config)
@@ -1034,15 +1193,14 @@ class ProcessPoolBackend:
         self._dispatch_ordinal = 0
         self._chaos_plan = _active_chaos_plan()
         self._workers: list[_Worker] | None = None
-        spawned: list[_Worker] = []
+        acquired = _borrow(config.worker_mem_mb, self.workers)
         try:
-            for _ in range(self.workers):
-                spawned.append(_Worker(self._ctx, self._init_args))
+            while len(acquired) < self.workers:
+                acquired.append(self._spawn())
         except BaseException:
-            for worker in spawned:
-                _discard_worker(worker)
+            _shut_down(acquired)
             raise
-        self._workers = spawned
+        self._workers = acquired
 
     @staticmethod
     def for_problem(
@@ -1113,6 +1271,24 @@ class ProcessPoolBackend:
 
     # -- supervisor internals ------------------------------------------
 
+    def _spawn(self) -> _Worker:
+        """Fork one worker that holds this pool's problem."""
+        return _Worker(self._ctx, self.config.worker_mem_mb, self._problem)
+
+    def _holds(self, worker: _Worker) -> bool:
+        """True when ``worker`` already holds this pool's problem: the
+        same design object, testbench text, oracle and config."""
+        held, own = worker.problem, self._problem
+        return held is own or (
+            held is not None and held[3] is own[3] and held[:3] == own[:3]
+        )
+
+    def _pickled_problem(self) -> bytes:
+        """This pool's problem as shipped to a worker that holds another."""
+        if self._shipped_problem is None:
+            self._shipped_problem = pickle.dumps(self._problem, pickle.HIGHEST_PROTOCOL)
+        return self._shipped_problem
+
     def _supervise(
         self, pending: deque[_Task], results: list[CandidateResult | None]
     ) -> None:
@@ -1159,10 +1335,12 @@ class ProcessPoolBackend:
             kind, once = task.chaos
             if not once or task.attempts == 1:
                 chaos_kind = kind
+        problem = None if self._holds(worker) else self._pickled_problem()
         try:
-            worker.conn.send((task.text, task.edits, chaos_kind))
+            worker.conn.send((problem, task.text, task.edits, chaos_kind))
         except (OSError, ValueError):
             return False
+        worker.problem = self._problem
         worker.task = task
         deadline_s = self.config.eval_deadline_seconds
         worker.deadline = (
@@ -1201,6 +1379,9 @@ class ProcessPoolBackend:
         else:
             # Contained worker-side failure ("oom"/"crash"): the worker
             # survives, only the candidate is retried or quarantined.
+            # The failure may have been the load of the problem, so the
+            # worker is handed it again with its next task.
+            worker.problem = None
             self._fail_task(task, payload, None, pending, results)
 
     def _recover(
@@ -1225,7 +1406,7 @@ class ProcessPoolBackend:
         if kind is None:
             kind = "oom" if exitcode == -9 else "crash"
         try:
-            workers.append(_Worker(self._ctx, self._init_args))
+            workers.append(self._spawn())
         except (OSError, ValueError):
             logger.warning(
                 "could not respawn an evaluation worker (%d left)", len(workers)
@@ -1276,26 +1457,19 @@ class ProcessPoolBackend:
     # ------------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut the pool down gracefully, escalating only on a timeout.
+        """Give the workers back: park each one that is alive and idle in
+        the idle set for the next pool, and discard one that died, was
+        killed, or still has a task in flight.  Idempotent.
 
-        Workers receive a shutdown sentinel and get a short grace period
-        to drain and exit on their own (so a normal shutdown never
-        discards in-flight state); stragglers are terminated, then
-        killed.  Idempotent.
+        Parked workers are shut down at interpreter exit (module
+        docstring, "Warm workers").
         """
         workers, self._workers = self._workers, None
-        if workers is None:
-            return
-        for worker in workers:
-            try:
-                worker.conn.send(None)
-            except (OSError, ValueError):
-                pass
-        deadline = time.monotonic() + _CLOSE_GRACE_SECONDS
-        for worker in workers:
-            worker.process.join(max(0.0, deadline - time.monotonic()))
-        for worker in workers:
-            _discard_worker(worker)
+        for worker in workers or ():
+            if worker.idle and worker.process.is_alive():
+                _park(worker)
+            else:
+                _discard_worker(worker)
 
     def __enter__(self) -> "ProcessPoolBackend":
         """Support ``with ProcessPoolBackend(...) as backend:``."""
@@ -1306,10 +1480,23 @@ class ProcessPoolBackend:
         self.close()
 
     def __del__(self):  # pragma: no cover - GC safety net
+        # Never parks: a pool nobody closed may be collected at any
+        # point, in any thread, or at interpreter shutdown.
         try:
-            self.close()
+            workers, self._workers = self._workers, None
+            for worker in workers or ():
+                _discard_worker(worker)
         except Exception:
             pass
+
+
+def _close_parent_end(worker: _Worker) -> None:
+    """Close our end of a worker's pipe and forget it."""
+    _PARENT_ENDS.discard(worker.conn)
+    try:
+        worker.conn.close()
+    except (OSError, ValueError):  # pragma: no cover - already closed
+        pass
 
 
 def _reap(worker: _Worker) -> int | None:
@@ -1320,15 +1507,12 @@ def _reap(worker: _Worker) -> int | None:
         if process.is_alive():
             process.kill()
             process.join(_REAP_TIMEOUT_SECONDS)
-    try:
-        worker.conn.close()
-    except (OSError, ValueError):  # pragma: no cover - already closed
-        pass
+    _close_parent_end(worker)
     return process.exitcode
 
 
 def _discard_worker(worker: _Worker) -> None:
-    """Terminate-then-kill one worker during shutdown (best-effort)."""
+    """Terminate-then-kill one worker (best-effort)."""
     process = worker.process
     if process.is_alive():
         process.terminate()
@@ -1336,10 +1520,25 @@ def _discard_worker(worker: _Worker) -> None:
         if process.is_alive():  # pragma: no cover - stubborn worker
             process.kill()
             process.join(_REAP_TIMEOUT_SECONDS)
-    try:
-        worker.conn.close()
-    except (OSError, ValueError):  # pragma: no cover - already closed
-        pass
+    _close_parent_end(worker)
+
+
+def _shut_down(workers: Sequence[_Worker]) -> None:
+    """Shut workers down gracefully, escalating only on a timeout.
+
+    Each worker receives the shutdown sentinel and gets a short grace
+    period to exit on its own; stragglers are terminated, then killed.
+    """
+    for worker in workers:
+        try:
+            worker.conn.send(None)
+        except (OSError, ValueError):
+            pass
+    deadline = time.monotonic() + _CLOSE_GRACE_SECONDS
+    for worker in workers:
+        worker.process.join(max(0.0, deadline - time.monotonic()))
+    for worker in workers:
+        _discard_worker(worker)
 
 
 def make_backend(problem: "RepairProblem", config: RepairConfig) -> EvaluationBackend:

@@ -138,6 +138,9 @@ class Elaborator:
         self.sim = sim
         self.source = source
         self.modules = {m.name: m for m in source.modules}
+        #: The root instance, once made: a failed elaboration leaves the
+        #: partial tree here for the simulator to close.
+        self.root: Instance | None = None
 
     def elaborate(self, top_name: str) -> Instance:
         """Elaborate ``top_name`` and return the root instance."""
@@ -156,6 +159,12 @@ class Elaborator:
         param_overrides: dict[str, Value],
     ) -> Instance:
         instance = Instance(inst_name, module, parent)
+        # Linked before its body elaborates, so a failed elaboration
+        # leaves one tree, reachable from the root.
+        if parent is None:
+            self.root = instance
+        else:
+            parent.children[inst_name] = instance
 
         # Pass 1: parameters (in declaration order, overrides applied).
         for item in module.items:
@@ -284,7 +293,6 @@ class Elaborator:
                 overrides[param_names[position]] = value
 
         child = self._instantiate(item.name, module, parent, overrides)
-        parent.children[item.name] = child
         child_env = Env(self.sim, child)
 
         # Map connections to port names.

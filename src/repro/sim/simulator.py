@@ -95,9 +95,18 @@ class Simulator:
         self._steps = 0
         self._rng_state = (seed * 2654435761 + 1) & 0xFFFFFFFF
         top_name = top or self._detect_top(source)
+        elaborator = Elaborator(self, source)
         try:
-            self.top: Instance = Elaborator(self, source).elaborate(top_name)
-        except (EvalError, ValueError, OverflowError, RecursionError) as exc:
+            self.top: Instance = elaborator.elaborate(top_name)
+        except (
+            ElaborationError, EvalError, ValueError, OverflowError, RecursionError
+        ) as exc:
+            # Free what elaboration built before it failed: the partial
+            # instance tree, its processes and drivers form cycles.
+            self.top = elaborator.root
+            self.close()
+            if isinstance(exc, ElaborationError):
+                raise
             raise ElaborationError(str(exc)) from exc
         for assign in self.cont_assigns:
             assign.install()
@@ -190,7 +199,8 @@ class Simulator:
         self.cont_assigns.clear()
         self.monitors.clear()
         self.scheduler.close()
-        self.top.close()
+        if self.top is not None:
+            self.top.close()
 
     @property
     def steps_used(self) -> int:

@@ -2,6 +2,7 @@
 
 import multiprocessing
 
+import repro.core.backend as backend_mod
 from repro.baselines import BruteForceRepair
 from repro.benchsuite import load_scenario
 from repro.core.config import RepairConfig
@@ -50,14 +51,17 @@ class TestBruteForce:
         assert not brute.plausible
 
     def test_pool_run_matches_serial_and_closes_its_pool(self, count_simulations):
-        """At ``workers=2`` every candidate is scored on the pool, no
-        worker outlives ``run()``, and the outcome is the serial one."""
+        """At ``workers=2`` every candidate is scored on the pool, ``run()``
+        closes its pool, and the outcome is the serial one.  A closed pool
+        parks its healthy workers for the next pool, so every worker still
+        running after ``run()`` is a parked one."""
         scenario = load_scenario("ff_cond")
         # Bounded by max_fitness_evals alone, so both runs see the same
         # candidates whatever the host speed.
         config = tiny_config().scaled(max_wall_seconds=1e6)
         serial = BruteForceRepair(scenario.problem(), config, seed=0).run()
 
+        backend_mod._close_idle_workers()
         before = set(multiprocessing.active_children())
         runs = count_simulations()
         # Keep a reference: the pool must be closed by run() itself, not
@@ -66,7 +70,9 @@ class TestBruteForce:
             scenario.problem(), config.scaled(workers=2, backend="process"), seed=0
         )
         pooled = brute.run()
-        assert set(multiprocessing.active_children()) <= before
+        parked = {w.process for ws in backend_mod._IDLE.values() for w in ws}
+        assert len(parked) == 2
+        assert set(multiprocessing.active_children()) - before <= parked
         assert runs == [], "the pool run simulated in this process"
         assert (
             pooled.plausible, pooled.patch.describe(), pooled.fitness,

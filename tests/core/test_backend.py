@@ -13,15 +13,18 @@ import dataclasses
 import gc
 import logging
 import re
+import threading
 
 import pytest
 
+import repro.core.backend as backend_mod
 from repro.benchsuite import load_scenario
 from repro.core import TEST_CONFIG, CirFixEngine, RepairProblem
 from repro.core.backend import (
     EvalFailure,
     ProcessPoolBackend,
     SerialBackend,
+    _Task,
     evaluate_design_text,
     make_backend,
     parse_chaos_spec,
@@ -34,6 +37,7 @@ from repro.fuzz.faults import plant_eval_chaos
 from repro.hdl import ast, generate, parse, structural_diff
 from repro.obs import RecordingObserver
 from repro.synth import race_repair, synth_repair
+from . import worker_exit_checks
 
 GOLDEN_FF = """
 module tff(clk, rstn, t, q);
@@ -79,6 +83,12 @@ def problem():
     bench = ensure_instrumented(parse(TESTBENCH), golden)
     oracle = generate_oracle(golden, bench)
     return RepairProblem(parse(FAULTY_FF), bench, oracle, "ff_cond")
+
+
+def parked():
+    """Every worker in the process-wide idle set."""
+    with backend_mod._IDLE_LOCK:
+        return [worker for workers in backend_mod._IDLE.values() for worker in workers]
 
 
 #: Result fields that are wall-clock measurements, not outcomes.
@@ -453,11 +463,25 @@ class TestBackendLifecycle:
         assert backend.take_incidents() == []
 
     def test_pool_context_manager_reaps_workers(self, problem):
+        """Leaving the ``with`` block parks the pool's healthy idle
+        workers; the interpreter-exit hook shuts every parked worker down
+        (``worker_exit_checks`` ends real interpreters)."""
         with ProcessPoolBackend.for_problem(problem, TEST_CONFIG, workers=2) as pool:
             processes = [worker.process for worker in pool._workers]
             assert pool.evaluate_batch([GOLDEN_FF])[0].compiled
+        assert all(process.is_alive() for process in processes)
+        assert set(processes) <= {worker.process for worker in parked()}
+        backend_mod._close_idle_workers()
         for process in processes:
             assert not process.is_alive()
+        assert parked() == []
+
+    @pytest.mark.parametrize("mode", worker_exit_checks.MODES)
+    def test_no_worker_outlives_its_interpreter(self, mode):
+        """A child interpreter parks two workers, then exits, is killed
+        with its workers parked, or is killed mid-batch: every worker
+        PID it recorded is gone within a bounded wait."""
+        assert worker_exit_checks.check(mode) == []
 
     def test_pool_close_idempotent_and_use_after_close(self, problem):
         pool = ProcessPoolBackend.for_problem(problem, TEST_CONFIG, workers=1)
@@ -465,6 +489,198 @@ class TestBackendLifecycle:
         pool.close()
         with pytest.raises(RuntimeError, match="after close"):
             pool.evaluate_batch([GOLDEN_FF])
+
+
+class TestWarmWorkers:
+    """Workers outlive the pool that borrowed them: a closed pool parks
+    its healthy idle workers, and the next pool borrows them and hands
+    each its own problem.  Results, incidents, chaos ordinals and
+    deadlines stay on each backend."""
+
+    @pytest.fixture(autouse=True)
+    def no_parked_workers(self):
+        backend_mod._close_idle_workers()
+        yield
+        backend_mod._close_idle_workers()
+
+    @staticmethod
+    def pids(pool):
+        return {worker.process.pid for worker in pool._workers}
+
+    @staticmethod
+    def count_forks(monkeypatch):
+        forks = []
+        spawn = ProcessPoolBackend._spawn
+
+        def counted(pool):
+            forks.append(pool)
+            return spawn(pool)
+
+        monkeypatch.setattr(ProcessPoolBackend, "_spawn", counted)
+        return forks
+
+    def test_second_pool_forks_nothing_and_scores_as_serial(self, problem, monkeypatch):
+        forks = self.count_forks(monkeypatch)
+        texts = [generate(problem.design), GOLDEN_FF, BROKEN_TEXT, FAULTY_FF]
+        with SerialBackend.for_problem(problem, TEST_CONFIG) as serial:
+            expected = serial.evaluate_batch(texts)
+        with ProcessPoolBackend.for_problem(problem, TEST_CONFIG, workers=2) as first:
+            first.evaluate_batch(texts[:1])
+            warm = self.pids(first)
+        assert len(forks) == 2
+        with ProcessPoolBackend.for_problem(problem, TEST_CONFIG, workers=2) as second:
+            assert self.pids(second) == warm
+            results = second.evaluate_batch(texts)
+        assert len(forks) == 2
+        assert [untimed(r) for r in results] == [untimed(r) for r in expected]
+
+    def test_worker_serves_another_problem(self):
+        """counter_reset and counter_sens share the testbench and the
+        oracle, not the design: workers that served counter_reset apply
+        counter_sens's edit lists to counter_sens's design."""
+        reset = load_scenario("counter_reset").problem()
+        sens = load_scenario("counter_sens").problem()
+        with ProcessPoolBackend.for_problem(reset, TEST_CONFIG, workers=2) as pool:
+            pool.evaluate_batch([generate(reset.design), generate(sens.design)])
+            warm = self.pids(pool)
+        engine = CirFixEngine(sens, TEST_CONFIG, seed=0)
+        batch = [engine._lookup(patch)[0] for patch in (Patch.empty(),)]
+        batch += [generate(sens.design), generate(reset.design)]
+        assert isinstance(batch[0], tuple)
+        with SerialBackend.for_problem(sens, TEST_CONFIG) as serial:
+            expected = serial.evaluate_batch(batch)
+        with ProcessPoolBackend.for_problem(sens, TEST_CONFIG, workers=2) as pool:
+            assert self.pids(pool) == warm
+            results = pool.evaluate_batch(batch)
+            assert pool.take_incidents() == []
+        assert [untimed(r) for r in results] == [untimed(r) for r in expected]
+
+    def test_problem_that_does_not_load_is_retried_then_quarantined(self, problem):
+        """A warm worker handed a testbench it cannot parse reports a
+        contained crash: the candidate is retried, then quarantined, and
+        the worker lives on to serve the next pool."""
+        config = SUPERVISED.scaled(eval_max_retries=1)
+        with SerialBackend.for_problem(problem, config) as serial:
+            (expected,) = serial.evaluate_batch([GOLDEN_FF])
+        with ProcessPoolBackend.for_problem(problem, config, workers=1) as pool:
+            pool.evaluate_batch([FAULTY_FF])
+            warm = self.pids(pool)
+        broken = ProcessPoolBackend(BROKEN_TEXT, problem.oracle, config, workers=1)
+        with broken:
+            assert self.pids(broken) == warm
+            (result,) = broken.evaluate_batch([GOLDEN_FF])
+            incidents = broken.take_incidents()
+        assert result.failure == EvalFailure("crash", 2)
+        assert [(i.kind, i.quarantined, i.exitcode) for i in incidents] == [
+            ("crash", False, None), ("crash", True, None),
+        ]
+        with ProcessPoolBackend.for_problem(problem, config, workers=1) as pool:
+            assert self.pids(pool) == warm
+            (result,) = pool.evaluate_batch([GOLDEN_FF])
+        assert untimed(result) == untimed(expected)
+
+    def test_failed_workers_are_never_parked(self, problem):
+        """A worker killed by a deadline, one that exited under chaos, and
+        one with a task in flight are discarded; the healthy rest park."""
+        config = SUPERVISED.scaled(eval_deadline_seconds=1.0)
+        gone = []
+        for plan in ("hang@0", "exit@0"):
+            with plant_eval_chaos(plan):
+                with ProcessPoolBackend.for_problem(problem, config, workers=2) as pool:
+                    before = {w.process.pid: w.process for w in pool._workers}
+                    results = pool.evaluate_batch([GOLDEN_FF, FAULTY_FF])
+                    assert results[0].failure is not None
+                    after = self.pids(pool)
+            (dead,) = set(before) - after
+            gone.append(before[dead])
+        with ProcessPoolBackend.for_problem(problem, config, workers=2) as pool:
+            busy = pool._workers[0]
+            assert pool._assign(busy, _Task(0, GOLDEN_FF))
+            gone.append(busy.process)
+        assert not any(process.is_alive() for process in gone)
+        assert {w.process for w in parked()}.isdisjoint(gone)
+        assert len(parked()) == 1
+
+    def test_other_sandbox_takes_no_parked_worker(self, problem):
+        """A pool with another ``worker_mem_mb`` forks its own workers,
+        and the parked ones it cannot use are shut down in their place."""
+        with ProcessPoolBackend.for_problem(problem, TEST_CONFIG, workers=2) as pool:
+            unsandboxed = [w.process for w in pool._workers]
+        with ProcessPoolBackend.for_problem(problem, SUPERVISED, workers=2) as pool:
+            assert self.pids(pool).isdisjoint(p.pid for p in unsandboxed)
+            assert all(w.mem_mb == SUPERVISED.worker_mem_mb for w in pool._workers)
+            assert not any(process.is_alive() for process in unsandboxed)
+            assert parked() == []
+            (result,) = pool.evaluate_batch([GOLDEN_FF])
+        assert result.compiled and result.failure is None
+        assert {w.mem_mb for w in parked()} == {SUPERVISED.worker_mem_mb}
+
+    def test_two_threads_borrow_distinct_workers(self, problem, monkeypatch):
+        with ProcessPoolBackend.for_problem(problem, TEST_CONFIG, workers=4) as pool:
+            warm = self.pids(pool)
+        forks = self.count_forks(monkeypatch)
+        start = threading.Barrier(2)
+        borrowed = {}
+
+        def borrow(name):
+            start.wait()
+            pool = ProcessPoolBackend.for_problem(problem, TEST_CONFIG, workers=2)
+            borrowed[name] = (pool, self.pids(pool))
+
+        threads = [threading.Thread(target=borrow, args=(n,)) for n in "ab"]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        (pool_a, a), (pool_b, b) = borrowed["a"], borrowed["b"]
+        try:
+            assert len(a) == len(b) == 2
+            assert a.isdisjoint(b) and a | b == warm
+            assert forks == []
+        finally:
+            pool_a.close()
+            pool_b.close()
+
+    def test_each_backend_starts_empty(self, problem):
+        """The memory tier, the incidents and the chaos ordinals belong
+        to one backend: warm workers carry none of them over."""
+        with plant_eval_chaos("exit@1"):
+            with ProcessPoolBackend.for_problem(problem, SUPERVISED, workers=2) as first:
+                first.evaluate_batch([GOLDEN_FF, FAULTY_FF, BROKEN_TEXT])
+                assert first.cache.info()["size"] == 2
+            with ProcessPoolBackend.for_problem(problem, SUPERVISED, workers=2) as second:
+                assert second.cache.info()["size"] == 0
+                assert second.take_incidents() == []
+                results = second.evaluate_batch([GOLDEN_FF, FAULTY_FF])
+                assert second.cache.info()["misses"] == 2
+                assert second.cache.info()["hits"] == 0
+                # Ordinal 1 is this backend's second dispatch.
+                assert [r.failure for r in results] == [None, EvalFailure("crash", 1)]
+
+    def test_single_caller_keeps_two_workers(self, monkeypatch):
+        """Four jobs on each of six problems with ``workers=2``, one after
+        another: two forks in all, so never more than two workers."""
+        forks = self.count_forks(monkeypatch)
+        names = (
+            "counter_reset", "counter_sens", "ff_cond", "mux_hex",
+            "dec_numeric", "lshift_cond",
+        )
+        budget = TEST_CONFIG.scaled(
+            workers=2, population_size=6, max_generations=1, max_fitness_evals=8,
+            minimize_budget=4,
+        )
+        for seed in range(4):
+            for name in names:
+                scenario = load_scenario(name)
+                config = scenario.suggested_config(budget)
+                pooled = repair(scenario.problem(), config, seeds=(seed,))
+                serial = repair(
+                    scenario.problem(), config.scaled(backend="serial"), seeds=(seed,)
+                )
+                assert pooled.repaired_source == serial.repaired_source
+                assert pooled.eval_sims == serial.eval_sims
+                assert len(parked()) == 2
+        assert len(forks) == 2
 
 
 class TestNeverRaises:
@@ -511,7 +727,8 @@ class TestNeverRaises:
 
 class TestSimulatorsFreeThemselves:
     """Scoring a candidate leaves no cyclic garbage: the pipeline closes
-    its simulator, so reference counting frees it."""
+    its simulator, so reference counting frees it, and a simulator that
+    fails to elaborate closes what it built before it raises."""
 
     #: A self-recursive function call, made at time 0: the simulation
     #: raises RecursionError, the candidate crashes at run time.
@@ -520,6 +737,9 @@ class TestSimulatorsFreeThemselves:
         "reg [3:0] boom_y;\n"
         "initial boom_y = boom(4'd1);\n"
     )
+    #: An instance of a module nobody declares: elaboration fails after
+    #: building part of the instance tree, its processes and drivers.
+    UNDECLARED = "no_such_module u_missing(1'b0);\n"
 
     @pytest.mark.parametrize("name", ["counter_reset", "tate_shift_op", "i2c_ack"])
     def test_no_cyclic_garbage(self, name):
@@ -529,6 +749,7 @@ class TestSimulatorsFreeThemselves:
         text = generate(problem.design)
         end = text.rindex("endmodule")
         crashing = text[:end] + self.RECURSE + text[end:]
+        unbuildable = text[:end] + self.UNDECLARED + text[end:]
         # Warm the per-testbench compile state, then start from no garbage.
         evaluate_design_text(text, problem.testbench, problem.oracle, config)
         gc.collect()
@@ -540,11 +761,15 @@ class TestSimulatorsFreeThemselves:
             crashed = evaluate_design_text(
                 crashing, problem.testbench, problem.oracle, config
             )
+            unbuilt = evaluate_design_text(
+                unbuildable, problem.testbench, problem.oracle, config
+            )
             garbage = gc.collect()
         finally:
             gc.enable()
         assert compiled.compiled and compiled.mismatch is not None
         assert crashed.compiled and crashed.mismatch is None  # crashed at run time
+        assert not unbuilt.compiled  # failed to elaborate
         assert garbage == 0
 
 

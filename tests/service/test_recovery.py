@@ -21,7 +21,7 @@ import pytest
 
 from repro.api import run_request
 from repro.cache import PersistentEvalCache
-from repro.core.backend import open_eval_store
+from repro.core.backend import ProcessPoolBackend, open_eval_store
 from repro.core.config import RepairConfig
 from repro.core.serialize import outcome_to_json
 from repro.obs.events import WALL_TIME_FIELDS
@@ -169,21 +169,35 @@ class TestEngineResume:
     # counter_reset under TINY runs four GP rounds; a crash after the
     # last one would cut nothing.
     @pytest.mark.parametrize("backend", ["serial", "process"])
-    def test_resume_is_bit_identical_and_warm(self, tmp_path, backend):
-        self.crash_and_resume(tmp_path, backend, (1, 2, 3), "cirfix")
+    def test_resume_is_bit_identical_and_warm(self, tmp_path, monkeypatch, backend):
+        self.crash_and_resume(tmp_path, monkeypatch, backend, (1, 2, 3), "cirfix")
 
     # On counter_reset under TINY the synth leg fails after five template
-    # rounds, and the race escalates to four GP rounds.
+    # rounds, and the race escalates to four GP rounds.  On the pool, the
+    # cancelled job parks its workers and the resumed job borrows them.
     @pytest.mark.parametrize(
-        "rounds, leg", [((1, 2, 3, 4, 5), "synth"), ((6, 7, 8), "cirfix")],
-        ids=["synth-leg", "gp-leg"],
+        "backend, rounds, leg",
+        [
+            ("serial", (1, 2, 3, 4, 5), "synth"),
+            ("serial", (6, 7, 8), "cirfix"),
+            ("process", (1, 2, 3, 4, 5), "synth"),
+            ("process", (6, 7, 8), "cirfix"),
+        ],
+        ids=["synth-leg", "gp-leg", "synth-leg-process", "gp-leg-process"],
     )
-    def test_race_resumes_in_either_leg(self, tmp_path, rounds, leg):
-        self.crash_and_resume(tmp_path, "serial", rounds, leg, engine="race")
+    def test_race_resumes_in_either_leg(self, tmp_path, monkeypatch, backend, rounds, leg):
+        self.crash_and_resume(tmp_path, monkeypatch, backend, rounds, leg, engine="race")
 
-    def crash_and_resume(self, tmp_path, backend, rounds, leg, **request):
+    def crash_and_resume(self, tmp_path, monkeypatch, backend, rounds, leg, **request):
         """Crash a job after each of ``rounds`` search rounds, all in
-        engine ``leg``, resume it, and check it against an uncrashed run."""
+        engine ``leg``, resume it, and check it against an uncrashed run.
+        A resumed pool job forks no worker: it borrows the ones the
+        crashed job parked."""
+        forks = []
+        spawn = ProcessPoolBackend._spawn
+        monkeypatch.setattr(
+            ProcessPoolBackend, "_spawn", lambda pool: forks.append(pool) or spawn(pool)
+        )
         # Uninterrupted baseline (own cache so it stays cold).
         baseline_obs = RecordingObserver()
         baseline = run_request(
@@ -208,7 +222,9 @@ class TestEngineResume:
             resume_obs = RecordingObserver()
             store = open_eval_store(crashed_req.resolved_config())
             hits_before = store.hits
+            forks.clear()
             resumed = run_request(crashed_req, observers=[resume_obs])
+            assert forks == [], crash_after
 
             # Outcome parity with the never-crashed run (modulo wall clock).
             reports = []
