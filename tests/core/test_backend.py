@@ -1,6 +1,6 @@
 """Evaluation-backend tests: the shared testbench, serial/pool batch parity,
-supervised fault recovery, and cross-backend determinism of whole repair
-runs.
+supervised fault recovery, warm workers shared by successive pools, and
+cross-backend determinism of whole repair runs.
 
 The parallel backend must be an implementation detail: same scenario, same
 seed, same outcome — whether candidates are scored in-process or by a pool
