@@ -73,11 +73,6 @@ def _candidate_batch(problem, size=24):
     return [f"{base}\n// candidate {i}\n" for i in range(size)]
 
 
-def _reset_compile_state():
-    """Forget shared testbench templates (to measure a cold start)."""
-    backend_mod._TB_COMPILE_STATE.clear()
-
-
 def test_candidate_eval_throughput(once):
     _, problem, config = _scenario_problem_config()
     _, _, cached_config = _scenario_problem_config(cache_size=256)
@@ -85,14 +80,14 @@ def test_candidate_eval_throughput(once):
 
     def sweep():
         timings: dict[str, float] = {}
-        serial = SerialBackend.for_problem(problem, config)
+        serial = SerialBackend(problem, config)
         with _interpreter():
             start = time.monotonic()
             baseline = serial.evaluate_batch(texts)
             timings["interp"] = time.monotonic() - start
 
-        _reset_compile_state()
-        compiled = SerialBackend.for_problem(problem, config)
+        # A fresh backend compiles its testbench templates: a cold start.
+        compiled = SerialBackend(problem, config)
         start = time.monotonic()
         cold = compiled.evaluate_batch(texts)
         timings["compiled_cold"] = time.monotonic() - start
@@ -100,7 +95,7 @@ def test_candidate_eval_throughput(once):
         warm = compiled.evaluate_batch(texts)
         timings["compiled_warm"] = time.monotonic() - start
 
-        cached = SerialBackend.for_problem(problem, cached_config)
+        cached = SerialBackend(problem, cached_config)
         cached.evaluate_batch(texts)  # populate the cache
         start = time.monotonic()
         replay = cached.evaluate_batch(texts)
@@ -196,12 +191,11 @@ def test_smoke_repair_cache_hit_rate(once):
         return outcome, time.monotonic() - start
 
     def sweep():
-        serial = SerialBackend.for_problem(problem, interp_config)
+        serial = SerialBackend(problem, interp_config)
         with _interpreter():
             interp_outcome, interp_s = run(interp_config, serial, 0)
 
-        _reset_compile_state()
-        shared = SerialBackend.for_problem(problem, compiled_config)
+        shared = SerialBackend(problem, compiled_config)
         compiled_outcome, compiled_s = run(compiled_config, shared, 0)
         after_first = dict(shared.cache.info())
         _, second_s = run(compiled_config, shared, 1)

@@ -49,13 +49,13 @@ def test_batch_throughput(once):
 
     def sweep():
         timings = {}
-        serial = SerialBackend.for_problem(problem, config)
+        serial = SerialBackend(problem, config)
         start = time.monotonic()
         baseline = serial.evaluate_batch(texts)
         timings["workers=1"] = time.monotonic() - start
         serial.close()
         for workers in (2, 4):
-            pool = ProcessPoolBackend.for_problem(problem, config, workers=workers)
+            pool = ProcessPoolBackend(problem, config, workers=workers)
             try:
                 pool.evaluate_batch(texts[:2])  # warm the workers
                 start = time.monotonic()
@@ -87,7 +87,7 @@ def test_smoke_repair_speedup(once):
 
     def compare():
         serial_outcome, serial_s = run(None)
-        pool = ProcessPoolBackend.for_problem(problem, config, workers=4)
+        pool = ProcessPoolBackend(problem, config, workers=4)
         try:
             pool_outcome, pool_s = run(pool)
         finally:

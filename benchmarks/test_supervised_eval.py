@@ -99,7 +99,7 @@ def _time_supervised(problem, config, texts, workers):
     scoring the batch on the pool.
     """
     config = config.scaled(eval_cache_size=0)
-    with ProcessPoolBackend.for_problem(problem, config, workers=workers) as pool:
+    with ProcessPoolBackend(problem, config, workers=workers) as pool:
         pool.evaluate_batch(texts[:2])  # warm the workers
         samples = []
         for _ in range(_ROUNDS):
@@ -151,7 +151,7 @@ def test_recovery_path_cost(once):
 
     def poisoned():
         with plant_eval_chaos("hang@2"):
-            with ProcessPoolBackend.for_problem(problem, config, workers=2) as pool:
+            with ProcessPoolBackend(problem, config, workers=2) as pool:
                 start = time.monotonic()
                 results = pool.evaluate_batch(texts)
                 return time.monotonic() - start, results
@@ -173,11 +173,11 @@ def test_supervised_repair_matches_serial(once):
     problem, config = _problem_and_config()
 
     def compare():
-        with SerialBackend.for_problem(problem, config) as serial:
+        with SerialBackend(problem, config) as serial:
             serial_outcome = CirFixEngine(
                 problem, config, seed=0, backend=serial
             ).run()
-        with ProcessPoolBackend.for_problem(problem, config, workers=2) as pool:
+        with ProcessPoolBackend(problem, config, workers=2) as pool:
             pool_outcome = CirFixEngine(problem, config, seed=0, backend=pool).run()
         return serial_outcome, pool_outcome
 

@@ -25,10 +25,9 @@ import sys
 
 # EngineHarness._applied is the memo every candidate's tree and text come
 # from.  The only other codegen is the testbench text a RepairProblem
-# precomputes (and a serial backend regenerates when not handed it): the
-# testbench is never patched.  A pool worker makes an exact candidate's
-# tree by applying its shipped edit list, in _apply_edits; no other
-# backend code applies a patch.
+# precomputes: the testbench is never patched.  A pool worker makes an
+# exact candidate's tree by applying its shipped edit list, in
+# _apply_edits; no other backend code applies a patch or generates text.
 ALLOWED = {
     "src/repro/core/harness.py": {
         ("EngineHarness._applied", "apply"),
@@ -37,7 +36,6 @@ ALLOWED = {
     },
     "src/repro/core/backend.py": {
         ("_apply_edits", "apply"),
-        ("SerialBackend.__init__", "generate(testbench)"),
     },
 }
 
@@ -387,16 +385,17 @@ if python -m repro lint "$SMOKE_DIR/bad_sample.v" > /dev/null; then
 fi
 
 echo "== chaos smoke (supervised pool quarantines planted faults) =="
-REPRO_EVAL_CHAOS="hang@28,exit@29" python - <<'EOF'
+python - <<'EOF'
 from repro.benchsuite import load_scenario
 from repro.core.backend import make_backend
 from repro.core.config import RepairConfig
 from repro.core.repair import CirFixEngine
+from repro.fuzz.faults import plant_eval_chaos
 from repro.obs import MetricsObserver
 
-# One hang-mutant and one hard-exit-mutant are planted (via the
-# REPRO_EVAL_CHAOS dispatch ordinals above; dispatch 0 is the unpatched
-# design) into a --workers 2 repair.
+# One hang-mutant and one hard-exit-mutant are planted (at the pool's
+# dispatch ordinals 28 and 29; dispatch 0 is the unpatched design) into
+# a --workers 2 repair.
 # The supervisor must time out the hang, notice the dead worker, and
 # quarantine both — and the run must still find the repair.
 scenario = load_scenario("ff_cond")
@@ -408,7 +407,7 @@ config = scenario.suggested_config(RepairConfig(
 ))
 problem = scenario.problem()
 metrics = MetricsObserver()
-with make_backend(problem, config) as backend:
+with plant_eval_chaos("hang@28,exit@29"), make_backend(problem, config) as backend:
     outcome = CirFixEngine(
         problem, config, 0, backend=backend, observers=[metrics]
     ).run()

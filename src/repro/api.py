@@ -78,9 +78,7 @@ def _as_source(design: "ast.Source | str") -> ast.Source:
 #: Benchmark scenario id → its :class:`~repro.benchsuite.Scenario`,
 #: loaded once per process (at most the 32 Table-3 ids).  Every job on
 #: an id then shares one :class:`RepairProblem` (never mutated): its
-#: trees are parsed and its testbench instrumented once, and the
-#: evaluation backend's compiled testbench templates, keyed by the
-#: testbench tree, are reused from job to job.
+#: trees are parsed and its testbench instrumented once.
 _BENCHMARK_SCENARIOS: dict[str, "Scenario"] = {}
 
 
@@ -279,7 +277,7 @@ def localize(
     """
     config = config or RepairConfig()
     problem, scaled = _as_problem(scenario, config)
-    with SerialBackend.for_problem(problem, scaled) as backend:
+    with SerialBackend(problem, scaled) as backend:
         [result] = backend.evaluate_batch([generate(problem.design)])
     if result.mismatch is None:
         raise ValueError(

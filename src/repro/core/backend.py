@@ -27,6 +27,14 @@ simulate the same program.  A candidate's text is its identity
 everywhere: the engine memo, :class:`EvalCache` and the disk store key
 on it.
 
+A backend belongs to one :class:`~repro.core.harness.RepairProblem`:
+each is built as ``SerialBackend(problem, config)`` or
+``ProcessPoolBackend(problem, config, workers)``, scores every candidate
+under that problem's instrumented testbench and oracle (§3.2), and an
+engine refuses a backend built for another problem.  The compiled
+process templates of the testbench live as long as the backend: every
+candidate of the run reuses them, and no two backends share them.
+
 Every candidate the engine scores — batch members, the unpatched
 design, minimization subsets — goes through a backend, so the caches
 and the supervisor sit under every simulation.  Both backends run the
@@ -85,8 +93,8 @@ consecutive jobs, even on other problems, start on warm workers and no
 job pays for a fork or a shutdown.  What belongs to one job stays on
 its backend: the memory tier of :class:`EvalCache`, the incidents, the
 chaos dispatch ordinals and the deadlines.  So no result crosses jobs;
-only processes and their parsed inputs do, as the per-testbench compile
-state does in a serial process.
+only processes and their parsed inputs do: a worker keeps each parsed
+testbench beside its compiled templates.
 
 The number of live workers is bounded by the peak number borrowed at
 once.  Parked workers are shut down at interpreter exit.  A forked
@@ -97,11 +105,11 @@ EOF, when its parent is killed.
 Chaos testing
 -------------
 
-``REPRO_EVAL_CHAOS`` (or :func:`repro.fuzz.faults.plant_eval_chaos`)
-installs a *test-only* chaos plan mapping dispatch ordinals to planted
-faults (``hang`` / ``exit`` / ``balloon``), so the recovery machinery is
-exercised by deliberately planted degenerate mutants — see
-``docs/fuzzing.md`` and ``tests/core/test_fault_tolerance.py``.
+:func:`repro.fuzz.faults.plant_eval_chaos` installs a *test-only*
+chaos plan mapping dispatch ordinals to planted faults (``hang`` /
+``exit`` / ``balloon``), so the recovery machinery is exercised by
+deliberately planted degenerate mutants — see ``docs/fuzzing.md`` and
+``tests/core/test_fault_tolerance.py``.
 """
 
 from __future__ import annotations
@@ -125,7 +133,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Protocol, Sequence
 
 from ..cache import PersistentEvalCache
-from ..hdl import ParseError, ast, generate, parse
+from ..hdl import ParseError, ast, parse
 from ..hdl.lexer import LexError
 from ..instrument.trace import SimulationTrace, output_mismatch
 from ..sim.compile import CompiledSimulator
@@ -262,44 +270,10 @@ def _unpack(
 # ----------------------------------------------------------------------
 
 
-#: Cap on retained per-testbench compile caches (LRU).  Each entry pins
-#: one testbench tree plus the compiled process templates for its
-#: modules, so the cap bounds memory.  A process that cycles through more
-#: testbenches than this misses on each return to one: a race over 22
-#: minted designs, visited round-robin, recompiles each testbench once
-#: per job.  Lifting the cap to 64 there cost about 1.8 MiB of RSS for no
-#: measurable job time, so it stays small.
+#: Cap on the parsed testbenches a pool worker keeps (LRU), each beside
+#: its compiled process templates.  A worker that cycles through more
+#: testbenches than this parses and compiles each again on its return.
 _TB_STATE_CAP = 8
-
-#: ``id(testbench)`` → ``(testbench, shared template cache, module ids)``.
-#: The stored testbench reference both validates the ``id()`` key (no
-#: stale hit after garbage collection reuses an address) and keeps the
-#: tree alive so its module ids stay unique for the entry's lifetime.
-_TB_COMPILE_STATE: OrderedDict[int, tuple[ast.Source, dict, frozenset[int]]] = (
-    OrderedDict()
-)
-
-
-def _testbench_compile_state(testbench: ast.Source) -> tuple[dict, frozenset[int]]:
-    """Shared compile state for one testbench tree.
-
-    The testbench module objects are appended to every candidate's
-    combined tree as-is, so their compiled process templates can be
-    built once per process and reused for every candidate evaluated
-    against the same testbench (the dominant cost of compilation
-    amortises to zero).
-    """
-    key = id(testbench)
-    entry = _TB_COMPILE_STATE.get(key)
-    if entry is not None and entry[0] is testbench:
-        _TB_COMPILE_STATE.move_to_end(key)
-        return entry[1], entry[2]
-    shared_cache: dict = {}
-    module_ids = frozenset(id(module) for module in testbench.modules)
-    _TB_COMPILE_STATE[key] = (testbench, shared_cache, module_ids)
-    while len(_TB_COMPILE_STATE) > _TB_STATE_CAP:
-        _TB_COMPILE_STATE.popitem(last=False)
-    return shared_cache, module_ids
 
 
 def evaluate_design_text(
@@ -308,6 +282,7 @@ def evaluate_design_text(
     oracle: SimulationTrace,
     config: RepairConfig,
     tree: ast.Source | Callable[[], ast.Source] | None = None,
+    templates: dict | None = None,
 ) -> CandidateResult:
     """Score one candidate design: frontend → simulate → fitness.
 
@@ -315,7 +290,10 @@ def evaluate_design_text(
     compiles it.  ``tree``, when given, must equal the parse of
     ``design_text``, which is then not parsed: it is the tree itself, or
     a function that makes it (a pool worker applying a shipped edit
-    list), called inside the frontend span.
+    list), called inside the frontend span.  ``templates`` is the
+    caller's cache of the testbench's compiled process templates, kept
+    across the candidates it scores against ``testbench`` (a backend
+    keeps one for its run); None compiles them afresh.
 
     Never raises for the candidate's own faults: a candidate that fails
     to parse or elaborate scores 0.0 with ``compiled=False``; one that
@@ -338,16 +316,14 @@ def evaluate_design_text(
             tree = tree()
         # The compiled simulator never mutates the combined tree, so the
         # testbench modules, and design subtrees the engine shares
-        # between candidates, ride along uncloned; the testbench's
-        # compiled templates are shared across every candidate scored
-        # against this testbench.
+        # between candidates, ride along uncloned, and the testbench's
+        # templates serve every candidate scored against it.
         combined = ast.Source(list(tree.modules) + list(testbench.modules))
-        shared_cache, shared_ids = _testbench_compile_state(testbench)
         sim = CompiledSimulator(
             combined,
             max_steps=config.max_sim_steps,
-            shared_cache=shared_cache,
-            shared_module_ids=shared_ids,
+            shared_cache=templates,
+            shared_module_ids=frozenset(map(id, testbench.modules)),
         )
     except (ParseError, LexError, ElaborationError, RecursionError, MemoryError):
         elapsed = time.perf_counter() - started
@@ -635,6 +611,18 @@ class EvalCache:
         return decode_eval_payload(payload)
 
 
+def _run_cache(problem: "RepairProblem", config: RepairConfig) -> EvalCache:
+    """The :class:`EvalCache` of one backend's run on ``problem``: its
+    own memory tier over the shared disk tier ``config`` selects."""
+    store = open_eval_store(config)
+    context = (
+        eval_context_digest(problem.testbench_text, problem.oracle, config)
+        if store is not None
+        else ""
+    )
+    return EvalCache(config.eval_cache_size, store=store, context=context)
+
+
 # ----------------------------------------------------------------------
 # Backend interface and implementations
 # ----------------------------------------------------------------------
@@ -643,15 +631,20 @@ class EvalCache:
 class EvaluationBackend(Protocol):
     """Interface the engine uses to score batches of candidate designs.
 
-    Implementations must preserve input order: ``evaluate_batch(texts)[i]``
-    is the result for ``texts[i]``.  The engine relies on this (plus its
-    own child-index-ordered submission) for seed determinism.  Each
-    element is a :data:`Candidate`; a backend may score a triple from its
-    tree or its edit list, and must return what scoring the text
-    returns.  Backends are
-    context managers (``with make_backend(...) as backend:``) whose exit
-    calls :meth:`close`.
+    A backend is built for one ``problem`` and scores every candidate
+    against that problem's testbench and oracle; an engine refuses a
+    backend built for another problem.  Implementations must preserve
+    input order: ``evaluate_batch(texts)[i]`` is the result for
+    ``texts[i]``.  The engine relies on this (plus its own
+    child-index-ordered submission) for seed determinism.  Each element
+    is a :data:`Candidate`; a backend may score a triple from its tree
+    or its edit list, and must return what scoring the text returns.
+    Backends are context managers (``with make_backend(...) as
+    backend:``) whose exit calls :meth:`close`.
     """
+
+    #: The problem every candidate is scored for.
+    problem: "RepairProblem"
 
     def evaluate_batch(self, design_texts: Sequence[Candidate]) -> list[CandidateResult]:
         """Evaluate every candidate and return results in input order."""
@@ -679,37 +672,17 @@ class SerialBackend:
 
     This is the original CirFix behaviour and the default.  A candidate
     that comes with its tree is compiled from the tree, unparsed.  Its
-    results are the same compact results the pool returns.
+    results are the same compact results the pool returns.  The
+    testbench's compiled process templates live as long as the backend
+    (``templates``), so every candidate of its run reuses them.
     """
 
-    def __init__(
-        self,
-        testbench: ast.Source,
-        oracle: SimulationTrace,
-        config: RepairConfig,
-        testbench_text: str | None = None,
-    ):
-        self.testbench = testbench
-        self.oracle = oracle
+    def __init__(self, problem: "RepairProblem", config: RepairConfig):
+        self.problem = problem
         self.config = config
-        store = open_eval_store(config)
-        context = ""
-        if store is not None:
-            # The persistent tier keys on the testbench text; regenerate
-            # it from the tree only when a caller did not hand it over
-            # (and only when the tier is actually enabled).
-            if testbench_text is None:
-                testbench_text = generate(testbench)
-            context = eval_context_digest(testbench_text, oracle, config)
-        self.cache = EvalCache(config.eval_cache_size, store=store, context=context)
-
-    @staticmethod
-    def for_problem(problem: "RepairProblem", config: RepairConfig) -> "SerialBackend":
-        """Build a serial backend for a :class:`RepairProblem`."""
-        return SerialBackend(
-            problem.testbench, problem.oracle, config,
-            testbench_text=problem.testbench_text,
-        )
+        self.cache = _run_cache(problem, config)
+        #: The testbench's compiled process templates, for this run only.
+        self.templates: dict = {}
 
     def evaluate_batch(self, design_texts: Sequence[Candidate]) -> list[CandidateResult]:
         """Evaluate the batch one candidate at a time, in order."""
@@ -721,7 +694,8 @@ class SerialBackend:
                 results.append(cached)
                 continue
             result = evaluate_design_text(
-                text, self.testbench, self.oracle, self.config, tree
+                text, self.problem.testbench, self.problem.oracle, self.config,
+                tree, self.templates,
             )
             self.cache.put(text, result)
             results.append(result)
@@ -747,15 +721,12 @@ class SerialBackend:
 # Test-only chaos faults (docs/fuzzing.md "chaos smoke")
 # ----------------------------------------------------------------------
 
-#: Environment variable carrying a chaos spec (e.g. ``hang@3,exit@7:once``).
-CHAOS_ENV = "REPRO_EVAL_CHAOS"
-
 #: Plantable chaos fault kinds (see :func:`parse_chaos_spec`).
 CHAOS_KINDS = ("hang", "exit", "balloon")
 
-#: In-process chaos plan override, installed by
-#: :func:`repro.fuzz.faults.plant_eval_chaos` (None = consult the env var).
-_CHAOS_PLAN_OVERRIDE: dict[int, tuple[str, bool]] | None = None
+#: The chaos plan in force, installed by
+#: :func:`repro.fuzz.faults.plant_eval_chaos` (None = no faults).
+_CHAOS_PLAN: dict[int, tuple[str, bool]] | None = None
 
 #: Bytes the chaos balloon allocates per step / max steps without an
 #: ``RLIMIT_AS`` sandbox (a ~2 GiB backstop before self-reporting OOM).
@@ -811,24 +782,10 @@ def set_chaos_plan(
     context manager, which restores the previous plan on exit.  The plan
     is snapshotted by :class:`ProcessPoolBackend` at construction.
     """
-    global _CHAOS_PLAN_OVERRIDE
-    previous = _CHAOS_PLAN_OVERRIDE
-    _CHAOS_PLAN_OVERRIDE = plan
+    global _CHAOS_PLAN
+    previous = _CHAOS_PLAN
+    _CHAOS_PLAN = plan
     return previous
-
-
-def _active_chaos_plan() -> dict[int, tuple[str, bool]]:
-    """The chaos plan in force (override, else env var, else empty)."""
-    if _CHAOS_PLAN_OVERRIDE is not None:
-        return dict(_CHAOS_PLAN_OVERRIDE)
-    spec = os.environ.get(CHAOS_ENV, "")
-    if not spec:
-        return {}
-    try:
-        return parse_chaos_spec(spec)
-    except ValueError as exc:
-        logger.warning("ignoring malformed %s (%s)", CHAOS_ENV, exc)
-        return {}
 
 
 def _trigger_chaos(kind: str) -> None:
@@ -899,9 +856,8 @@ def _current_address_space() -> int:
 
 
 #: What a worker is handed to serve one problem: ``(testbench_text,
-#: oracle, config, design)``, with ``design`` None for a pool that ships
-#: every candidate as text.
-Problem = tuple[str, SimulationTrace, RepairConfig, ast.Source | None]
+#: oracle, config, design)``.
+Problem = tuple[str, SimulationTrace, RepairConfig, ast.Source]
 
 
 def _worker_main(
@@ -916,8 +872,9 @@ def _worker_main(
     problem means the parsed testbench, the oracle, the config and an
     index of the design; a task that ships an edit list is scored from
     the edits applied to that index, any other from its parsed text.
-    Parsed testbenches are kept by text (LRU, ``_TB_STATE_CAP``), so a
-    worker that comes back to a testbench keeps its compile state.
+    Parsed testbenches are kept by text (LRU, ``_TB_STATE_CAP``), each
+    beside its compiled process templates, so a worker that comes back
+    to a testbench, on another problem too, compiles none of it again.
 
     Messages in: ``None`` (shutdown) or ``(problem, design_text, edits,
     chaos_kind)``, with ``problem`` None to score against the held
@@ -930,7 +887,7 @@ def _worker_main(
     A worker whose load failed holds no problem until the next one.
     """
     _sandbox_worker(mem_mb)
-    testbenches: OrderedDict[str, ast.Source] = OrderedDict()
+    testbenches: OrderedDict[str, tuple[ast.Source, dict]] = OrderedDict()
     held = _load_problem(problem, testbenches)
     while True:
         try:
@@ -948,11 +905,13 @@ def _worker_main(
                 _trigger_chaos(chaos)
             if held is None:
                 raise RuntimeError("the worker holds no problem")
-            testbench, oracle, config, index = held
+            testbench, templates, oracle, config, index = held
             tree = None
             if edits is not None:
                 tree = functools.partial(_apply_edits, edits, index)
-            result = evaluate_design_text(text, testbench, oracle, config, tree)
+            result = evaluate_design_text(
+                text, testbench, oracle, config, tree, templates
+            )
             conn.send(("ok", result))
         except MemoryError:
             _report_failure(conn, "oom")
@@ -961,18 +920,17 @@ def _worker_main(
 
 
 def _load_problem(
-    problem: Problem, testbenches: OrderedDict[str, ast.Source]
-) -> tuple[ast.Source, SimulationTrace, RepairConfig, VariantIndex | None]:
+    problem: Problem, testbenches: OrderedDict[str, tuple[ast.Source, dict]]
+) -> tuple[ast.Source, dict, SimulationTrace, RepairConfig, VariantIndex]:
     """Worker-side: what the worker holds to serve ``problem``."""
     testbench_text, oracle, config, design = problem
-    testbench = testbenches.pop(testbench_text, None)
-    if testbench is None:
-        testbench = parse(testbench_text)
-    testbenches[testbench_text] = testbench
+    parsed = testbenches.pop(testbench_text, None)
+    if parsed is None:
+        parsed = (parse(testbench_text), {})
+    testbenches[testbench_text] = parsed
     while len(testbenches) > _TB_STATE_CAP:
         testbenches.popitem(last=False)
-    index = VariantIndex(design) if design is not None else None
-    return testbench, oracle, config, index
+    return (*parsed, oracle, config, VariantIndex(design))
 
 
 def _apply_edits(edits: list[Edit], index: VariantIndex) -> ast.Source:
@@ -1136,17 +1094,15 @@ class ProcessPoolBackend:
 
     The pool borrows warm workers from the process-wide idle set and
     forks only the shortfall (module docstring, "Warm workers").  Each
-    worker holds the pool's problem — the parsed instrumented testbench,
-    the oracle, the evaluation config and, given the problem's design,
-    an index of it — handed over with its first task unless it already
-    holds it.  A task ships an exact candidate's edit list, which the
-    worker applies to its index, or else the candidate's text, which it
-    parses; each result ships only ``(fitness, compiled, mismatch)``
-    plus telemetry.  A pool built with a design serves only runs on that
-    design (an engine given it for another raises ``ValueError``); one
-    built without a design ships every candidate's text, and serves any
-    design scored against its testbench and oracle.  The pool persists
-    across generations (and across seeds, when shared via
+    worker holds the pool's problem — the parsed instrumented testbench
+    with its compiled templates, the oracle, the evaluation config and
+    an index of the problem's design — handed over with its first task
+    unless it already holds it.  A task ships an exact candidate's edit
+    list, which the worker applies to its index, or else the candidate's
+    text, which it parses; each result ships only ``(fitness, compiled,
+    mismatch)`` plus telemetry.  The pool serves only runs on its
+    problem (an engine given it for another raises ``ValueError``).  The
+    pool persists across generations (and across seeds, when shared via
     :func:`repro.core.repair.repair`), and its workers persist across
     pools, so neither a candidate nor a job pays for a process spawn.
 
@@ -1158,40 +1114,23 @@ class ProcessPoolBackend:
     serial backend's.
     """
 
-    def __init__(
-        self,
-        testbench_text: str,
-        oracle: SimulationTrace,
-        config: RepairConfig,
-        workers: int = 2,
-        design: ast.Source | None = None,
-    ):
-        self.workers = max(1, int(workers))
+    def __init__(self, problem: "RepairProblem", config: RepairConfig, workers: int):
+        self.problem = problem
         self.config = config
-        self.oracle = oracle
-        self._testbench_text = testbench_text
-        self._testbench_tree: ast.Source | None = None  # for inline fallback
-        #: The design the workers apply edit lists to, or None (every
-        #: candidate ships as text).  A pool with a design serves only
-        #: runs on that design (see :class:`~repro.core.harness.EngineHarness`).
-        self.design = design
-        self._problem: Problem = (testbench_text, oracle, config, design)
+        self.workers = max(1, int(workers))
+        self._problem: Problem = (
+            problem.testbench_text, problem.oracle, config, problem.design
+        )
         #: ``self._problem`` pickled for workers that hold another one
         #: (made on first use).
         self._shipped_problem: bytes | None = None
-        store = open_eval_store(config)
-        context = (
-            eval_context_digest(testbench_text, oracle, config)
-            if store is not None
-            else ""
-        )
-        self.cache = EvalCache(config.eval_cache_size, store=store, context=context)
+        self.cache = _run_cache(problem, config)
         self._ctx = _mp_context()
         self._incidents: list[SupervisionIncident] = []
         #: Task dispatch counter (first attempts only) — the ordinal the
         #: chaos plan keys on; deterministic given the engine's schedule.
         self._dispatch_ordinal = 0
-        self._chaos_plan = _active_chaos_plan()
+        self._chaos_plan = dict(_CHAOS_PLAN or {})
         self._workers: list[_Worker] | None = None
         acquired = _borrow(config.worker_mem_mb, self.workers)
         try:
@@ -1201,21 +1140,6 @@ class ProcessPoolBackend:
             _shut_down(acquired)
             raise
         self._workers = acquired
-
-    @staticmethod
-    def for_problem(
-        problem: "RepairProblem", config: RepairConfig, workers: int | None = None
-    ) -> "ProcessPoolBackend":
-        """Build a pool backend for a :class:`RepairProblem`; its workers
-        apply exact candidates' edit lists to the problem's design, so it
-        serves only runs on that design."""
-        return ProcessPoolBackend(
-            problem.testbench_text,
-            problem.oracle,
-            config,
-            workers if workers is not None else config.workers,
-            design=problem.design,
-        )
 
     # ------------------------------------------------------------------
     # Batch evaluation under supervision
@@ -1252,8 +1176,6 @@ class ProcessPoolBackend:
             misses.append(i)
             chaos = self._chaos_plan.get(self._dispatch_ordinal)
             self._dispatch_ordinal += 1
-            if self.design is None:
-                edits = None
             pending.append(_Task(i, text, tree, edits, chaos))
         if pending:
             self._supervise(pending, results)
@@ -1444,12 +1366,12 @@ class ProcessPoolBackend:
         logger.warning(
             "no evaluation workers available; finishing the batch inline"
         )
-        if self._testbench_tree is None:
-            self._testbench_tree = parse(self._testbench_text)
+        templates: dict = {}
         while pending:
             task = pending.popleft()
             results[task.index] = evaluate_design_text(
-                task.text, self._testbench_tree, self.oracle, self.config, task.tree
+                task.text, self.problem.testbench, self.problem.oracle,
+                self.config, task.tree, templates,
             )
 
     # ------------------------------------------------------------------
@@ -1559,12 +1481,12 @@ def make_backend(problem: "RepairProblem", config: RepairConfig) -> EvaluationBa
             f"valid backends: {', '.join(BACKEND_NAMES)}"
         )
     if choice == "serial" or (choice == "auto" and workers <= 1):
-        return SerialBackend.for_problem(problem, config)
+        return SerialBackend(problem, config)
     if multiprocessing.current_process().daemon:
         logger.warning("already inside a worker process; evaluating serially")
-        return SerialBackend.for_problem(problem, config)
+        return SerialBackend(problem, config)
     try:
-        return ProcessPoolBackend.for_problem(problem, config, workers)
+        return ProcessPoolBackend(problem, config, workers)
     except (OSError, ValueError, ImportError, AssertionError) as exc:
         logger.warning("process pool unavailable (%s); falling back to serial", exc)
-        return SerialBackend.for_problem(problem, config)
+        return SerialBackend(problem, config)

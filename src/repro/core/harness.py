@@ -38,7 +38,7 @@ import time as time_mod
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
-from ..hdl import InexactCodegen, ast, generate, max_node_id
+from ..hdl import InexactCodegen, ast, generate
 from ..instrument.trace import SimulationTrace
 # Unused here, but the end-to-end benchmark tracer
 # (benchmarks/e2e/tracer.py) wraps this name in this module.
@@ -117,14 +117,16 @@ class RepairProblem:
             Patched variants share its subtrees, so it is never mutated.
         testbench: Instrumented testbench AST (never edited).
         oracle: Expected-behaviour trace from the golden design.
-        design_max_id: ``max_node_id(design)``, the floor of the fresh-id
-            pool every :meth:`Patch.apply` over the design needs.
         design_index: The design's
             :class:`~repro.core.variant.VariantIndex`, built on first use:
             the variant index of the unpatched design, and where
             :meth:`Patch.apply` finds the paths of a patch applied from
-            the design.
+            the design and the floor of its fresh ids (``max_id``).
         testbench_text: The testbench as generated source.
+
+    An evaluation backend is built for one problem
+    (:func:`~repro.core.backend.make_backend`), and an engine refuses a
+    backend built for another.
     """
 
     def __init__(
@@ -138,7 +140,6 @@ class RepairProblem:
         self.testbench = testbench
         self.oracle = oracle
         self.name = name
-        self.design_max_id = max_node_id(design)
         self.testbench_text = generate(testbench)
         self._design_index: VariantIndex | None = None
 
@@ -181,14 +182,13 @@ class EngineHarness:
     is provided here.
 
     Every candidate is scored through an
-    :class:`~repro.core.backend.EvaluationBackend`; pass one to share a
-    worker pool across trials, or leave it ``None`` to let the engine
-    build (and own) the backend selected by ``config``.  A passed-in
-    backend must score against the problem's testbench and oracle, and
-    a pool that holds a design (built by
-    :meth:`~repro.core.backend.ProcessPoolBackend.for_problem`) must
-    hold this problem's: its workers apply the engine's edit lists to
-    it.  Another design raises ``ValueError``.
+    :class:`~repro.core.backend.EvaluationBackend`; pass one to share it
+    (and its caches and workers) across trials, or leave it ``None`` to
+    let the engine build (and own) the backend selected by ``config``.
+    A passed-in backend must have been built for this problem: it
+    scores against the problem's testbench and oracle, and a pool's
+    workers apply the engine's edit lists to the problem's design.  A
+    backend built for another problem raises ``ValueError``.
     """
 
     def __init__(
@@ -200,11 +200,10 @@ class EngineHarness:
         observers: Sequence[RepairObserver] | None = None,
         cancel: Callable[[], bool] | None = None,
     ):
-        held = getattr(backend, "design", None)
-        if held is not None and held is not problem.design:
+        if backend is not None and backend.problem is not problem:
             raise ValueError(
-                f"{problem.name}: the backend's workers hold another design; "
-                "build the pool for this problem"
+                f"{problem.name}: the backend was built for another problem "
+                f"({backend.problem.name}); build it for this one"
             )
         self.problem = problem
         self.config = config or RepairConfig()
@@ -297,7 +296,7 @@ class EngineHarness:
         design = self.problem.design
         memo = getattr(patch, "_applied", None)
         if memo is None or memo[0] is not design:
-            tree = patch.apply(self.problem.design_index, self.problem.design_max_id)
+            tree = patch.apply(self.problem.design_index)
             exact = True
             try:
                 try:
@@ -782,12 +781,11 @@ def run_trials(
     outcome is the one it would have on a backend of its own.
     ``observers`` see every trial's events back to back.
 
-    A passed-in ``backend`` must have been built for ``problem``'s
-    testbench and oracle; a pool that holds a design must hold
-    ``problem.design`` (see :class:`EngineHarness`).
+    A passed-in ``backend`` must have been built for ``problem`` (see
+    :class:`EngineHarness`).
 
     Raises ``ValueError`` when ``seeds`` is empty, or when ``backend``
-    holds another design.
+    was built for another problem.
     """
     if not seeds:
         raise ValueError("at least one seed is required")

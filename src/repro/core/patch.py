@@ -101,9 +101,7 @@ class Patch:
     # Application
     # ------------------------------------------------------------------
 
-    def apply(
-        self, base: ast.Source | VariantIndex, base_max_id: int | None = None
-    ) -> ast.Source:
+    def apply(self, base: ast.Source | VariantIndex) -> ast.Source:
         """Apply all edits to ``base`` and return the patched tree.
 
         ``base`` is the design, or its
@@ -122,16 +120,14 @@ class Patch:
         the same tree, ids included.  The prefix is forgotten either way,
         so no applied patch keeps its ancestors alive.
 
-        ``base_max_id`` is ``max_node_id(base)``, the floor of the fresh-id
-        pool; it is computed when not given (a
-        :class:`~repro.core.harness.RepairProblem` precomputes it).
-        Stale edits are skipped.  Raises nothing: a patch always yields a
-        tree (whose code may still fail to parse/elaborate downstream).
+        Fresh ids start above ``max_node_id(base)``, which an index
+        already holds (``max_id``).  Stale edits are skipped.  Raises
+        nothing: a patch always yields a tree (whose code may still fail
+        to parse/elaborate downstream).
         """
         index = base if isinstance(base, VariantIndex) else None
         root = base.root if isinstance(base, VariantIndex) else base
-        if base_max_id is None:
-            base_max_id = index.max_id if index is not None else max_node_id(root)
+        base_max_id = index.max_id if index is not None else max_node_id(root)
         start = 0
         prefix = self.__dict__.pop("_prefix", None)
         if prefix is not None:

@@ -221,11 +221,8 @@ def repair(
     supervised process pool).  The lowest plausible seed wins, falling
     back to the earliest best-fitness trial; the outcome is the same on
     every backend.  A passed-in ``backend`` must have been built for
-    ``problem``: a pool from
-    :meth:`~repro.core.backend.ProcessPoolBackend.for_problem` applies
-    edit lists to the design it was built with, and one built for
-    another design raises ``ValueError``.  An empty ``seeds`` raises
-    ``ValueError``.
+    ``problem``; one built for another problem raises ``ValueError``, as
+    does an empty ``seeds``.
 
     ``observers`` (repro.obs) see the full event stream of every trial.
     ``cancel`` is a cooperative cancellation probe (the service daemon

@@ -105,10 +105,9 @@ def plant_eval_chaos(spec: str) -> Iterator[None]:
     process-wide and snapshotted by each
     :class:`~repro.core.backend.ProcessPoolBackend` at construction, so
     build the backend *inside* the context; the previous plan (normally
-    none) is restored on exit.  This is the test-only hook behind the
-    fault-tolerance acceptance tests and the ``check_all.sh`` chaos
-    smoke — the same faults can be planted without code via the
-    ``REPRO_EVAL_CHAOS`` environment variable.
+    none) is restored on exit.  This is the one way to plant them: the
+    test-only hook behind the fault-tolerance acceptance tests and the
+    ``check_all.sh`` chaos smoke.
     """
     from ..core import backend as backend_mod
 

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 from ..core.backend import ProcessPoolBackend, SerialBackend, evaluate_design_text
 from ..core.config import RepairConfig
+from ..core.harness import RepairProblem
 from ..core.templates import applicable_templates, apply_template
 from ..core.templates_ext import applicable_extended
 from ..hdl import InexactCodegen, ast, generate, max_node_id, parse, structural_diff
@@ -147,6 +148,15 @@ def _sim_key(result: SimResult) -> tuple:
     )
 
 
+def _problem(program: GeneratedProgram, oracle: SimulationTrace) -> RepairProblem:
+    """The program as the repair problem a backend is built for: its
+    design, scored under its testbench against ``oracle``."""
+    return RepairProblem(
+        parse(program.design_text), parse(program.testbench_text), oracle,
+        name=f"fuzz_{program.seed}",
+    )
+
+
 def _simulate(text: str) -> SimResult:
     sim = Simulator(text, max_steps=FUZZ_EVAL_CONFIG.max_sim_steps)
     return sim.run(FUZZ_EVAL_CONFIG.max_sim_time)
@@ -184,7 +194,7 @@ def check_determinism(
     try:
         if backend == "process":
             pool = ProcessPoolBackend(
-                program.testbench_text, oracle, FUZZ_EVAL_CONFIG, workers=workers
+                _problem(program, oracle), FUZZ_EVAL_CONFIG, workers
             )
             try:
                 result_a = pool.evaluate_batch([program.design_text])[0]
@@ -300,13 +310,10 @@ def check_backends(
 ) -> list[Violation]:
     """Serial and process-pool evaluation of the same candidate agree."""
     try:
-        tb_tree = parse(program.testbench_text)
-        serial = SerialBackend(tb_tree, oracle, FUZZ_EVAL_CONFIG)
-        serial_results = serial.evaluate_batch([program.design_text])
-        serial.close()
-        pool = ProcessPoolBackend(
-            program.testbench_text, oracle, FUZZ_EVAL_CONFIG, workers=workers
-        )
+        problem = _problem(program, oracle)
+        with SerialBackend(problem, FUZZ_EVAL_CONFIG) as serial:
+            serial_results = serial.evaluate_batch([program.design_text])
+        pool = ProcessPoolBackend(problem, FUZZ_EVAL_CONFIG, workers)
         try:
             pool_results = pool.evaluate_batch([program.design_text])
         finally:

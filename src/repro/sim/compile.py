@@ -35,7 +35,8 @@ on the same runtime objects, so parity is by construction.
 Templates are cached per ``(module item, parameter signature)``.  Callers
 evaluating many candidates against one persistent testbench pass a shared
 cache (see :func:`repro.core.backend.evaluate_design_text`) so the
-testbench half of every simulation is compiled once per worker process.
+testbench half of every simulation is compiled once per evaluation
+backend, or once per pool worker.
 """
 
 from __future__ import annotations

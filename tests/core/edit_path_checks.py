@@ -166,9 +166,9 @@ class EditPathChecks:
         return lookup
 
     def _apply(self, real):
-        def apply(patch, base, base_max_id=None):
+        def apply(patch, base):
             prefix = patch.__dict__.get("_prefix")
-            tree = real(patch, base, base_max_id)
+            tree = real(patch, base)
             self.counts["applications"] += 1
             root = base.root if isinstance(base, VariantIndex) else base
             diff = structural_diff(tree, reference_apply(patch, root), compare_ids=True)
@@ -181,7 +181,7 @@ class EditPathChecks:
             index = getattr(prefix, "_index", None)
             if memo is not None and index is not None and index.root is memo[1]:
                 self.counts["incremental"] += 1
-                full = real(Patch(list(patch.edits)), base, base_max_id)
+                full = real(Patch(list(patch.edits)), base)
                 diff = structural_diff(tree, full, compare_ids=True)
                 if diff is not None:
                     self.failures.append(

@@ -1,6 +1,7 @@
 """Evaluation-backend tests: the shared testbench, serial/pool batch parity,
-supervised fault recovery, warm workers shared by successive pools, and
-cross-backend determinism of whole repair runs.
+one problem per backend and its run's templates, supervised fault
+recovery, warm workers shared by successive pools, and cross-backend
+determinism of whole repair runs.
 
 The parallel backend must be an implementation detail: same scenario, same
 seed, same outcome — whether candidates are scored in-process or by a pool
@@ -13,6 +14,7 @@ import dataclasses
 import gc
 import logging
 import re
+import sys
 import threading
 
 import pytest
@@ -152,8 +154,8 @@ class TestSharedDesign:
 class TestBatchParity:
     def test_serial_and_pool_agree(self, problem):
         texts = [generate(problem.design), GOLDEN_FF, BROKEN_TEXT, FAULTY_FF]
-        serial = SerialBackend.for_problem(problem, TEST_CONFIG)
-        pool = ProcessPoolBackend.for_problem(problem, TEST_CONFIG, workers=2)
+        serial = SerialBackend(problem, TEST_CONFIG)
+        pool = ProcessPoolBackend(problem, TEST_CONFIG, workers=2)
         try:
             serial_results = serial.evaluate_batch(texts)
             pool_results = pool.evaluate_batch(texts)
@@ -173,16 +175,16 @@ class TestBatchParity:
         batch = [engine._lookup(patch)[0] for patch in mixed_patches(problem.design)]
         assert [isinstance(c, tuple) for c in batch] == [True, True, False]
         batch.append(BROKEN_TEXT)
-        with SerialBackend.for_problem(problem, TEST_CONFIG) as serial:
+        with SerialBackend(problem, TEST_CONFIG) as serial:
             serial_results = serial.evaluate_batch(batch)
-        with ProcessPoolBackend.for_problem(problem, TEST_CONFIG, workers=2) as pool:
+        with ProcessPoolBackend(problem, TEST_CONFIG, workers=2) as pool:
             pool_results = pool.evaluate_batch(batch)
         assert [untimed(r) for r in pool_results] == [untimed(r) for r in serial_results]
         assert [r.compiled for r in serial_results] == [True, True, True, False]
         assert serial_results[1].is_plausible
 
     def test_batch_flags_uncompilable(self, problem):
-        backend = SerialBackend.for_problem(problem, TEST_CONFIG)
+        backend = SerialBackend(problem, TEST_CONFIG)
         (result,) = backend.evaluate_batch([BROKEN_TEXT])
         assert not result.compiled
         assert result.fitness == 0.0
@@ -222,40 +224,119 @@ class TestBatchParity:
 class TestPoolDesign:
     def test_pool_built_for_another_design_is_refused(self):
         """counter_reset and counter_sens share the instrumented testbench
-        and the oracle but not the faulty design.  A pool built for
-        counter_reset holds its design, so its workers would apply
-        counter_sens's edit lists to the wrong tree: every runner refuses
-        it before scoring or emitting anything.  A pool built without a
-        design ships text only, and scores counter_sens as serial does."""
+        and the oracle but not the faulty design.  A backend built for
+        counter_reset scores counter_reset: a pool's workers would apply
+        counter_sens's edit lists to the wrong tree, and a serial backend
+        would score the run under a problem it was not built for.  Every
+        runner refuses either backend before scoring or emitting
+        anything."""
         reset = load_scenario("counter_reset").problem()
         sens = load_scenario("counter_sens").problem()
         assert reset.testbench_text == sens.testbench_text
         assert reset.oracle == sens.oracle
-        with ProcessPoolBackend.for_problem(reset, TEST_CONFIG, workers=1) as pool:
-            assert pool.design is reset.design
-            for runner in (repair, synth_repair, race_repair):
-                recorder = RecordingObserver()
-                with pytest.raises(ValueError, match="another design"):
-                    runner(sens, TEST_CONFIG, (0,), backend=pool, observers=[recorder])
-                assert recorder.events == [], runner.__name__
-            with pytest.raises(ValueError, match="another design"):
-                run_trials(CirFixEngine, sens, TEST_CONFIG, backend=pool)
-            with pytest.raises(ValueError, match="another design"):
-                CirFixEngine(sens, TEST_CONFIG, seed=0, backend=pool)
-            assert pool.take_incidents() == []
+        builds = (
+            lambda: SerialBackend(reset, TEST_CONFIG),
+            lambda: ProcessPoolBackend(reset, TEST_CONFIG, workers=1),
+        )
+        for build in builds:
+            with build() as backend:
+                kind = type(backend).__name__
+                for runner in (repair, synth_repair, race_repair):
+                    recorder = RecordingObserver()
+                    with pytest.raises(ValueError, match="another problem"):
+                        runner(
+                            sens, TEST_CONFIG, (0,), backend=backend,
+                            observers=[recorder],
+                        )
+                    assert recorder.events == [], (kind, runner.__name__)
+                with pytest.raises(ValueError, match="another problem"):
+                    run_trials(CirFixEngine, sens, TEST_CONFIG, backend=backend)
+                with pytest.raises(ValueError, match="another problem"):
+                    CirFixEngine(sens, TEST_CONFIG, seed=0, backend=backend)
+                assert backend.take_incidents() == [], kind
+                assert backend.cache.info()["misses"] == 0, kind
 
-        engine = CirFixEngine(sens, TEST_CONFIG, seed=0)
-        candidate, _ = engine._lookup(Patch.empty())
-        assert isinstance(candidate, tuple)
-        with SerialBackend.for_problem(sens, TEST_CONFIG) as serial:
-            (want,) = serial.evaluate_batch([candidate])
-        with ProcessPoolBackend(
-            reset.testbench_text, reset.oracle, TEST_CONFIG, workers=1
-        ) as textual:
-            assert textual.design is None
-            (got,) = textual.evaluate_batch([candidate])
-            assert run_trials(CirFixEngine, sens, TEST_CONFIG, backend=textual)
-        assert untimed(got) == untimed(want)
+
+class TestRunTemplates:
+    """A backend compiles the testbench's process templates once for its
+    run and shares them with no other backend."""
+
+    def test_backends_do_not_share_templates(self, problem, monkeypatch):
+        import repro.sim.compile as compile_mod
+
+        testbench_items = {
+            id(item) for module in problem.testbench.modules for item in module.items
+        }
+        compiled = []
+        for name in ("_compile_always", "_compile_initial"):
+            real = getattr(compile_mod, name)
+
+            def counted(item, scope, real=real):
+                if id(item) in testbench_items:
+                    compiled.append(item)
+                return real(item, scope)
+
+            monkeypatch.setattr(compile_mod, name, counted)
+        first = SerialBackend(problem, TEST_CONFIG)
+        second = SerialBackend(problem, TEST_CONFIG)
+        first.evaluate_batch([GOLDEN_FF])
+        once = len(compiled)
+        assert once > 0
+        assert first.templates and second.templates == {}
+        first.evaluate_batch([FAULTY_FF])
+        assert len(compiled) == once  # the rest of the run reuses them
+        second.evaluate_batch([FAULTY_FF])
+        assert len(compiled) == 2 * once  # another run compiles its own
+
+    def test_threads_score_many_problems_concurrently(self, problem):
+        """Two threads, each building its own serial backends, score
+        round-robin over more distinct problems than a worker keeps
+        testbenches for, with thread switches forced often; no
+        evaluation raises, and each scores as one backend alone does."""
+        golden = parse(GOLDEN_FF)
+        problems = [
+            RepairProblem(
+                parse(FAULTY_FF), ensure_instrumented(parse(TESTBENCH), golden),
+                problem.oracle, f"ff_{i}",
+            )
+            for i in range(10)
+        ]
+        assert len(problems) > backend_mod._TB_STATE_CAP
+        texts = [GOLDEN_FF, FAULTY_FF]
+        with SerialBackend(problem, TEST_CONFIG) as serial:
+            expected = [untimed(r) for r in serial.evaluate_batch(texts)]
+        scored: dict[str, list] = {"forward": [], "backward": []}
+        errors = []
+
+        def score(order, results):
+            try:
+                for _ in range(3):
+                    for each in order:
+                        with SerialBackend(each, TEST_CONFIG) as backend:
+                            results.extend(backend.evaluate_batch(texts))
+            except Exception as exc:  # noqa: BLE001 - the failure is the observable
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=score, args=(problems, scored["forward"])),
+                threading.Thread(
+                    target=score, args=(problems[::-1], scored["backward"])
+                ),
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for results in scored.values():
+            assert len(results) == 3 * len(problems) * len(texts)
+            assert [untimed(r) for r in results] == expected * (3 * len(problems))
 
 
 #: Supervision-friendly config: short deadline, capped worker memory.
@@ -308,25 +389,12 @@ class TestChaosSpec:
             with plant_eval_chaos("exit@5:twice"):
                 pass  # pragma: no cover - must not be reached
 
-    def test_env_spec_malformed_is_ignored(self, problem, monkeypatch, caplog):
-        monkeypatch.setenv("REPRO_EVAL_CHAOS", "not a spec")
-        with caplog.at_level(logging.WARNING, logger="repro.repair"):
-            with ProcessPoolBackend.for_problem(problem, SUPERVISED, workers=1) as pool:
-                assert pool._chaos_plan == {}
-        assert any("REPRO_EVAL_CHAOS" in r.message for r in caplog.records)
-
-    def test_env_spec_plants_faults(self, problem, monkeypatch):
-        monkeypatch.setenv("REPRO_EVAL_CHAOS", "exit@0")
-        with ProcessPoolBackend.for_problem(problem, SUPERVISED, workers=1) as pool:
-            (result,) = pool.evaluate_batch([GOLDEN_FF])
-        assert result.failure == EvalFailure("crash", 1)
-
 
 class TestSupervisedPool:
     def test_hang_quarantined_as_timeout(self, problem):
         config = SUPERVISED.scaled(eval_deadline_seconds=1.0)
         with plant_eval_chaos("hang@0"):
-            with ProcessPoolBackend.for_problem(problem, config, workers=2) as pool:
+            with ProcessPoolBackend(problem, config, workers=2) as pool:
                 results = pool.evaluate_batch([BROKEN_TEXT, GOLDEN_FF, FAULTY_FF])
         assert results[0].failure == EvalFailure("timeout", 1)
         assert results[0].fitness == 0.0 and not results[0].compiled
@@ -337,7 +405,7 @@ class TestSupervisedPool:
     def test_hard_exit_retried_then_quarantined(self, problem):
         config = SUPERVISED.scaled(eval_max_retries=1)
         with plant_eval_chaos("exit@1"):
-            with ProcessPoolBackend.for_problem(problem, config, workers=2) as pool:
+            with ProcessPoolBackend(problem, config, workers=2) as pool:
                 results = pool.evaluate_batch([GOLDEN_FF, FAULTY_FF])
                 incidents = pool.take_incidents()
         assert results[0].failure is None
@@ -351,17 +419,17 @@ class TestSupervisedPool:
         # roomy deadline so slow hosts classify this as oom, not timeout.
         config = SUPERVISED.scaled(eval_deadline_seconds=60.0, worker_mem_mb=192)
         with plant_eval_chaos("balloon@0"):
-            with ProcessPoolBackend.for_problem(problem, config, workers=2) as pool:
+            with ProcessPoolBackend(problem, config, workers=2) as pool:
                 results = pool.evaluate_batch([GOLDEN_FF, FAULTY_FF])
         assert results[0].failure == EvalFailure("oom", 1)
         assert results[1].failure is None and results[1].compiled
 
     def test_once_fault_recovers_on_retry(self, problem):
         config = SUPERVISED.scaled(eval_max_retries=1)
-        with SerialBackend.for_problem(problem, config) as serial:
+        with SerialBackend(problem, config) as serial:
             (expected,) = serial.evaluate_batch([GOLDEN_FF])
         with plant_eval_chaos("exit@0:once"):
-            with ProcessPoolBackend.for_problem(problem, config, workers=2) as pool:
+            with ProcessPoolBackend(problem, config, workers=2) as pool:
                 (result,) = pool.evaluate_batch([GOLDEN_FF])
                 incidents = pool.take_incidents()
         # First attempt died, the requeued retry produced the real score.
@@ -372,7 +440,7 @@ class TestSupervisedPool:
 
     def test_pool_keeps_working_after_respawn(self, problem):
         with plant_eval_chaos("exit@0"):
-            with ProcessPoolBackend.for_problem(problem, SUPERVISED, workers=2) as pool:
+            with ProcessPoolBackend(problem, SUPERVISED, workers=2) as pool:
                 first = pool.evaluate_batch([GOLDEN_FF, FAULTY_FF])
                 assert first[0].failure is not None
                 # The respawned worker serves later batches normally.
@@ -389,9 +457,9 @@ class TestSupervisedPool:
         text, tree, edits = engine._lookup(Patch.empty())[0]
         target = next(n for n in problem.design.walk() if isinstance(n, ast.If))
         poisoned = (text, tree, [Edit("unknown_kind", target.node_id)])
-        with SerialBackend.for_problem(problem, config) as serial:
+        with SerialBackend(problem, config) as serial:
             (expected,) = serial.evaluate_batch([GOLDEN_FF])
-        with ProcessPoolBackend.for_problem(problem, config, workers=2) as pool:
+        with ProcessPoolBackend(problem, config, workers=2) as pool:
             results = pool.evaluate_batch([poisoned, GOLDEN_FF])
             incidents = pool.take_incidents()
         assert results[0].failure == EvalFailure("crash", 2)
@@ -409,7 +477,7 @@ class TestSupervisedPool:
         config = SUPERVISED.scaled(eval_max_retries=1)
         engine = CirFixEngine(problem, config, seed=0)
         batch = [engine._lookup(patch)[0] for patch in mixed_patches(problem.design)]
-        with SerialBackend.for_problem(problem, config) as serial:
+        with SerialBackend(problem, config) as serial:
             expected = serial.evaluate_batch(batch)
         parsed = []
         real_parse = backend_mod.parse
@@ -422,26 +490,26 @@ class TestSupervisedPool:
             raise OSError("cannot start a worker")
 
         with plant_eval_chaos("exit@0"):
-            with ProcessPoolBackend.for_problem(problem, config, workers=1) as pool:
+            with ProcessPoolBackend(problem, config, workers=1) as pool:
                 monkeypatch.setattr(backend_mod, "_Worker", no_worker)
                 monkeypatch.setattr(backend_mod, "parse", parse_recorded)
                 results = pool.evaluate_batch(batch)
         assert [untimed(r) for r in results] == [untimed(r) for r in expected]
-        # The testbench, then the one inexact candidate.
-        assert parsed == [problem.testbench_text, batch[2]]
+        # The one inexact candidate: the testbench is the problem's tree.
+        assert parsed == [batch[2]]
 
     def test_take_incidents_drains(self, problem):
         with plant_eval_chaos("exit@0"):
-            with ProcessPoolBackend.for_problem(problem, SUPERVISED, workers=2) as pool:
+            with ProcessPoolBackend(problem, SUPERVISED, workers=2) as pool:
                 pool.evaluate_batch([GOLDEN_FF])
                 assert len(pool.take_incidents()) == 1
                 assert pool.take_incidents() == []
 
     def test_no_chaos_no_incidents_bitwise_parity(self, problem):
         texts = [generate(problem.design), GOLDEN_FF, BROKEN_TEXT, FAULTY_FF]
-        with SerialBackend.for_problem(problem, SUPERVISED) as serial:
+        with SerialBackend(problem, SUPERVISED) as serial:
             expected = serial.evaluate_batch(texts)
-        with ProcessPoolBackend.for_problem(problem, SUPERVISED, workers=2) as pool:
+        with ProcessPoolBackend(problem, SUPERVISED, workers=2) as pool:
             results = pool.evaluate_batch(texts)
             assert pool.take_incidents() == []
         for s, p in zip(expected, results):
@@ -451,13 +519,13 @@ class TestSupervisedPool:
             assert p.failure is None
 
     def test_empty_batch(self, problem):
-        with ProcessPoolBackend.for_problem(problem, SUPERVISED, workers=2) as pool:
+        with ProcessPoolBackend(problem, SUPERVISED, workers=2) as pool:
             assert pool.evaluate_batch([]) == []
 
 
 class TestBackendLifecycle:
     def test_serial_context_manager(self, problem):
-        with SerialBackend.for_problem(problem, TEST_CONFIG) as backend:
+        with SerialBackend(problem, TEST_CONFIG) as backend:
             (result,) = backend.evaluate_batch([GOLDEN_FF])
         assert result.compiled
         assert backend.take_incidents() == []
@@ -466,7 +534,7 @@ class TestBackendLifecycle:
         """Leaving the ``with`` block parks the pool's healthy idle
         workers; the interpreter-exit hook shuts every parked worker down
         (``worker_exit_checks`` ends real interpreters)."""
-        with ProcessPoolBackend.for_problem(problem, TEST_CONFIG, workers=2) as pool:
+        with ProcessPoolBackend(problem, TEST_CONFIG, workers=2) as pool:
             processes = [worker.process for worker in pool._workers]
             assert pool.evaluate_batch([GOLDEN_FF])[0].compiled
         assert all(process.is_alive() for process in processes)
@@ -484,7 +552,7 @@ class TestBackendLifecycle:
         assert worker_exit_checks.check(mode) == []
 
     def test_pool_close_idempotent_and_use_after_close(self, problem):
-        pool = ProcessPoolBackend.for_problem(problem, TEST_CONFIG, workers=1)
+        pool = ProcessPoolBackend(problem, TEST_CONFIG, workers=1)
         pool.close()
         pool.close()
         with pytest.raises(RuntimeError, match="after close"):
@@ -522,13 +590,13 @@ class TestWarmWorkers:
     def test_second_pool_forks_nothing_and_scores_as_serial(self, problem, monkeypatch):
         forks = self.count_forks(monkeypatch)
         texts = [generate(problem.design), GOLDEN_FF, BROKEN_TEXT, FAULTY_FF]
-        with SerialBackend.for_problem(problem, TEST_CONFIG) as serial:
+        with SerialBackend(problem, TEST_CONFIG) as serial:
             expected = serial.evaluate_batch(texts)
-        with ProcessPoolBackend.for_problem(problem, TEST_CONFIG, workers=2) as first:
+        with ProcessPoolBackend(problem, TEST_CONFIG, workers=2) as first:
             first.evaluate_batch(texts[:1])
             warm = self.pids(first)
         assert len(forks) == 2
-        with ProcessPoolBackend.for_problem(problem, TEST_CONFIG, workers=2) as second:
+        with ProcessPoolBackend(problem, TEST_CONFIG, workers=2) as second:
             assert self.pids(second) == warm
             results = second.evaluate_batch(texts)
         assert len(forks) == 2
@@ -540,16 +608,16 @@ class TestWarmWorkers:
         counter_sens's edit lists to counter_sens's design."""
         reset = load_scenario("counter_reset").problem()
         sens = load_scenario("counter_sens").problem()
-        with ProcessPoolBackend.for_problem(reset, TEST_CONFIG, workers=2) as pool:
+        with ProcessPoolBackend(reset, TEST_CONFIG, workers=2) as pool:
             pool.evaluate_batch([generate(reset.design), generate(sens.design)])
             warm = self.pids(pool)
         engine = CirFixEngine(sens, TEST_CONFIG, seed=0)
         batch = [engine._lookup(patch)[0] for patch in (Patch.empty(),)]
         batch += [generate(sens.design), generate(reset.design)]
         assert isinstance(batch[0], tuple)
-        with SerialBackend.for_problem(sens, TEST_CONFIG) as serial:
+        with SerialBackend(sens, TEST_CONFIG) as serial:
             expected = serial.evaluate_batch(batch)
-        with ProcessPoolBackend.for_problem(sens, TEST_CONFIG, workers=2) as pool:
+        with ProcessPoolBackend(sens, TEST_CONFIG, workers=2) as pool:
             assert self.pids(pool) == warm
             results = pool.evaluate_batch(batch)
             assert pool.take_incidents() == []
@@ -560,12 +628,14 @@ class TestWarmWorkers:
         contained crash: the candidate is retried, then quarantined, and
         the worker lives on to serve the next pool."""
         config = SUPERVISED.scaled(eval_max_retries=1)
-        with SerialBackend.for_problem(problem, config) as serial:
+        with SerialBackend(problem, config) as serial:
             (expected,) = serial.evaluate_batch([GOLDEN_FF])
-        with ProcessPoolBackend.for_problem(problem, config, workers=1) as pool:
+        with ProcessPoolBackend(problem, config, workers=1) as pool:
             pool.evaluate_batch([FAULTY_FF])
             warm = self.pids(pool)
-        broken = ProcessPoolBackend(BROKEN_TEXT, problem.oracle, config, workers=1)
+        unloadable = RepairProblem(problem.design, problem.testbench, problem.oracle)
+        unloadable.testbench_text = BROKEN_TEXT
+        broken = ProcessPoolBackend(unloadable, config, workers=1)
         with broken:
             assert self.pids(broken) == warm
             (result,) = broken.evaluate_batch([GOLDEN_FF])
@@ -574,7 +644,7 @@ class TestWarmWorkers:
         assert [(i.kind, i.quarantined, i.exitcode) for i in incidents] == [
             ("crash", False, None), ("crash", True, None),
         ]
-        with ProcessPoolBackend.for_problem(problem, config, workers=1) as pool:
+        with ProcessPoolBackend(problem, config, workers=1) as pool:
             assert self.pids(pool) == warm
             (result,) = pool.evaluate_batch([GOLDEN_FF])
         assert untimed(result) == untimed(expected)
@@ -586,14 +656,14 @@ class TestWarmWorkers:
         gone = []
         for plan in ("hang@0", "exit@0"):
             with plant_eval_chaos(plan):
-                with ProcessPoolBackend.for_problem(problem, config, workers=2) as pool:
+                with ProcessPoolBackend(problem, config, workers=2) as pool:
                     before = {w.process.pid: w.process for w in pool._workers}
                     results = pool.evaluate_batch([GOLDEN_FF, FAULTY_FF])
                     assert results[0].failure is not None
                     after = self.pids(pool)
             (dead,) = set(before) - after
             gone.append(before[dead])
-        with ProcessPoolBackend.for_problem(problem, config, workers=2) as pool:
+        with ProcessPoolBackend(problem, config, workers=2) as pool:
             busy = pool._workers[0]
             assert pool._assign(busy, _Task(0, GOLDEN_FF))
             gone.append(busy.process)
@@ -604,9 +674,9 @@ class TestWarmWorkers:
     def test_other_sandbox_takes_no_parked_worker(self, problem):
         """A pool with another ``worker_mem_mb`` forks its own workers,
         and the parked ones it cannot use are shut down in their place."""
-        with ProcessPoolBackend.for_problem(problem, TEST_CONFIG, workers=2) as pool:
+        with ProcessPoolBackend(problem, TEST_CONFIG, workers=2) as pool:
             unsandboxed = [w.process for w in pool._workers]
-        with ProcessPoolBackend.for_problem(problem, SUPERVISED, workers=2) as pool:
+        with ProcessPoolBackend(problem, SUPERVISED, workers=2) as pool:
             assert self.pids(pool).isdisjoint(p.pid for p in unsandboxed)
             assert all(w.mem_mb == SUPERVISED.worker_mem_mb for w in pool._workers)
             assert not any(process.is_alive() for process in unsandboxed)
@@ -616,7 +686,7 @@ class TestWarmWorkers:
         assert {w.mem_mb for w in parked()} == {SUPERVISED.worker_mem_mb}
 
     def test_two_threads_borrow_distinct_workers(self, problem, monkeypatch):
-        with ProcessPoolBackend.for_problem(problem, TEST_CONFIG, workers=4) as pool:
+        with ProcessPoolBackend(problem, TEST_CONFIG, workers=4) as pool:
             warm = self.pids(pool)
         forks = self.count_forks(monkeypatch)
         start = threading.Barrier(2)
@@ -624,7 +694,7 @@ class TestWarmWorkers:
 
         def borrow(name):
             start.wait()
-            pool = ProcessPoolBackend.for_problem(problem, TEST_CONFIG, workers=2)
+            pool = ProcessPoolBackend(problem, TEST_CONFIG, workers=2)
             borrowed[name] = (pool, self.pids(pool))
 
         threads = [threading.Thread(target=borrow, args=(n,)) for n in "ab"]
@@ -645,10 +715,10 @@ class TestWarmWorkers:
         """The memory tier, the incidents and the chaos ordinals belong
         to one backend: warm workers carry none of them over."""
         with plant_eval_chaos("exit@1"):
-            with ProcessPoolBackend.for_problem(problem, SUPERVISED, workers=2) as first:
+            with ProcessPoolBackend(problem, SUPERVISED, workers=2) as first:
                 first.evaluate_batch([GOLDEN_FF, FAULTY_FF, BROKEN_TEXT])
                 assert first.cache.info()["size"] == 2
-            with ProcessPoolBackend.for_problem(problem, SUPERVISED, workers=2) as second:
+            with ProcessPoolBackend(problem, SUPERVISED, workers=2) as second:
                 assert second.cache.info()["size"] == 0
                 assert second.take_incidents() == []
                 results = second.evaluate_batch([GOLDEN_FF, FAULTY_FF])
@@ -750,19 +820,22 @@ class TestSimulatorsFreeThemselves:
         end = text.rindex("endmodule")
         crashing = text[:end] + self.RECURSE + text[end:]
         unbuildable = text[:end] + self.UNDECLARED + text[end:]
-        # Warm the per-testbench compile state, then start from no garbage.
-        evaluate_design_text(text, problem.testbench, problem.oracle, config)
+        # Warm the run's testbench templates, then start from no garbage.
+        templates: dict = {}
+        evaluate_design_text(
+            text, problem.testbench, problem.oracle, config, None, templates
+        )
         gc.collect()
         gc.disable()
         try:
             compiled = evaluate_design_text(
-                text, problem.testbench, problem.oracle, config
+                text, problem.testbench, problem.oracle, config, None, templates
             )
             crashed = evaluate_design_text(
-                crashing, problem.testbench, problem.oracle, config
+                crashing, problem.testbench, problem.oracle, config, None, templates
             )
             unbuilt = evaluate_design_text(
-                unbuildable, problem.testbench, problem.oracle, config
+                unbuildable, problem.testbench, problem.oracle, config, None, templates
             )
             garbage = gc.collect()
         finally:
@@ -793,12 +866,10 @@ class TestMakeBackendDegraded:
     ):
         import repro.core.backend as backend_mod
 
-        def boom(problem, config, workers=None):
+        def boom(problem, config, workers):
             raise OSError("cannot fork")
 
-        monkeypatch.setattr(
-            backend_mod.ProcessPoolBackend, "for_problem", staticmethod(boom)
-        )
+        monkeypatch.setattr(backend_mod, "ProcessPoolBackend", boom)
         with caplog.at_level(logging.WARNING, logger="repro.repair"):
             with make_backend(problem, TEST_CONFIG.scaled(workers=2)) as backend:
                 assert isinstance(backend, SerialBackend)
@@ -842,7 +913,7 @@ class TestCrossBackendDeterminism:
 
     def test_engine_outcome_identical(self, problem):
         serial = self._outcome(problem, None)
-        pool_backend = ProcessPoolBackend.for_problem(
+        pool_backend = ProcessPoolBackend(
             problem, TEST_CONFIG.scaled(max_generations=4), workers=4
         )
         try:

@@ -232,11 +232,11 @@ class TestBackendIntegration:
             scenario.suggested_config(SMOKE), cache_dir=str(tmp_path / "c")
         )
         text = scenario.faulty_design_text
-        first = SerialBackend.for_problem(scenario.problem(), config)
+        first = SerialBackend(scenario.problem(), config)
         first.evaluate_batch([text])
         assert first.cache.info()["store_hits"] == 0
         # "Restart": new backend instance, same persistent directory.
-        second = SerialBackend.for_problem(scenario.problem(), config)
+        second = SerialBackend(scenario.problem(), config)
         second.evaluate_batch([text])
         info = second.cache.info()
         assert info["store_hits"] == 1
@@ -255,13 +255,13 @@ class TestBackendIntegration:
         problem = scenario.problem()
         faulty = scenario.faulty_design_text
         golden = scenario.project.design_text
-        with ProcessPoolBackend.for_problem(problem, config, workers=1) as pool:
+        with ProcessPoolBackend(problem, config, workers=1) as pool:
             (pooled,) = pool.evaluate_batch([faulty])
-        with SerialBackend.for_problem(problem, config) as serial:
+        with SerialBackend(problem, config) as serial:
             replayed, computed = serial.evaluate_batch([faulty, golden])
             assert serial.cache.info()["store_hits"] == 1
         assert replayed == pooled
-        with ProcessPoolBackend.for_problem(problem, config, workers=1) as pool:
+        with ProcessPoolBackend(problem, config, workers=1) as pool:
             (replayed,) = pool.evaluate_batch([golden])
             assert pool.cache.info()["store_hits"] == 1
         assert replayed == computed

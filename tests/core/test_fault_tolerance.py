@@ -86,7 +86,7 @@ def test_repair_survives_planted_poison_mutants(problem):
     metrics = MetricsObserver()
     recorder = RecordingObserver()
     with plant_eval_chaos(CHAOS_SPEC):
-        with ProcessPoolBackend.for_problem(problem, CHAOS_CONFIG, workers=2) as pool:
+        with ProcessPoolBackend(problem, CHAOS_CONFIG, workers=2) as pool:
             outcome = CirFixEngine(
                 problem, CHAOS_CONFIG, seed=0,
                 backend=pool, observers=[metrics, recorder],
@@ -125,7 +125,7 @@ def test_requeued_chunk_emits_chunk_retried(problem):
     metrics = MetricsObserver()
     recorder = RecordingObserver()
     with plant_eval_chaos("exit@1:once"):
-        with ProcessPoolBackend.for_problem(problem, config, workers=2) as pool:
+        with ProcessPoolBackend(problem, config, workers=2) as pool:
             outcome = CirFixEngine(
                 problem, config, seed=0, backend=pool,
                 observers=[metrics, recorder],
@@ -150,10 +150,10 @@ def test_chaos_run_matches_clean_run_outside_poisoned_slots(problem):
     """With retries covering every planted fault, the outcome is
     bit-identical to a clean run — recovery is invisible to the search."""
     config = CHAOS_CONFIG.scaled(eval_max_retries=1)
-    with ProcessPoolBackend.for_problem(problem, config, workers=2) as pool:
+    with ProcessPoolBackend(problem, config, workers=2) as pool:
         clean = CirFixEngine(problem, config, seed=0, backend=pool).run()
     with plant_eval_chaos("exit@0:once,exit@3:once"):
-        with ProcessPoolBackend.for_problem(problem, config, workers=2) as pool:
+        with ProcessPoolBackend(problem, config, workers=2) as pool:
             chaotic = CirFixEngine(problem, config, seed=0, backend=pool).run()
     assert chaotic.plausible == clean.plausible
     assert chaotic.fitness == clean.fitness
@@ -193,7 +193,7 @@ class TestSingleCandidatesAreSupervised:
         bloated = bloated_counter_patch(problem.design)
         # Dispatch 0 is the bloated patch itself, so 1 is ddmin's first subset.
         with plant_eval_chaos("hang@1"):
-            with ProcessPoolBackend.for_problem(problem, config, workers=2) as pool:
+            with ProcessPoolBackend(problem, config, workers=2) as pool:
                 engine = CirFixEngine(problem, config, backend=pool)
                 assert engine.evaluate(bloated).is_plausible
                 minimized = minimize_patch(
@@ -206,7 +206,7 @@ class TestSingleCandidatesAreSupervised:
         problem, config = counter
         recorder = RecordingObserver()
         with plant_eval_chaos("hang@0"):
-            with ProcessPoolBackend.for_problem(problem, config, workers=2) as pool:
+            with ProcessPoolBackend(problem, config, workers=2) as pool:
                 engine = CirFixEngine(
                     problem, config, backend=pool, observers=[recorder]
                 )
@@ -223,7 +223,7 @@ class TestSingleCandidatesAreSupervised:
         recorder = RecordingObserver()
         config = config.scaled(eval_max_retries=1)
         with plant_eval_chaos("exit@0:once"):
-            with ProcessPoolBackend.for_problem(problem, config, workers=2) as pool:
+            with ProcessPoolBackend(problem, config, workers=2) as pool:
                 engine = CirFixEngine(
                     problem, config, backend=pool, observers=[recorder]
                 )

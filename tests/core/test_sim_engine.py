@@ -111,7 +111,7 @@ class TestSerialBackendCache:
         config = dataclasses.replace(
             scenario.suggested_config(SMOKE), eval_cache_size=cache_size
         )
-        return SerialBackend.for_problem(scenario.problem(), config)
+        return SerialBackend(scenario.problem(), config)
 
     def test_repeat_batch_hits_the_cache(self):
         backend = self._backend()

@@ -78,13 +78,13 @@ class TestSharedBackend:
 
     def test_caller_keeps_its_backend_open(self, scenario, config):
         problem = scenario.problem()
-        spy = _ClosingSpy(problem.testbench, problem.oracle, config)
+        spy = _ClosingSpy(problem, config)
         run_trials(CirFixEngine, problem, config, (0,), backend=spy)
         assert spy.closes == 0
 
     def test_built_backend_is_closed_on_exit(self, scenario, config, monkeypatch):
         problem = scenario.problem()
-        spy = _ClosingSpy(problem.testbench, problem.oracle, config)
+        spy = _ClosingSpy(problem, config)
         monkeypatch.setattr(harness_mod, "make_backend", lambda *args: spy)
         run_trials(CirFixEngine, problem, config, (0,))
         assert spy.closes == 1

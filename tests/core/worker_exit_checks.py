@@ -60,7 +60,7 @@ def child(mode: str, record: Path) -> None:
     pids: set[int] = set()
 
     def borrow() -> ProcessPoolBackend:
-        pool = ProcessPoolBackend.for_problem(problem, TEST_CONFIG, workers=2)
+        pool = ProcessPoolBackend(problem, TEST_CONFIG, workers=2)
         pids.update(worker.process.pid for worker in pool._workers)
         record.write_text(" ".join(map(str, sorted(pids))))
         return pool

@@ -131,10 +131,7 @@ def gp_candidates(scenario_id: str) -> tuple[RepairConfig, ast.Source, dict[str,
     config = scenario.suggested_config(
         GP_BUDGET.scaled(**GP_CLASS_BUDGET.get(scenario_id, {}))
     )
-    backend = _RecordingBackend(
-        problem.testbench, problem.oracle, config,
-        testbench_text=problem.testbench_text,
-    )
+    backend = _RecordingBackend(problem, config)
     run_trials(CirFixEngine, problem, config, (0,), backend=backend)
     texts = {hashlib.sha256(t.encode()).hexdigest(): t for t in backend.texts}
     return config, problem.testbench, texts

@@ -4,6 +4,7 @@ test_public_api.py and tests/obs/."""
 
 import importlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -91,7 +92,7 @@ class TestLocalize:
         scenario = load_scenario("dec_numeric")
         problem = scenario.problem()
         config = scenario.suggested_config(RepairConfig())
-        with SerialBackend.for_problem(problem, config) as backend:
+        with SerialBackend(problem, config) as backend:
             engine = CirFixEngine(problem, config, 0, backend=backend)
             original = Patch.empty()
             faults = engine.fault_localization(original, engine.variant_tree(original))
@@ -124,8 +125,9 @@ class TestLocalize:
 class TestScenarioProblems:
     def test_jobs_on_one_id_share_one_problem(self, monkeypatch):
         """The second job on a benchmark id reuses the first one's
-        problem: the same testbench tree, no testbench template compiled
-        again, and the same outcome."""
+        problem: the same testbench tree and the same outcome.  Compiled
+        testbench templates last one run, so the second job's backend
+        compiles each testbench process once, not once per candidate."""
         compiler = importlib.import_module("repro.sim.compile")
         compiled: list = []
         for name in ("_compile_always", "_compile_initial"):
@@ -159,7 +161,8 @@ class TestScenarioProblems:
         assert second_problem is first_problem
         testbench_items = {id(node) for node in first_problem.testbench.walk()}
         assert compiled, "the second job compiled no candidate at all"
-        assert not [item for item in compiled if id(item) in testbench_items]
+        testbench = Counter(id(item) for item in compiled if id(item) in testbench_items)
+        assert testbench and set(testbench.values()) == {1}
         assert second == first
 
 
