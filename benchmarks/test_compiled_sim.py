@@ -4,15 +4,17 @@ Measures single-worker candidate-evaluation throughput on the
 counter_reset scenario across the engine/cache matrix and writes the raw
 numbers to ``BENCH_compiled_sim.json`` at the repo root:
 
-1. one fixed 24-candidate batch through ``SerialBackend`` on the
-   compiled simulator and, as the baseline, on the reference interpreter
-   substituted in its place (:func:`_interpreter`), with the evaluation
-   cache disabled — the honest per-candidate speedup (every candidate
-   still pays parse + fitness, which the compiled engine cannot remove);
-2. the same batch replayed against a warm :class:`EvalCache` — the
-   cross-trial workload the cache exists for (multi-seed experiments
-   share one backend and re-score the seed design plus common early
-   mutants); the headline ≥5× target is asserted here;
+1. a 24-candidate batch through ``SerialBackend`` on the compiled
+   simulator and, as the baseline, on the reference interpreter
+   substituted in its place (:func:`_interpreter`), each timed round
+   scoring its own comment-tagged texts so that no round replays a
+   result an earlier one recorded — the honest per-candidate speedup
+   (every candidate still pays parse + fitness, which the compiled
+   engine cannot remove);
+2. a batch replayed against a warm :class:`EvalCache` — the cross-trial
+   workload the cache exists for (multi-seed experiments share one
+   backend and re-score the seed design plus common early mutants); the
+   headline ≥5× target is asserted here;
 3. compile-time amortization: cold-compile vs warm-template simulator
    construction+run, against the interpreter baseline;
 4. a SMOKE repair on the compiled engine across two seeds sharing one
@@ -21,7 +23,6 @@ numbers to ``BENCH_compiled_sim.json`` at the repo root:
 """
 
 import contextlib
-import dataclasses
 import json
 import os
 import time
@@ -45,12 +46,9 @@ _RESULTS: dict[str, object] = {"scenario": "counter_reset", "cpu_count": os.cpu_
 _TARGET_SPEEDUP = 5.0
 
 
-def _scenario_problem_config(cache_size=0):
+def _scenario_problem_config():
     scenario = load_scenario("counter_reset")
-    config = dataclasses.replace(
-        scenario.suggested_config(SMOKE), eval_cache_size=cache_size
-    )
-    return scenario, scenario.problem(), config
+    return scenario, scenario.problem(), scenario.suggested_config(SMOKE)
 
 
 @contextlib.contextmanager
@@ -66,16 +64,17 @@ def _interpreter():
         yield
 
 
-def _candidate_batch(problem, size=24):
-    """A fixed batch of distinct design texts (comment-tagged so no two
-    are string-equal, matching how the engine's text cache sees mutants)."""
+def _candidate_batch(problem, size=24, tag="round"):
+    """A batch of distinct design texts (comment-tagged so no two are
+    string-equal, matching how the engine's text cache sees mutants).
+    Batches with different tags share no text, so a backend that
+    scores one never replays it for another."""
     base = generate(problem.design)
-    return [f"{base}\n// candidate {i}\n" for i in range(size)]
+    return [f"{base}\n// {tag} candidate {i}\n" for i in range(size)]
 
 
 def test_candidate_eval_throughput(once):
     _, problem, config = _scenario_problem_config()
-    _, _, cached_config = _scenario_problem_config(cache_size=256)
     texts = _candidate_batch(problem)
 
     def sweep():
@@ -91,11 +90,13 @@ def test_candidate_eval_throughput(once):
         start = time.monotonic()
         cold = compiled.evaluate_batch(texts)
         timings["compiled_cold"] = time.monotonic() - start
+        # New texts, so the warm round scores every candidate again.
+        warm_texts = _candidate_batch(problem, tag="warm")
         start = time.monotonic()
-        warm = compiled.evaluate_batch(texts)
+        warm = compiled.evaluate_batch(warm_texts)
         timings["compiled_warm"] = time.monotonic() - start
 
-        cached = SerialBackend(problem, cached_config)
+        cached = SerialBackend(problem, config)
         cached.evaluate_batch(texts)  # populate the cache
         start = time.monotonic()
         replay = cached.evaluate_batch(texts)
@@ -182,23 +183,22 @@ def test_compile_time_amortization(once):
 
 def test_smoke_repair_cache_hit_rate(once):
     """Two seeds sharing one compiled backend; outcome parity vs interp."""
-    _, problem, interp_config = _scenario_problem_config()
-    _, _, compiled_config = _scenario_problem_config(cache_size=512)
+    _, problem, config = _scenario_problem_config()
 
-    def run(config, backend, seed):
+    def run(backend, seed):
         start = time.monotonic()
         outcome = CirFixEngine(problem, config, seed, backend=backend).run()
         return outcome, time.monotonic() - start
 
     def sweep():
-        serial = SerialBackend(problem, interp_config)
+        serial = SerialBackend(problem, config)
         with _interpreter():
-            interp_outcome, interp_s = run(interp_config, serial, 0)
+            interp_outcome, interp_s = run(serial, 0)
 
-        shared = SerialBackend(problem, compiled_config)
-        compiled_outcome, compiled_s = run(compiled_config, shared, 0)
+        shared = SerialBackend(problem, config)
+        compiled_outcome, compiled_s = run(shared, 0)
         after_first = dict(shared.cache.info())
-        _, second_s = run(compiled_config, shared, 1)
+        _, second_s = run(shared, 1)
         after_second = shared.cache.info()
         return (
             interp_outcome, interp_s,

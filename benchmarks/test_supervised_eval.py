@@ -44,13 +44,15 @@ def _problem_and_config():
     return scenario.problem(), scenario.suggested_config(SMOKE)
 
 
-def _candidate_batch(problem, size=24):
-    """A fixed batch of distinct design texts (comment-tagged so no two
-    are string-equal, matching how the engine's text cache sees mutants)."""
+def _candidate_batch(problem, size=24, tag="round"):
+    """A batch of distinct design texts (comment-tagged so no two are
+    string-equal, matching how the engine's text cache sees mutants).
+    Batches with different tags share no text, so a backend that
+    scores one never replays it for another."""
     from repro.hdl import generate
 
     base = generate(problem.design)
-    return [f"{base}\n// candidate {i}\n" for i in range(size)]
+    return [f"{base}\n// {tag} candidate {i}\n" for i in range(size)]
 
 
 #: Per-worker state of the unsupervised baseline pool.
@@ -74,7 +76,7 @@ def _pool_evaluate(design_text):
     )
 
 
-def _time_raw_pool(problem, config, texts, workers):
+def _time_raw_pool(problem, config, rounds, workers):
     """Median batch seconds through the unsupervised Pool.map baseline."""
     ctx = _mp_context()
     with ctx.Pool(
@@ -82,27 +84,26 @@ def _time_raw_pool(problem, config, texts, workers):
         initializer=_pool_initializer,
         initargs=(problem.testbench_text, problem.oracle, config),
     ) as pool:
-        pool.map(_pool_evaluate, texts[:2], chunksize=1)  # warm the workers
+        warm_up = _candidate_batch(problem, size=2, tag="warm-up")
+        pool.map(_pool_evaluate, warm_up, chunksize=1)  # warm the workers
         samples = []
-        for _ in range(_ROUNDS):
+        for texts in rounds:
             start = time.monotonic()
             results = pool.map(_pool_evaluate, texts, chunksize=1)
             samples.append(time.monotonic() - start)
     return statistics.median(samples), results
 
 
-def _time_supervised(problem, config, texts, workers):
+def _time_supervised(problem, config, rounds, workers):
     """Median batch seconds through the supervised backend.
 
-    Its result cache is off, as the raw baseline has none: otherwise
-    every round after the first would replay cached results instead of
-    scoring the batch on the pool.
+    Every round scores its own texts on the pool, as the raw baseline
+    (which keeps no results) does.
     """
-    config = config.scaled(eval_cache_size=0)
     with ProcessPoolBackend(problem, config, workers=workers) as pool:
-        pool.evaluate_batch(texts[:2])  # warm the workers
+        pool.evaluate_batch(_candidate_batch(problem, size=2, tag="warm-up"))
         samples = []
-        for _ in range(_ROUNDS):
+        for texts in rounds:
             start = time.monotonic()
             results = pool.evaluate_batch(texts)
             samples.append(time.monotonic() - start)
@@ -112,13 +113,14 @@ def _time_supervised(problem, config, texts, workers):
 
 def test_supervision_overhead(once):
     problem, config = _problem_and_config()
-    texts = _candidate_batch(problem)
+    # A batch per timed round: a backend replays a text it has scored.
+    rounds = [_candidate_batch(problem, tag=f"round {r}") for r in range(_ROUNDS)]
 
     def sweep():
         rows = {}
         for workers in (2, 4):
-            raw_s, raw_results = _time_raw_pool(problem, config, texts, workers)
-            sup_s, sup_results = _time_supervised(problem, config, texts, workers)
+            raw_s, raw_results = _time_raw_pool(problem, config, rounds, workers)
+            sup_s, sup_results = _time_supervised(problem, config, rounds, workers)
             assert [r.fitness for r in sup_results] == [
                 r.fitness for r in raw_results
             ]
@@ -131,7 +133,7 @@ def test_supervision_overhead(once):
 
     rows = once(sweep)
     _RESULTS["overhead"] = {
-        "candidates": len(texts),
+        "candidates": len(rounds[0]),
         "rounds_per_backend": _ROUNDS,
         "goal_overhead_pct": 5.0,
         **rows,

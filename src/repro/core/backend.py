@@ -47,10 +47,11 @@ on the backend (see ``docs/repair_engine.md``).
 
 Every candidate runs on :class:`repro.sim.CompiledSimulator`; the
 tree-walking :class:`repro.sim.Simulator` stays the reference it is
-raced against (``docs/simulation.md``).  :class:`EvalCache` memoises
-whole results by candidate source hash, so cross-trial repeats
-(multi-seed experiments share one backend) replay the recorded result
-instead of re-simulating.
+raced against (``docs/simulation.md``).  :class:`EvalCache` is one
+run's table of whole results by candidate source hash: it lives as long
+as the backend, so a candidate an earlier seed of the run, or a race's
+synth leg, already scored replays its recorded result instead of
+re-simulating.
 
 Fault tolerance
 ---------------
@@ -91,7 +92,7 @@ still has a task in flight.  A borrowing pool hands a worker its
 problem with the first task, unless the worker already holds it, so
 consecutive jobs, even on other problems, start on warm workers and no
 job pays for a fork or a shutdown.  What belongs to one job stays on
-its backend: the memory tier of :class:`EvalCache`, the incidents, the
+its backend: the result table of :class:`EvalCache`, the incidents, the
 chaos dispatch ordinals and the deadlines.  So no result crosses jobs;
 only processes and their parsed inputs do: a worker keeps each parsed
 testbench beside its compiled templates.
@@ -492,17 +493,20 @@ def open_eval_store(config: RepairConfig) -> PersistentEvalCache | None:
 
 
 class EvalCache:
-    """LRU cache of :class:`CandidateResult` keyed by candidate source hash.
+    """One run's table of :class:`CandidateResult` by candidate source hash.
 
     The engine already deduplicates within one trial (its per-trial
     fitness memo), so by the time a repeated design text reaches the
-    backend it is a *cross-trial* repeat: multi-seed experiments share
-    one backend, and every trial re-scores the seed design plus the
-    common early mutants.  The cache replays the recorded result —
-    including the telemetry fields (``eval_seconds`` / ``sim_events`` /
-    ``sim_steps``) measured when the candidate was first evaluated — so
-    observers see a byte-identical event sequence whether a result was
-    computed or replayed.
+    backend it is a *cross-trial* repeat: the seeds of one run share one
+    backend, as do a race's synth and GP legs, and every trial re-scores
+    the seed design plus the common early mutants.  The table lives as
+    long as its backend and keeps every result of the run, keyed by the
+    text's SHA-256 digest so that it holds no candidate text.  It
+    replays the recorded result — including the telemetry fields
+    (``eval_seconds`` / ``sim_events`` / ``sim_steps``) measured when
+    the candidate was first evaluated — so observers see a
+    byte-identical event sequence whether a result was computed or
+    replayed.
 
     Quarantined results (``failure is not None``) are never stored: a
     timeout or crash under one pool's deadline is not a property of the
@@ -512,33 +516,23 @@ class EvalCache:
     ---------------
 
     With a ``store`` attached (:class:`repro.cache.PersistentEvalCache`,
-    opened via :func:`open_eval_store`), a memory miss falls through to
+    opened via :func:`open_eval_store`), a table miss falls through to
     disk: entries are keyed by the candidate hash *combined with*
     ``context`` (:func:`eval_context_digest`), so results computed under
     one testbench/oracle/config can never alias another's.  Disk hits
-    are promoted into the memory tier and counted in ``store_hits``.
+    are promoted into the table and counted in ``store_hits``.
     Every backend computes the same result for a candidate, so an entry
     written by one backend replays bit-identically on any other.
     """
 
-    __slots__ = (
-        "capacity", "hits", "misses", "store_hits", "_entries", "_store", "_context",
-    )
+    __slots__ = ("hits", "misses", "store_hits", "_entries", "_store", "_context")
 
-    def __init__(
-        self,
-        capacity: int,
-        store: PersistentEvalCache | None = None,
-        context: str = "",
-    ):
-        #: Maximum retained results; 0 disables the cache entirely
-        #: (both tiers).
-        self.capacity = max(0, int(capacity))
+    def __init__(self, store: PersistentEvalCache | None = None, context: str = ""):
         self.hits = 0
         self.misses = 0
         #: Hits served from the persistent tier (disjoint from ``hits``).
         self.store_hits = 0
-        self._entries: OrderedDict[bytes, CandidateResult] = OrderedDict()
+        self._entries: dict[bytes, CandidateResult] = {}
         self._store = store
         self._context = context
 
@@ -555,12 +549,9 @@ class EvalCache:
 
     def get(self, design_text: str) -> CandidateResult | None:
         """Return the recorded result for ``design_text``, or None."""
-        if self.capacity == 0:
-            return None
         key = self.key(design_text)
         result = self._entries.get(key)
         if result is not None:
-            self._entries.move_to_end(key)
             self.hits += 1
             return result
         result = self._from_store(design_text)
@@ -568,14 +559,14 @@ class EvalCache:
             self.misses += 1
             return None
         self.store_hits += 1
-        self._insert(key, result)
+        self._entries[key] = result
         return result
 
     def put(self, design_text: str, result: CandidateResult) -> None:
         """Record a result (quarantined results are never cached)."""
-        if self.capacity == 0 or result.failure is not None:
+        if result.failure is not None:
             return
-        self._insert(self.key(design_text), result)
+        self._entries[self.key(design_text)] = result
         if self._store is not None:
             self._store.put(self.store_key(design_text), encode_eval_payload(result))
 
@@ -586,20 +577,10 @@ class EvalCache:
             "misses": self.misses,
             "store_hits": self.store_hits,
             "size": len(self._entries),
-            "capacity": self.capacity,
         }
         if self._store is not None:
             info["store"] = self._store.info()
         return info
-
-    # -- internals -----------------------------------------------------
-
-    def _insert(self, key: bytes, result: CandidateResult) -> None:
-        """Admit one entry to the memory tier (LRU position: newest)."""
-        self._entries[key] = result
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
 
     def _from_store(self, design_text: str) -> CandidateResult | None:
         """Look one candidate up in the persistent tier (may be absent)."""
@@ -613,14 +594,14 @@ class EvalCache:
 
 def _run_cache(problem: "RepairProblem", config: RepairConfig) -> EvalCache:
     """The :class:`EvalCache` of one backend's run on ``problem``: its
-    own memory tier over the shared disk tier ``config`` selects."""
+    own table over the shared disk tier ``config`` selects."""
     store = open_eval_store(config)
     context = (
         eval_context_digest(problem.testbench_text, problem.oracle, config)
         if store is not None
         else ""
     )
-    return EvalCache(config.eval_cache_size, store=store, context=context)
+    return EvalCache(store, context)
 
 
 # ----------------------------------------------------------------------

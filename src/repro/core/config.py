@@ -94,12 +94,6 @@ class RepairConfig:
     #: ballooning candidate then raises ``MemoryError`` inside its
     #: worker instead of invoking the host's OOM killer.
     worker_mem_mb: int = 0
-    #: Capacity of the backend-level content-addressed evaluation cache
-    #: (results keyed by sha256 of the candidate source).  Identical
-    #: candidates — re-submitted across trials sharing one backend — are
-    #: never simulated twice; hits replay the recorded result verbatim so
-    #: outcomes and telemetry stay bit-identical.  0 disables the cache.
-    eval_cache_size: int = 256
     #: Root directory of the persistent evaluation-cache tier
     #: (:class:`repro.cache.PersistentEvalCache`).  Empty (the default)
     #: disables the disk tier; with it set, evaluation results are keyed
@@ -171,8 +165,6 @@ class RepairConfig:
             fail(f"eval_max_retries must be >= 0 (got {self.eval_max_retries})")
         if self.worker_mem_mb < 0:
             fail(f"worker_mem_mb must be >= 0 (got {self.worker_mem_mb})")
-        if self.eval_cache_size < 0:
-            fail(f"eval_cache_size must be >= 0 (got {self.eval_cache_size})")
         if self.cache_max_mb < 0:
             fail(f"cache_max_mb must be >= 0 (got {self.cache_max_mb})")
         return self

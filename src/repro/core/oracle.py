@@ -9,7 +9,7 @@ via :meth:`SimulationTrace.subsample`.
 
 from __future__ import annotations
 
-from ..hdl import ast, generate, parse
+from ..hdl import ast
 from ..instrument.instrumenter import instrument_testbench, is_instrumented
 from ..instrument.trace import SimulationTrace
 from ..sim.simulator import Simulator
@@ -22,12 +22,11 @@ class OracleError(Exception):
 def combine_sources(design: ast.Source, testbench: ast.Source) -> ast.Source:
     """Concatenate design and testbench modules into one source tree.
 
-    The result is regenerated and reparsed so the simulation input is
-    exactly what CirFix's codegen would emit (the paper's pipeline always
-    goes AST → source → simulator).
+    The modules ride along uncloned, as in
+    :func:`repro.core.backend.evaluate_design_text`: a simulator never
+    mutates the tree it runs, so this simulates the trees it is given.
     """
-    text = generate(design) + "\n" + generate(testbench)
-    return parse(text)
+    return ast.Source(list(design.modules) + list(testbench.modules))
 
 
 def ensure_instrumented(

@@ -168,10 +168,12 @@ def check_determinism(
     """Two simulations agree; the program scores 1.0 against itself.
 
     The self-fitness evaluation runs through the selected evaluation
-    path: in-process ``evaluate_design_text`` (``backend="serial"``) or
-    a :class:`ProcessPoolBackend` (``backend="process"``) — both must
+    path: a :class:`SerialBackend` (``backend="serial"``) or a
+    :class:`ProcessPoolBackend` (``backend="process"``) — both must
     report the same backend-independent result, which is what makes
-    fixed-seed fuzz summaries byte-identical across backends.
+    fixed-seed fuzz summaries byte-identical across backends.  Each of
+    the two evaluations runs on a fresh backend, so the second scores
+    the program again instead of replaying the first's result.
 
     Returns the violations plus the program's own trace (the *self
     oracle*) for reuse by the other simulation-based checks.
@@ -192,23 +194,17 @@ def check_determinism(
         # checked above.
         return violations, (oracle if len(oracle) else None)
     try:
-        if backend == "process":
-            pool = ProcessPoolBackend(
-                _problem(program, oracle), FUZZ_EVAL_CONFIG, workers
+        problem = _problem(program, oracle)
+        results = []
+        for _ in range(2):
+            fresh = (
+                ProcessPoolBackend(problem, FUZZ_EVAL_CONFIG, workers)
+                if backend == "process"
+                else SerialBackend(problem, FUZZ_EVAL_CONFIG)
             )
-            try:
-                result_a = pool.evaluate_batch([program.design_text])[0]
-                result_b = pool.evaluate_batch([program.design_text])[0]
-            finally:
-                pool.close()
-        else:
-            tb_tree = parse(program.testbench_text)
-            result_a = evaluate_design_text(
-                program.design_text, tb_tree, oracle, FUZZ_EVAL_CONFIG
-            )
-            result_b = evaluate_design_text(
-                program.design_text, tb_tree, oracle, FUZZ_EVAL_CONFIG
-            )
+            with fresh:
+                results.append(fresh.evaluate_batch([program.design_text])[0])
+        result_a, result_b = results
     except Exception as exc:
         violations.append(
             Violation("determinism", f"evaluation pipeline raised: {exc!r}")

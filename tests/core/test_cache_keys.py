@@ -101,7 +101,6 @@ class TestScheduleKnobsExcluded:
             {"max_fitness_evals": 5},
             {"eval_chunk_size": 3},
             {"workers": 8},
-            {"eval_cache_size": 16},
             {"minimize_budget": 1},
         ],
     )
@@ -194,19 +193,22 @@ class TestTieredEvalCache:
 
     def test_disk_hit_after_memory_restart(self, tmp_path):
         store = self._store(tmp_path)
-        warm = EvalCache(8, store=store, context="ctx")
+        warm = EvalCache(store, "ctx")
         warm.put("module a; endmodule", self._success())
-        # Same store, fresh memory tier: must hit the disk.
-        cold = EvalCache(8, store=store, context="ctx")
+        # Same store, fresh table: must hit the disk.
+        cold = EvalCache(store, "ctx")
         result = cold.get("module a; endmodule")
         assert result == self._success()
         assert cold.info()["store_hits"] == 1
+        # The disk hit was promoted into the table.
+        assert cold.get("module a; endmodule") is result
+        assert cold.info()["hits"] == 1
 
     def test_context_isolates_entries(self, tmp_path):
         store = self._store(tmp_path)
-        one = EvalCache(8, store=store, context="ctx-one")
+        one = EvalCache(store, "ctx-one")
         one.put("module a; endmodule", self._success())
-        other = EvalCache(8, store=store, context="ctx-two")
+        other = EvalCache(store, "ctx-two")
         assert other.get("module a; endmodule") is None
 
     def test_failed_entries_replay_on_both_tiers(self, tmp_path):
@@ -214,8 +216,8 @@ class TestTieredEvalCache:
 
         store = self._store(tmp_path)
         failed = CandidateResult(0.0, False, None)
-        EvalCache(8, store=store, context="ctx").put("module bad; endmodule", failed)
-        replay = EvalCache(8, store=store, context="ctx").get("module bad; endmodule")
+        EvalCache(store, "ctx").put("module bad; endmodule", failed)
+        replay = EvalCache(store, "ctx").get("module bad; endmodule")
         assert replay is not None
         assert replay.mismatch is None
 

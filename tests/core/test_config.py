@@ -112,8 +112,9 @@ class TestFromMapping:
         assert config.max_fitness_evals is None
 
     def test_unknown_key_fails_fast_naming_the_key(self):
-        # A typo, and the keys of the removed lint gate.
-        for key in ("poplation_size", "lint_gate", "lint_gate_rules"):
+        # A typo, the keys of the removed lint gate, and the removed
+        # bound on a backend's result table.
+        for key in ("poplation_size", "lint_gate", "lint_gate_rules", "eval_cache_size"):
             with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
                 RepairConfig.from_mapping({key: "1"})
         # The message also lists valid keys.
@@ -177,7 +178,7 @@ class TestFromFile:
 
     def test_unknown_key_names_file_and_section(self, tmp_path):
         for line in ("poplation_size = 8", "lint_gate = true",
-                     "lint_gate_rules = multi-driver"):
+                     "lint_gate_rules = multi-driver", "eval_cache_size = 256"):
             key = line.split(" = ")[0]
             path = self._write(tmp_path, f"[gp]\n{line}\n")
             with pytest.raises(

@@ -6,26 +6,12 @@ on the compiled simulator produces a bit-identical outcome to the same
 repair with the reference interpreter substituted in.
 """
 
-import dataclasses
-
-import pytest
-
 from repro.benchsuite import load_scenario
 from repro.core import backend as backend_mod
 from repro.core.backend import EvalCache, SerialBackend, make_backend
-from repro.core.config import ConfigError, RepairConfig
 from repro.core.repair import CirFixEngine, adaptive_chunk_size
 from repro.experiments.common import SMOKE
 from repro.sim import Simulator
-
-
-class TestConfig:
-    def test_eval_cache_size_rejects_negative(self):
-        with pytest.raises(ConfigError, match="eval_cache_size"):
-            RepairConfig(eval_cache_size=-1).validate()
-
-    def test_eval_cache_size_zero_is_valid(self):
-        assert RepairConfig(eval_cache_size=0).validate().eval_cache_size == 0
 
 
 class TestAdaptiveChunkSize:
@@ -60,62 +46,40 @@ class TestAdaptiveChunkSize:
 
 
 class TestEvalCache:
-    def _result(self, fitness=0.5):
+    def _result(self):
         from repro.core.backend import CandidateResult
 
-        return CandidateResult(fitness, True, None)
+        return CandidateResult(0.5, True, None)
 
     def test_hit_replays_the_stored_result(self):
-        cache = EvalCache(4)
+        cache = EvalCache()
         result = self._result()
         cache.put("module a; endmodule", result)
         assert cache.get("module a; endmodule") is result
-        assert cache.info() == {
-            "hits": 1, "misses": 0, "store_hits": 0, "size": 1, "capacity": 4,
-        }
+        assert cache.info() == {"hits": 1, "misses": 0, "store_hits": 0, "size": 1}
 
     def test_miss_counts(self):
-        cache = EvalCache(4)
+        cache = EvalCache()
         assert cache.get("nope") is None
         assert cache.info()["misses"] == 1
-
-    def test_zero_capacity_disables(self):
-        cache = EvalCache(0)
-        cache.put("text", self._result())
-        assert cache.get("text") is None
-        assert cache.info() == {
-            "hits": 0, "misses": 0, "store_hits": 0, "size": 0, "capacity": 0,
-        }
-
-    def test_lru_eviction(self):
-        cache = EvalCache(2)
-        cache.put("a", self._result(0.1))
-        cache.put("b", self._result(0.2))
-        assert cache.get("a") is not None  # refresh a
-        cache.put("c", self._result(0.3))  # evicts b
-        assert cache.get("b") is None
-        assert cache.get("a") is not None
-        assert cache.get("c") is not None
 
     def test_quarantined_results_are_never_cached(self):
         from repro.core.backend import _quarantine_result
 
-        cache = EvalCache(4)
+        cache = EvalCache()
         cache.put("text", _quarantine_result("timeout", 3))
         assert cache.get("text") is None
 
 
 class TestSerialBackendCache:
-    def _backend(self, cache_size=256):
+    def _backend(self):
         scenario = load_scenario("counter_reset")
-        config = dataclasses.replace(
-            scenario.suggested_config(SMOKE), eval_cache_size=cache_size
+        return scenario, SerialBackend(
+            scenario.problem(), scenario.suggested_config(SMOKE)
         )
-        return SerialBackend(scenario.problem(), config)
 
     def test_repeat_batch_hits_the_cache(self):
-        backend = self._backend()
-        scenario = load_scenario("counter_reset")
+        scenario, backend = self._backend()
         texts = [scenario.faulty_design_text]
         first = backend.evaluate_batch(texts)
         second = backend.evaluate_batch(texts)
@@ -123,15 +87,28 @@ class TestSerialBackendCache:
         # The replayed result is the recorded one — telemetry included.
         assert second[0] is first[0]
 
-    def test_cache_disabled_reevaluates(self):
-        backend = self._backend(cache_size=0)
-        scenario = load_scenario("counter_reset")
+    def test_fresh_backend_reevaluates(self):
+        scenario, backend = self._backend()
         texts = [scenario.faulty_design_text]
         first = backend.evaluate_batch(texts)
-        second = backend.evaluate_batch(texts)
-        assert backend.cache.info()["hits"] == 0
+        fresh = SerialBackend(backend.problem, backend.config)
+        second = fresh.evaluate_batch(texts)
+        assert fresh.cache.info()["hits"] == 0
         assert second[0] is not first[0]
         assert second[0].fitness == first[0].fitness
+
+    def test_run_keeps_every_result(self):
+        """300 distinct candidates, then the first again: still a hit,
+        however many results the run has recorded since."""
+        scenario, backend = self._backend()
+        texts = [
+            f"{scenario.faulty_design_text}\n// candidate {i}\n" for i in range(300)
+        ]
+        results = backend.evaluate_batch(texts)
+        assert backend.cache.info()["hits"] == 0
+        replay = backend.evaluate_batch(texts[:1])
+        assert backend.cache.info()["hits"] == 1
+        assert replay[0] is results[0]
 
 
 def _outcome_key(outcome):

@@ -19,7 +19,7 @@ from repro.core.config import RepairConfig
 from repro.core.harness import best_outcome, run_trials
 from repro.core.repair import CirFixEngine, repair
 from repro.core.serialize import outcome_to_json
-from repro.experiments.common import run_scenario
+from repro.experiments.common import SMOKE, run_scenario
 from repro.synth import race_repair, synth_repair
 
 #: Small and bounded by evaluations, not wall-clock, so outcomes are
@@ -75,6 +75,24 @@ class TestSharedBackend:
             assert _without_wall_clock(outcome) == _without_wall_clock(fresh)
         # The second trial replayed results the first one computed.
         assert hits > 0
+
+    def test_backend_keeps_the_whole_run(self):
+        """SMOKE seeds 0 and 1 on dec_numeric: neither repairs, and the
+        second replays what the first scored.  The backend keeps every
+        result of its run; the 256-entry LRU it replaced kept 4 of the
+        47 replays.  Each trial still returns the outcome it has on a
+        backend of its own."""
+        dec = load_scenario("dec_numeric")
+        problem = dec.problem()
+        smoke = dec.suggested_config(SMOKE)
+        with make_backend(problem, smoke) as backend:
+            outcomes = run_trials(CirFixEngine, problem, smoke, (0, 1), backend=backend)
+            hits = backend.cache.info()["hits"]
+        assert [o.seed for o in outcomes] == [0, 1]
+        for outcome in outcomes:
+            fresh = CirFixEngine(problem, smoke, outcome.seed).run()
+            assert _without_wall_clock(outcome) == _without_wall_clock(fresh)
+        assert hits > 4
 
     def test_caller_keeps_its_backend_open(self, scenario, config):
         problem = scenario.problem()

@@ -1,8 +1,13 @@
 """The oracle battery on clean and deliberately-broken inputs."""
 
+import dataclasses
+import os
+
 import pytest
 
+from repro.core import backend as backend_mod
 from repro.fuzz import (
+    Violation,
     check_backends,
     check_determinism,
     check_roundtrip,
@@ -68,6 +73,31 @@ class TestDeterminism:
         violations, oracle = check_determinism(program, backend="process", workers=2)
         assert violations == []
         assert oracle is not None
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_repeat_is_a_second_evaluation(self, program, backend, monkeypatch):
+        """Every second evaluation in a process scores half: the oracle
+        reports it on both paths, so its repeat is scored, not replayed."""
+        score = backend_mod.evaluate_design_text
+        calls: dict[int, int] = {}
+
+        def every_second_call_off(*args, **kwargs):
+            result = score(*args, **kwargs)
+            calls[os.getpid()] = calls.get(os.getpid(), 0) + 1
+            if calls[os.getpid()] % 2 == 0:
+                result = dataclasses.replace(result, fitness=result.fitness / 2)
+            return result
+
+        # Workers forked from here on run the perturbed scorer; none of
+        # them is left parked for a later pool.
+        backend_mod._close_idle_workers()
+        monkeypatch.setattr(backend_mod, "evaluate_design_text", every_second_call_off)
+        try:
+            violations, _ = check_determinism(program, backend=backend, workers=1)
+        finally:
+            monkeypatch.undo()
+            backend_mod._close_idle_workers()
+        assert Violation("determinism", "repeated evaluation not bit-identical") in violations
 
 
 class TestBackends:

@@ -319,6 +319,10 @@ class TestDaemonRecovery:
         gated = tiny_request(tenant="gated").to_dict()
         gated["config"]["lint_gate"] = True
         journal.record_admitted("job-3-cccccccc", gated)
+        # One journaled before the result table lost its size bound.
+        bounded = tiny_request(tenant="bounded").to_dict()
+        bounded["config"]["eval_cache_size"] = 256
+        journal.record_admitted("job-4-dddddddd", bounded)
         with DaemonHarness(
             tmp_path, "d", journal_dir=journal_dir, recover=True
         ) as client:
@@ -333,6 +337,9 @@ class TestDaemonRecovery:
         assert removed_key.state == "failed"
         assert "unrecoverable" in removed_key.error
         assert "unknown config key 'lint_gate'" in removed_key.error
+        unbounded = journal.get("job-4-dddddddd")
+        assert unbounded.state == "failed"
+        assert "unknown config key 'eval_cache_size'" in unbounded.error
 
     def test_graceful_drain_leaves_no_unfinished_records(self, tmp_path):
         journal_dir = tmp_path / "journal"
